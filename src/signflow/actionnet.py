@@ -10,6 +10,9 @@ and adds the gated results:
   * me: a motion gate from differences between transformed consecutive
     squeezed frames.
 
+Both temporal moves (the ce conv taps and the me frame difference) are
+``tensor.roll_time``, the same zero-filled move along time as the shift.
+
 Each branch output is bounded by |x| elementwise (pure sub-unit gating; the
 additive skip lives in the enclosing residual block). The branch internals
 are reconstructions consistent with the named components, not a replica of
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Parameter, Tensor, add, concat, conv2d, conv3d, global_avg_pool,
-                     matmul, mul, narrow, reshape, sigmoid, tmean, zeros_like_slice)
+from .tensor import (Parameter, Tensor, add, conv2d, conv3d, global_avg_pool, matmul, mul,
+                     narrow, reshape, roll_time, sigmoid, tmean)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,9 @@ class ActionBlock:
     """Parameter container + forward for one excitation block at C channels."""
 
     def __init__(self, channels: int, cfg: ActionConfig, rng: np.random.Generator,
-                 name: str, dtype=np.float32, average: bool = False):
+                 name: str, dtype=np.float32):
         self.channels = channels
         self.cfg = cfg
-        self.average = average
         cr = cfg.squeezed(channels)
         k = cfg.temporal_kernel
 
@@ -110,16 +112,10 @@ class ActionBlock:
         n, t, c, h, w = x.shape
         s = conv2d(reshape(x, n * t, c, h, w), self.me_squeeze)   # [N*T, C/r, H, W]
         cr = s.shape[1]
-        s5 = reshape(s, n, t, cr, h, w)
-        if t > 1:
-            nxt = reshape(narrow(s5, 1, 1, t - 1), n * (t - 1), cr, h, w)
-            nxt = conv2d(nxt, self.me_transform, stride=1, pad=1)
-            prev = reshape(narrow(s5, 1, 0, t - 1), n * (t - 1), cr, h, w)
-            motion = nxt - prev
-            motion = reshape(motion, n, t - 1, cr, h, w)
-            motion = concat([motion, zeros_like_slice(motion, 1, 1)], axis=1)
-        else:
-            motion = mul(s5, 0.0)
+        moved = reshape(conv2d(s, self.me_transform, stride=1, pad=1), n, t, cr, h, w)
+        # d[t] = transform(s[t]) - s[t-1], then m[t] = d[t+1], zero at t = T-1
+        prev = roll_time(reshape(s, n, t, cr, h, w), (+1,), cr)
+        motion = roll_time(moved - prev, (-1,), cr)
         pooled = global_avg_pool(reshape(motion, n * t, cr, h, w))  # [N*T, C/r]
         g = add(matmul(pooled, self.me_expand), self.me_bias)
         g = sigmoid(g)
@@ -127,33 +123,20 @@ class ActionBlock:
         return mul(x, g)
 
     def forward(self, x: Tensor) -> Tensor:
-        """ste(x) + ce(x) + me(x); optional mean of the three for stability."""
-        out = add(add(self.ste(x), self.ce(x)), self.me(x))
-        if self.average:
-            out = mul(out, 1.0 / 3.0)
-        return out
+        """ste(x) + ce(x) + me(x)."""
+        return add(add(self.ste(x), self.ce(x)), self.me(x))
 
     __call__ = forward
 
 
 def _temporal_conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Depthwise conv over the middle (time) axis of [N,T,D]; zero padded."""
-    n, t, d = x.shape
-    k = w.shape[1]
-    half = k // 2
-    taps = []
+    """Depthwise conv over the middle (time) axis of [N,T,D] with [D,k] weights.
+
+    out[:, t] = sum over taps of w[:, tap] * x[:, t + tap - k//2], zero padded.
+    """
+    d, k = w.shape
+    out = None
     for tap in range(k):
-        off = tap - half
-        if off < 0:
-            part = concat([zeros_like_slice(x, 1, -off), narrow(x, 1, 0, t + off)], axis=1) \
-                if t + off > 0 else zeros_like_slice(x, 1, t)
-        elif off > 0:
-            part = concat([narrow(x, 1, off, t - off), zeros_like_slice(x, 1, off)], axis=1) \
-                if t - off > 0 else zeros_like_slice(x, 1, t)
-        else:
-            part = x
-        taps.append(mul(part, reshape(narrow(w, 1, tap, 1), 1, 1, d)))
-    out = taps[0]
-    for part in taps[1:]:
-        out = add(out, part)
+        part = mul(roll_time(x, (k // 2 - tap,), d), reshape(narrow(w, 1, tap, 1), 1, 1, d))
+        out = part if out is None else add(out, part)
     return out

@@ -327,16 +327,21 @@ class Model:
             x = self._block_forward(x, block, branch)
         return global_avg_pool(x)
 
-    def forward(self, clip) -> Tensor:
-        """[N,T,C,H,W] clip -> [N,K] consensus logits."""
+    def _clip(self, clip, check_t: bool) -> Tensor:
+        """Clip as an [N,T,C,H,W] tensor; C, H, W (and T if check_t) must match the spec."""
         x = clip if isinstance(clip, Tensor) else Tensor(np.asarray(clip, dtype=self.dtype))
         if x.data.ndim == 4:  # single clip without batch axis
             x = reshape(x, 1, *x.shape)
-        if x.data.ndim != 5 or x.shape[1:] != (self.spec.t, self.spec.in_channels,
-                                               *self.spec.frame_size):
-            raise DimensionError(
-                f"clip shape {x.shape} does not match spec [N,{self.spec.t},"
-                f"{self.spec.in_channels},{self.spec.frame_size[0]},{self.spec.frame_size[1]}]")
+        frame = (self.spec.in_channels, *self.spec.frame_size)
+        if x.data.ndim != 5 or x.shape[2:] != frame or (check_t and x.shape[1] != self.spec.t):
+            t = self.spec.t if check_t else "T"
+            raise DimensionError(f"clip shape {x.shape} does not match spec "
+                                 f"[N,{t},{','.join(map(str, frame))}]")
+        return x
+
+    def forward(self, clip) -> Tensor:
+        """[N,T,C,H,W] clip -> [N,K] consensus logits."""
+        x = self._clip(clip, check_t=True)
         n, t = x.shape[0], x.shape[1]
         feats = self._trunk(reshape(x, n * t, *x.shape[2:]), n, t)     # [N*T, D]
         per_frame = reshape(feats, n, t, feats.shape[1])
@@ -344,8 +349,9 @@ class Model:
         return add(matmul(pooled, self.head_w), self.head_b)
 
     def per_frame_logits(self, clip) -> Tensor:
-        """[N,T,C,H,W] -> [N,T,K] logits of each frame before consensus."""
-        x = clip if isinstance(clip, Tensor) else Tensor(np.asarray(clip, dtype=self.dtype))
+        """[N,T,C,H,W] (or [T,C,H,W]) -> [N,T,K] logits of each frame before
+        consensus; T may differ from the spec's."""
+        x = self._clip(clip, check_t=False)
         n, t = x.shape[0], x.shape[1]
         feats = self._trunk(reshape(x, n * t, *x.shape[2:]), n, t)
         logits = add(matmul(feats, self.head_w), self.head_b)

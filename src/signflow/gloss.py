@@ -12,8 +12,7 @@ set. Without a trace (e.g. glosses coming from a recognizer), structural
 inverses are applied instead: exact for index-matched rules, first/last
 match heuristics for tag-matched moves.
 
-The engine is deterministic by construction; a learned segmenter or
-reorderer can be slotted in via the Segmenter / Reorderer protocols.
+The engine is deterministic by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
 
 from .errors import ConfigError, GlossLookupError, ParseError
 
@@ -97,10 +95,6 @@ class Token:
 
     def to_dict(self) -> dict:
         return {"surface": self.surface, "gloss_id": self.gloss_id, "tags": list(self.tags)}
-
-
-class Segmenter(Protocol):
-    def __call__(self, text: str, lex: Lexicon) -> list[Token]: ...
 
 
 def segment(text: str, lex: Lexicon) -> list[Token]:
@@ -215,10 +209,6 @@ class GlossSequence:
         return {"glosses": self.gloss_ids,
                 "tokens": [t.to_dict() for t in self.tokens],
                 "trace": [s.to_dict() for s in self.trace]}
-
-
-class Reorderer(Protocol):
-    def __call__(self, tokens: list[Token], rules: list[ReorderRule]) -> GlossSequence: ...
 
 
 def _apply_rule(tokens: list[Token], rule: ReorderRule

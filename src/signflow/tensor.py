@@ -2,7 +2,8 @@
 
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
 video backbone needs: elementwise arithmetic, matmul, 2D/3D convolution,
-pooling, reductions, slicing/concatenation, and softmax cross-entropy.
+pooling, reductions, slicing/concatenation, moves along the time axis
+(roll_time), and softmax cross-entropy.
 
 Layout conventions:
   * all data is row-major; video batches use [N, T, C, H, W],
@@ -19,6 +20,7 @@ float32.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -298,11 +300,36 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return parts[0]._child(out_data, tuple(parts), backward, "concat")
 
 
-def zeros_like_slice(x: Tensor, axis: int, length: int) -> Tensor:
-    """Constant zero tensor shaped like x with ``axis`` resized to ``length``."""
-    shape = list(x.shape)
-    shape[axis] = length
-    return Tensor(np.zeros(shape, dtype=x.data.dtype))
+def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
+    """Move channel blocks of [N,T,C,...] along time, filling the gap with zeros.
+
+    Block i (channels i*fold to (i+1)*fold of axis 2) moves ``offsets[i]``
+    steps along axis 1: out[:, t] = x[:, t - offsets[i]], zero where that
+    index falls outside [0, T). Channels after the last block pass through.
+    The backward pass is the opposite move.
+    """
+    end = len(offsets) * fold
+    if x.data.ndim < 3 or fold < 0 or end > x.shape[2]:
+        raise DimensionError(f"roll_time: {len(offsets)} blocks of {fold} channels "
+                             f"do not fit [N,T,C,...] shape {x.shape}")
+    t = x.shape[1]
+    moves = []  # (destination time, source time, channels) of each block
+    for i, off in enumerate(offsets):
+        off = max(-t, min(t, off))  # |offset| >= T leaves nothing to copy
+        moves.append((slice(max(off, 0), t + min(off, 0)), slice(max(-off, 0), t - max(off, 0)),
+                      slice(i * fold, (i + 1) * fold)))
+    out_data = np.zeros_like(x.data)
+    out_data[:, :, end:] = x.data[:, :, end:]
+    for dst, src, ch in moves:
+        out_data[:, dst, ch] = x.data[:, src, ch]
+
+    def backward(grad: Array) -> None:
+        if x.requires_grad:
+            x.grad[:, :, end:] += grad[:, :, end:]
+            for dst, src, ch in moves:
+                x.grad[:, src, ch] += grad[:, dst, ch]
+
+    return x._child(out_data, (x,), backward, "roll_time")
 
 
 # -- reductions --------------------------------------------------------------------
@@ -615,21 +642,36 @@ def save_weights(path, tensors: dict[str, Array] | Iterable[tuple[str, Array]]) 
 
 
 def load_weights(path) -> dict[str, Array]:
-    """Read a weight file written by save_weights; returns float32 arrays."""
+    """Read a weight file written by save_weights; returns float32 arrays.
+
+    A truncated file, trailing bytes, or a repeated or non-UTF-8 tensor
+    name is a ParseError that names the file.
+    """
     with open(path, "rb") as fh:
+
+        def read(size: int, what: str) -> bytes:
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ParseError(f"{path}: truncated {what}")
+            return raw
+
         magic = fh.read(len(WEIGHT_MAGIC))
         if magic != WEIGHT_MAGIC:
             raise ParseError(f"{path}: bad magic {magic!r}, expected {WEIGHT_MAGIC!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", read(4, "tensor count"))
         out: dict[str, Array] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank)) if rank else ()
-            n_values = int(np.prod(dims)) if dims else 1
-            raw = fh.read(4 * n_values)
-            if len(raw) != 4 * n_values:
-                raise ParseError(f"{path}: truncated values for tensor {name!r}")
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", read(4, f"name length of tensor {i}"))
+            try:
+                name = read(name_len, f"name of tensor {i}").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: name of tensor {i} is not UTF-8") from None
+            if name in out:
+                raise ParseError(f"{path}: duplicate tensor name {name!r}")
+            (rank,) = struct.unpack("<I", read(4, f"rank of tensor {name!r}"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of tensor {name!r}"))
+            raw = read(4 * math.prod(dims), f"values for tensor {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        if fh.read(1):
+            raise ParseError(f"{path}: trailing bytes after {count} tensors")
         return out

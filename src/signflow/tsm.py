@@ -2,7 +2,8 @@
 
 The shifted slice ("fold", floor(C * fold_fraction) channels, default 1/8)
 carries neighboring-frame features into the current frame at zero FLOP cost.
-Two directions:
+Shift is ``tensor.roll_time`` over the folds: a one-step move along time with
+zero fill. Two directions:
 
   * bidirectional (offline): the first fold sees the next frame, the second
     fold sees the previous frame, the rest is untouched;
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import Tensor, concat, narrow, zeros_like_slice
+from .tensor import Tensor, concat, narrow, roll_time
 
 BIDIRECTIONAL = "bidirectional"
 UNIDIRECTIONAL = "unidirectional"
@@ -58,12 +59,15 @@ class ShiftConfig:
         return cf
 
 
-def _check_video(x: Tensor) -> Tensor:
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
+def _shift(x: Tensor, cfg: ShiftConfig, direction: str, offsets: tuple[int, ...]) -> Tensor:
+    """roll_time of [N,T,C,H,W] with one fold per offset; cfg must be ``direction``."""
+    if cfg.direction != direction:
+        raise ConfigError(f"shift_{direction} called with direction {cfg.direction!r}")
+    x = x if isinstance(x, Tensor) else Tensor(x)
     if x.data.ndim != 5:
         raise ConfigError(f"shift expects [N,T,C,H,W], got shape {x.shape}")
-    return x
+    cf = cfg.fold_channels(x.shape[2])
+    return roll_time(x, offsets, cf) if cf else x
 
 
 def shift_bidirectional(x: Tensor, cfg: ShiftConfig) -> Tensor:
@@ -72,39 +76,12 @@ def shift_bidirectional(x: Tensor, cfg: ShiftConfig) -> Tensor:
     Boundary timesteps read zeros. Differentiable; the gradient of a shift
     is the inverse shift with out-of-range gradients dropped.
     """
-    if cfg.direction != BIDIRECTIONAL:
-        raise ConfigError(f"shift_bidirectional called with direction {cfg.direction!r}")
-    x = _check_video(x)
-    c = x.shape[2]
-    cf = cfg.fold_channels(c)
-    if cf == 0:
-        return x
-    t = x.shape[1]
-    zero = zeros_like_slice(narrow(x, 2, 0, cf), 1, 1)
-
-    fwd = narrow(x, 2, 0, cf)          # out[t] = x[t+1], zero at t = T-1
-    fwd = concat([narrow(fwd, 1, 1, t - 1), zero], axis=1) if t > 1 else zero
-    bwd = narrow(x, 2, cf, cf)         # out[t] = x[t-1], zero at t = 0
-    bwd = concat([zero, narrow(bwd, 1, 0, t - 1)], axis=1) if t > 1 else zero
-    rest = narrow(x, 2, 2 * cf, c - 2 * cf)
-    return concat([fwd, bwd, rest], axis=2)
+    return _shift(x, cfg, BIDIRECTIONAL, (-1, +1))
 
 
 def shift_unidirectional(x: Tensor, cfg: ShiftConfig) -> Tensor:
     """Blend only past frames: fold 0 reads t-1, zero at t = 0."""
-    if cfg.direction != UNIDIRECTIONAL:
-        raise ConfigError(f"shift_unidirectional called with direction {cfg.direction!r}")
-    x = _check_video(x)
-    c = x.shape[2]
-    cf = cfg.fold_channels(c)
-    if cf == 0:
-        return x
-    t = x.shape[1]
-    zero = zeros_like_slice(narrow(x, 2, 0, cf), 1, 1)
-    fold = narrow(x, 2, 0, cf)
-    fold = concat([zero, narrow(fold, 1, 0, t - 1)], axis=1) if t > 1 else zero
-    rest = narrow(x, 2, cf, c - cf)
-    return concat([fold, rest], axis=2)
+    return _shift(x, cfg, UNIDIRECTIONAL, (+1,))
 
 
 def shift(x: Tensor, cfg: ShiftConfig) -> Tensor:

@@ -7,6 +7,51 @@ from signflow.errors import ConfigError
 from signflow.tensor import Tensor, grad_check, tsum
 
 
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def ce_oracle(block, x):
+    """Channel gate by loops: pool, squeeze, zero-padded temporal conv, expand."""
+    n, t = x.shape[:2]
+    s = x.mean(axis=(3, 4)) @ block.ce_squeeze.data           # [N, T, C/r]
+    w = block.ce_temporal.data                                # [C/r, k]
+    half = w.shape[1] // 2
+    conv = np.zeros_like(s)
+    for ni in range(n):
+        for ti in range(t):
+            for d in range(s.shape[2]):
+                for tap in range(w.shape[1]):
+                    src = ti + tap - half
+                    if 0 <= src < t:
+                        conv[ni, ti, d] += w[d, tap] * s[ni, src, d]
+    g = sigmoid(conv @ block.ce_expand.data + block.ce_bias.data)
+    return x * g[..., None, None]
+
+
+def me_oracle(block, x):
+    """Motion gate by loops: m[t] = transform(s[t+1]) - s[t], m[T-1] = 0."""
+    n, t, c, h, w = x.shape
+    s = np.einsum("rc,ntchw->ntrhw", block.me_squeeze.data[:, :, 0, 0], x)
+    cr = s.shape[2]
+    sp = np.pad(s, ((0, 0), (0, 0), (0, 0), (1, 1), (1, 1)))
+    tw = block.me_transform.data                              # [C/r, C/r, 3, 3]
+    motion = np.zeros_like(s)
+    for ni in range(n):
+        for ti in range(t - 1):
+            for o in range(cr):
+                for i in range(h):
+                    for j in range(w):
+                        acc = 0.0
+                        for ci in range(cr):
+                            for a in range(3):
+                                for b in range(3):
+                                    acc += tw[o, ci, a, b] * sp[ni, ti + 1, ci, i + a, j + b]
+                        motion[ni, ti, o, i, j] = acc - s[ni, ti, o, i, j]
+    g = sigmoid(motion.mean(axis=(3, 4)) @ block.me_expand.data + block.me_bias.data)
+    return x * g[..., None, None]
+
+
 def make_block(channels=8, seed=0, dtype=np.float64, **cfg_kw):
     cfg = ActionConfig(**cfg_kw) if cfg_kw else ActionConfig()
     return ActionBlock(channels, cfg, np.random.default_rng(seed), "act", dtype=dtype)
@@ -68,6 +113,23 @@ class TestBranches:
         assert out.shape == x.shape
         assert (np.abs(out) <= np.abs(x) + 1e-12).all()
 
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_ce_matches_loop_oracle(self, t, k):
+        block = make_block(seed=7, temporal_kernel=k)
+        block.ce_bias.data = self.rng.uniform(-1, 1, 8)
+        x = self.rng.uniform(-1, 1, (2, t, 8, 3, 3))
+        npt.assert_allclose(block.ce(Tensor(x)).numpy(), ce_oracle(block, x),
+                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_me_matches_loop_oracle(self, t):
+        block = make_block(seed=8)
+        block.me_bias.data = self.rng.uniform(-1, 1, 8)
+        x = self.rng.uniform(-1, 1, (2, t, 8, 3, 3))
+        npt.assert_allclose(block.me(Tensor(x)).numpy(), me_oracle(block, x),
+                            rtol=0, atol=1e-12)
+
     def test_ste_gate_floor(self):
         block = make_block()
         block.ste_b.data = np.array([-200.0])
@@ -87,16 +149,6 @@ class TestActionBlock:
         x = rng.uniform(-1, 1, (2, 4, 8, 4, 4))
         out = make_block(seed=5).forward(Tensor(x)).numpy()
         assert (np.abs(out) <= 3 * np.abs(x) + 1e-12).all()
-
-    def test_average_flag(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, (1, 3, 8, 2, 2))
-        cfg = ActionConfig()
-        a = ActionBlock(8, cfg, np.random.default_rng(0), "a", dtype=np.float64)
-        b = ActionBlock(8, cfg, np.random.default_rng(0), "b", dtype=np.float64,
-                        average=True)
-        npt.assert_allclose(b.forward(Tensor(x)).numpy(),
-                            a.forward(Tensor(x)).numpy() / 3.0, rtol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

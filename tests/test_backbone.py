@@ -101,6 +101,14 @@ class TestForward:
         model = build(tiny_spec(), seed=0)
         with pytest.raises(DimensionError):
             model.forward(np.zeros((1, 5, 2, 8, 8), dtype=np.float32))
+        # wrong frame size, wrong channels, unbatched wrong frame size
+        for shape in [(1, 4, 2, 16, 16), (1, 4, 3, 8, 8), (4, 2, 16, 16)]:
+            for fn in (model.forward, model.per_frame_logits):
+                with pytest.raises(DimensionError):
+                    fn(np.zeros(shape, dtype=np.float32))
+        # per-frame logits take any T, batched or not
+        for shape in [(1, 6, 2, 8, 8), (6, 2, 8, 8)]:
+            assert model.per_frame_logits(np.zeros(shape, dtype=np.float32)).shape == (1, 6, 3)
 
     def test_shift_net_is_order_sensitive_none_net_is_not(self):
         rng = np.random.default_rng(3)
@@ -274,6 +282,14 @@ class TestTrain:
         ds = random_dataset(spec, 2, seed=11)
         with pytest.raises(NumericError, match="epoch 0"):
             train(model, ds, TrainConfig(epochs=1, batch_size=2, seed=0))
+
+    def test_action_net_trains_at_t1(self):
+        # with one frame the motion map is all zeros, but every parameter,
+        # the motion transform included, still gets a gradient
+        spec = tiny_spec(temporal="action", t=1)
+        history = train(build(spec, seed=2), random_dataset(spec, 2, seed=3),
+                        TrainConfig(epochs=1, batch_size=2, seed=0))
+        assert len(history) == 1
 
     def test_label_out_of_range_rejected(self):
         spec = tiny_spec()

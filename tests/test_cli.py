@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,15 @@ class TestConfigFile:
                          for p in (tmp_path / "a").rglob("*") if p.is_file())
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+    def test_bad_env_seed_is_usage_error(self):
+        env = {**os.environ, "SIGNFLOW_SEED": "abc"}
+        proc = subprocess.run([sys.executable, "-m", "signflow", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "SIGNFLOW_SEED" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTimestamps:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
 from signflow.tensor import (Parameter, Tensor, add, concat, conv2d, conv3d,
                              global_avg_pool, grad_check, load_weights, matmul, mul,
-                             narrow, relu, reshape, save_weights, sigmoid, softmax,
-                             softmax_cross_entropy, tsum)
+                             narrow, relu, reshape, roll_time, save_weights, sigmoid,
+                             softmax, softmax_cross_entropy, tsum)
 
 
 def naive_matmul(a, b):
@@ -273,6 +274,53 @@ class TestShapeOps:
         npt.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
+
+def roll_time_oracle(x, offsets, fold):
+    """Index arithmetic over every element: out[:, t, c] = x[:, t - offset, c]."""
+    out = np.zeros_like(x)
+    t, c = x.shape[1], x.shape[2]
+    for ti in range(t):
+        for ci in range(c):
+            block = ci // fold if fold else len(offsets)
+            src = ti - offsets[block] if block < len(offsets) else ti
+            if 0 <= src < t:
+                out[:, ti, ci] = x[:, src, ci]
+    return out
+
+
+class TestRollTime:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_index_oracle_both_ways(self, data):
+        n = data.draw(st.integers(1, 3))
+        t = data.draw(st.integers(1, 6))
+        c = data.draw(st.integers(1, 8))
+        fold = data.draw(st.integers(0, c))
+        blocks = data.draw(st.integers(0, c // fold if fold else 2))
+        offsets = data.draw(st.lists(st.integers(-t - 1, t + 1),
+                                     min_size=blocks, max_size=blocks))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.uniform(-1, 1, (n, t, c, 2))
+        g = rng.uniform(-1, 1, (n, t, c, 2))
+        leaf = Tensor(x, requires_grad=True)
+        out = roll_time(leaf, offsets, fold)
+        npt.assert_array_equal(out.numpy(), roll_time_oracle(x, offsets, fold))
+        tsum(mul(out, Tensor(g))).backward()
+        # the backward pass is the opposite move
+        npt.assert_array_equal(leaf.grad, roll_time_oracle(g, [-o for o in offsets], fold))
+
+    def test_gradients(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-1, 1, (2, 4, 7, 3))
+        w = Tensor(rng.uniform(-1, 1, x.shape))
+        assert grad_check(lambda t: tsum(mul(roll_time(t, (-1, 2, 5), 2), w)), x) <= 1e-6
+
+    def test_blocks_must_fit_channels(self):
+        with pytest.raises(DimensionError):
+            roll_time(Tensor(np.zeros((1, 3, 4))), (1, -1, 1), 2)
+        with pytest.raises(DimensionError):
+            roll_time(Tensor(np.zeros((3, 4))), (1,), 1)
+
 class TestWeightStore:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -294,11 +342,32 @@ class TestWeightStore:
         save_weights(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_magic_checked(self, tmp_path):
+    @pytest.mark.parametrize("case, match", [
+        pytest.param("magic", "bad magic", id="magic"),
+        pytest.param("truncated_header", "truncated dims", id="truncated_header"),
+        pytest.param("trailing_bytes", "trailing bytes", id="trailing_bytes"),
+        pytest.param("duplicate_name", "duplicate tensor name 'w'", id="duplicate_name"),
+        pytest.param("name_not_utf8", "not UTF-8", id="name_not_utf8"),
+    ])
+    def test_bad_file_rejected(self, tmp_path, case, match):
+        w = np.zeros((2, 3), dtype=np.float32)
+        good = tmp_path / "good.sgnf"
+        save_weights(good, {"w": w})
+        raw = good.read_bytes()       # magic 5, count 4, name length 4, name 1, rank 4, ...
         bad = tmp_path / "bad.sgnf"
-        bad.write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(ParseError, match="magic"):
+        if case == "magic":
+            bad.write_bytes(b"NOPE!" + b"\x00" * 16)
+        elif case == "truncated_header":
+            bad.write_bytes(raw[:20])  # inside the dims
+        elif case == "trailing_bytes":
+            bad.write_bytes(raw + b"\x00")
+        elif case == "duplicate_name":
+            save_weights(bad, [("w", w), ("w", w + 1)])
+        else:
+            bad.write_bytes(raw[:13] + b"\xff" + raw[14:])
+        with pytest.raises(ParseError, match=match) as exc:
             load_weights(bad)
+        assert str(bad) in str(exc.value)
 
     def test_float64_saved_as_float32(self, tmp_path):
         path = tmp_path / "w.sgnf"
