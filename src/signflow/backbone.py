@@ -8,6 +8,12 @@ and a linear classification head.
 
 Normalization is a per-channel affine (scale/bias with running statistics
 frozen to mean 0 / var 1), so outputs carry no batch-size dependence.
+
+Two forward paths share the weights. ``Model.forward`` and
+``per_frame_logits`` build the autodiff graph (training needs it, and it is
+the reference). ``Model.infer`` and ``StreamState.step`` run an
+``InferencePlan``: each affine folded into the conv before it, and plain
+numpy calls with no graph.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, NumericError, UsageError
 from .sampler import consensus
-from .tensor import (Array, Parameter, Tensor, add, conv2d, global_avg_pool, matmul,
-                     mul, relu, reshape, softmax_cross_entropy,
+from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, conv2d, conv2d_array,
+                     global_avg_pool, matmul, mul, relu, reshape, softmax_cross_entropy,
                      load_weights, save_weights)
 from .tsm import (BIDIRECTIONAL, UNIDIRECTIONAL, OnlineCache, ShiftConfig, online_step,
                   shift)
@@ -193,6 +199,10 @@ class _ConvUnit:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
 
+    def out_hw(self, h: int, w: int) -> tuple[int, int]:
+        kh, kw = self.w.shape[2:]
+        return _conv2d_out_hw(h, w, kh, kw, self.stride, self.pad)
+
     def parameters(self):
         return [self.w, self.b]
 
@@ -348,6 +358,22 @@ class Model:
         pooled = consensus(per_frame)                                  # mean over T
         return add(matmul(pooled, self.head_w), self.head_b)
 
+    def infer(self, clips) -> Array:
+        """[N,T,C,H,W] clips -> [N,K] consensus logits, without a graph.
+
+        The same function as forward, on folded weights: the result agrees
+        with forward to rounding, not bit for bit. The weights are folded
+        on every call, so the result always follows the current parameters.
+        """
+        x = self._clip(clips, check_t=True).data
+        n, t = x.shape[:2]
+        plan = InferencePlan(self)
+        feats = _relu(plan.stem(x.reshape(n * t, *x.shape[2:])))
+        for block, folded in zip(self.blocks, plan.blocks):
+            feats = folded(feats, self._temporal(Tensor(feats), block, n, t).data)
+        pooled = feats.mean(axis=(2, 3)).reshape(n, t, -1).mean(axis=1)
+        return plan.head(pooled)
+
     def per_frame_logits(self, clip) -> Tensor:
         """[N,T,C,H,W] (or [T,C,H,W]) -> [N,T,K] logits of each frame before
         consensus; T may differ from the spec's."""
@@ -360,30 +386,81 @@ class Model:
     # -- streaming ---------------------------------------------------------------
 
     def open_stream(self, stream_id: str = "stream0", n: int = 1) -> "StreamState":
+        """A stream over the weights as they are now: it runs an InferencePlan
+        folded here, so later training or load_state_dict does not reach it."""
         if self.spec.temporal == TEMPORAL_ACTION:
             raise UsageError("streaming inference is only defined for shift or none")
         if self.spec.temporal == TEMPORAL_SHIFT and self.spec.direction != UNIDIRECTIONAL:
             raise UsageError("streaming requires a unidirectional shift model")
         caches: list[OnlineCache] = []
         if self.spec.temporal == TEMPORAL_SHIFT:
-            h, w = self.spec.frame_size
-            h = (h + 2 - 3) // self.spec.stem_stride + 1
-            w = (w + 2 - 3) // self.spec.stem_stride + 1
+            h, w = self.stem.out_hw(*self.spec.frame_size)
             for li, block in enumerate(self.blocks):
                 cf = self.shift_cfg.fold_channels(block.cin)
                 caches.append(OnlineCache.zeros(stream_id, f"block{li}", n, cf, h, w,
                                                 dtype=self.dtype))
-                if block.stride != 1:
-                    h = (h + 2 - 3) // block.stride + 1
-                    w = (w + 2 - 3) // block.stride + 1
-        return StreamState(self, stream_id, caches)
+                h, w = block.conv2.out_hw(*block.conv1.out_hw(h, w))
+        return StreamState(InferencePlan(self), self.dtype, stream_id, caches)
+
+
+def _relu(x: Array) -> Array:
+    """relu in place; callers pass only arrays they own."""
+    return np.maximum(x, 0, out=x)
+
+
+class _FoldedConv:
+    """A conv followed by its frozen-statistics affine, as one conv:
+    w' = gamma * w per output channel, b' = gamma * b + beta."""
+
+    def __init__(self, unit: _ConvUnit, norm: _Affine):
+        gamma = norm.gamma.data
+        self.w = unit.w.data * gamma[:, None, None, None]
+        self.b = unit.b.data * gamma + norm.beta.data
+        self.stride, self.pad = unit.stride, unit.pad
+
+    def __call__(self, x: Array) -> Array:
+        return conv2d_array(x, self.w, self.b, stride=self.stride, pad=self.pad)
+
+
+class _FoldedBlock:
+    """Residual block on folded convs; the branch input comes from the caller."""
+
+    def __init__(self, block: _Block):
+        self.conv1 = _FoldedConv(block.conv1, block.norm1)
+        self.conv2 = _FoldedConv(block.conv2, block.norm2)
+        self.proj = _FoldedConv(block.proj, block.proj_norm) if block.proj is not None else None
+
+    def __call__(self, x: Array, branch: Array) -> Array:
+        y = self.conv2(_relu(self.conv1(branch)))
+        y += self.proj(x) if self.proj is not None else x
+        return _relu(y)
+
+
+class InferencePlan:
+    """A model's weights folded for graph-free inference.
+
+    Every array is a new copy, so the plan is a snapshot: it keeps the
+    weights as they were when it was built.
+    """
+
+    def __init__(self, model: Model):
+        self.stem = _FoldedConv(model.stem, model.stem_norm)
+        self.blocks = [_FoldedBlock(block) for block in model.blocks]
+        self.head_w = model.head_w.data.copy()
+        self.head_b = model.head_b.data.copy()
+
+    def head(self, feats: Array) -> Array:
+        return feats @ self.head_w + self.head_b
 
 
 class StreamState:
-    """Per-stream mutable state: one fold cache per block plus a logit sum."""
+    """Per-stream mutable state: one fold cache per block plus a logit sum.
 
-    def __init__(self, model: Model, stream_id: str, caches: list[OnlineCache]):
-        self.model = model
+    It holds the InferencePlan folded when the stream was opened."""
+
+    def __init__(self, plan: InferencePlan, dtype, stream_id: str, caches: list[OnlineCache]):
+        self.plan = plan
+        self.dtype = dtype
         self.stream_id = stream_id
         self.caches = caches
         self.frames_seen = 0
@@ -392,21 +469,20 @@ class StreamState:
     def step(self, frame: Array) -> dict:
         """Process one [N,C,H,W] frame (or [C,H,W]); returns per-frame and
         rolling consensus logits."""
-        model = self.model
-        frame = np.asarray(frame, dtype=model.dtype)
+        plan = self.plan
+        frame = np.asarray(frame, dtype=self.dtype)
         if frame.ndim == 3:
             frame = frame[None]
         if frame.ndim != 4:
             raise InputError(f"stream step expects [N,C,H,W] frame, got {frame.shape}")
-        x = relu(model.stem_norm(model.stem(Tensor(frame))))
-        for li, block in enumerate(model.blocks):
-            if model.spec.temporal == TEMPORAL_SHIFT:
+        x = _relu(plan.stem(frame))
+        for li, block in enumerate(plan.blocks):
+            if self.caches:
                 branch, self.caches[li] = online_step(x, self.caches[li])
             else:
                 branch = x
-            x = model._block_forward(x, block, branch)
-        feats = global_avg_pool(x)
-        logits = add(matmul(feats, model.head_w), model.head_b).numpy()
+            x = block(x, branch)
+        logits = plan.head(x.mean(axis=(2, 3)))
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
         rolling = self.logit_sum / self.frames_seen
@@ -439,8 +515,9 @@ def topk_hits(logits: Array, labels: Array, k: int) -> int:
 def evaluate(model: Model, dataset) -> Metrics:
     """Prec@1 / Prec@5 / mean loss over (clip, label) pairs.
 
-    Samples are forwarded one at a time and per-sample losses combined with
-    an exact sum, so the result does not depend on iteration order.
+    Samples go through model.infer one at a time and per-sample losses are
+    combined with an exact sum, so the result does not depend on iteration
+    order.
     """
     items = list(dataset)
     if not items:
@@ -450,7 +527,7 @@ def evaluate(model: Model, dataset) -> Metrics:
     for clip, label in items:
         arr = np.asarray(clip, dtype=model.dtype)[None]
         label_arr = np.array([label], dtype=np.int64)
-        logits = model.forward(arr).numpy()
+        logits = model.infer(arr)
         hits1 += topk_hits(logits, label_arr, 1)
         hits5 += topk_hits(logits, label_arr, 5)
         losses.append(float(softmax_cross_entropy(Tensor(logits), label_arr).item()))

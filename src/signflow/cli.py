@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .backbone import Model, NetSpec, TrainConfig, build, evaluate, parameter_count, train
-from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_manifest,
-                      make_isolated_clips, read_clip, synth_temporal)
+from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
+                      load_manifest, make_isolated_clips, read_clip, synth_temporal)
 from .errors import SignflowError, UsageError
 from .gloss import load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
@@ -154,9 +154,6 @@ def cmd_recognize(args) -> int:
         entry = _frames_entry(_require_file(args.frames, "--frames"))
         base = Path(".")
         label_map = None
-        if args.labels:
-            with open(_require_file(args.labels, "--labels"), encoding="utf-8") as fh:
-                label_map = json.load(fh)
     else:
         manifest = _require_file(args.manifest, "--manifest")
         entries, label_map = load_manifest(manifest)
@@ -165,9 +162,8 @@ def cmd_recognize(args) -> int:
             raise UsageError(f"--video-id: {args.video_id!r} not in {manifest}")
         entry = by_id[args.video_id]
         base = manifest.parent
-        if args.labels:
-            with open(_require_file(args.labels, "--labels"), encoding="utf-8") as fh:
-                label_map = json.load(fh)
+    if args.labels:
+        label_map = load_labels(_require_file(args.labels, "--labels"))
     cfg = RecognizeConfig(window=args.window, stride=args.stride)
     sample = SampleSpec(num_segments=model.spec.t, mode=MODE_EVAL_CENTER)
     result = recognize(entry, model, lex, rules, sample, base=base,
@@ -250,7 +246,7 @@ def cmd_bench(args) -> int:
         metrics = evaluate(model, eval_ds)
 
         clip = np.asarray(eval_ds[0][0], dtype=model.dtype)[None]
-        ms_clip = _median_ms(lambda: model.forward(clip), args.reps)
+        ms_clip = _median_ms(lambda: model.infer(clip), args.reps)
         if variant in ("shift", "none"):
             frame = clip[:, 0]
             stream = model.open_stream()
@@ -434,8 +430,14 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     """Fill flags from --config JSON where the flag was not given explicitly."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
+    path = _require_file(args.config, "--config")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            defaults = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"--config: {path} is not valid JSON ({exc})") from None
+    if not isinstance(defaults, dict):
+        raise UsageError(f"--config: {path} must hold a JSON object")
     given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in defaults.items():
         attr = key.replace("-", "_")

@@ -182,11 +182,26 @@ def load_manifest(path: Path | str, verify: bool = False
                     f"{entry.video_id}: manifest says {entry.num_frames} frames, found {count}")
 
     labels_path = path.parent / "labels.json"
-    label_map = None
-    if labels_path.exists():
-        with open(labels_path, encoding="utf-8") as fh:
-            label_map = {str(k): int(v) for k, v in json.load(fh).items()}
+    label_map = load_labels(labels_path) if labels_path.exists() else None
     return entries, label_map
+
+
+def load_labels(path: Path | str) -> dict[str, int]:
+    """Read a labels.json gloss -> class index map.
+
+    Invalid JSON or anything but an object of integer values is a
+    ParseError that names the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    try:
+        return {str(k): int(v) for k, v in raw.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ParseError(f"{path}: labels must be a JSON object of gloss -> class index") \
+            from None
 
 
 def _resolve_dir(base: Path, frame_dir: str) -> Path:

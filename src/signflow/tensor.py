@@ -15,7 +15,8 @@ conv2d runs in one of two modes. The ``exact`` mode accumulates kernel taps
 in (c, kh, kw) order with the innermost axis last, which makes its output
 bit-identical to a naive six-loop evaluation. The ``fast`` mode lowers to an
 im2col matmul (BLAS). Mode ``auto`` picks exact for float64 and fast for
-float32.
+float32. ``conv2d_array`` is the same forward on plain arrays, without a
+graph node; graph-free inference calls it directly.
 """
 
 from __future__ import annotations
@@ -415,6 +416,58 @@ def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     return windows.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
 
 
+def _zero_pad(x: Array, pad: int, axes: int) -> Array:
+    """Zero-pad the last ``axes`` axes of x by ``pad`` on both sides.
+
+    Writes x into a preallocated zero buffer; returns x itself when pad is 0.
+    """
+    if not pad:
+        return x
+    lead = x.ndim - axes
+    out = np.zeros(x.shape[:lead] + tuple(s + 2 * pad for s in x.shape[lead:]), dtype=x.dtype)
+    out[(slice(None),) * lead + tuple(slice(pad, pad + s) for s in x.shape[lead:])] = x
+    return out
+
+
+def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
+                    mode: str) -> tuple[Array, Array]:
+    """Checked conv2d arithmetic; returns (output, zero-padded input)."""
+    if x.ndim != 4 or w.ndim != 4:
+        raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
+    n, c, h, wd = x.shape
+    co, cw, kh, kw = w.shape
+    if cw != c:
+        raise DimensionError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
+    oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
+    if mode == "auto":
+        mode = "exact" if x.dtype == np.float64 else "fast"
+    xp = _zero_pad(x, pad, 2)
+
+    if mode == "exact":
+        out = np.zeros((n, co, oh, ow), dtype=x.dtype)
+        tmp = np.empty_like(out)
+        for ci in range(c):
+            for i in range(kh):
+                for j in range(kw):
+                    patch = xp[:, ci, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                    np.multiply(patch[:, None, :, :], w[None, :, ci, i, j, None, None], out=tmp)
+                    out += tmp
+        if bias is not None:
+            out = out + bias.reshape(1, co, 1, 1)
+    else:
+        rows = _im2col(xp, kh, kw, stride, oh, ow) @ w.reshape(co, -1).T  # [N*oh*ow, Co]
+        if bias is not None:
+            rows = rows + bias
+        out = np.ascontiguousarray(rows.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
+    return out, xp
+
+
+def conv2d_array(x: Array, w: Array, bias: Array | None = None, stride: int = 1,
+                 pad: int = 0, mode: str = "auto") -> Array:
+    """The forward of conv2d on plain arrays, with no graph node."""
+    return _conv2d_forward(x, w, bias, stride, pad, mode)[0]
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            pad: int = 0, mode: str = "auto") -> Tensor:
     """Cross-correlation of [N,C,H,W] with [Co,C,kh,kw], zero padding.
@@ -424,37 +477,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     """
     x = _wrap(x)
     w = _wrap(w)
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
+    out_data, xp = _conv2d_forward(x.data, w.data, None if bias is None else bias.data,
+                                   stride, pad, mode)
     n, c, h, wd = x.shape
-    co, cw, kh, kw = w.shape
-    if cw != c:
-        raise DimensionError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
-    oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
-    if mode == "auto":
-        mode = "exact" if x.data.dtype == np.float64 else "fast"
-
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.data
-
-    if mode == "exact":
-        out_data = np.zeros((n, co, oh, ow), dtype=x.data.dtype)
-        tmp = np.empty_like(out_data)
-        for ci in range(c):
-            for i in range(kh):
-                for j in range(kw):
-                    patch = xp[:, ci, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                    np.multiply(patch[:, None, :, :], w.data[None, :, ci, i, j, None, None], out=tmp)
-                    out_data += tmp
-    else:
-        cols = _im2col(xp, kh, kw, stride, oh, ow)
-        out_data = (cols @ w.data.reshape(co, -1).T).reshape(n, oh, ow, co)
-        out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
-
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, co, 1, 1)
+    co, _, kh, kw = w.shape
+    oh, ow = out_data.shape[2:]
 
     def backward(grad: Array) -> None:
         grad_flat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, co)
@@ -494,7 +521,7 @@ def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, pad: int = 1) -> Te
     if od <= 0 or oh <= 0 or ow <= 0:
         raise DimensionError(f"conv3d output empty for input {x.shape}, kernel {w.shape}, pad {pad}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad), (pad, pad))) if pad else x.data
+    xp = _zero_pad(x.data, pad, 3)
     out_data = np.zeros((n, co, od, oh, ow), dtype=x.data.dtype)
     for ci in range(c):
         for a in range(kd):
@@ -644,8 +671,8 @@ def save_weights(path, tensors: dict[str, Array] | Iterable[tuple[str, Array]]) 
 def load_weights(path) -> dict[str, Array]:
     """Read a weight file written by save_weights; returns float32 arrays.
 
-    A truncated file, trailing bytes, or a repeated or non-UTF-8 tensor
-    name is a ParseError that names the file.
+    A truncated file, trailing bytes, a repeated or non-UTF-8 tensor name,
+    or a NaN or infinite value is a ParseError that names the file.
     """
     with open(path, "rb") as fh:
 
@@ -672,6 +699,8 @@ def load_weights(path) -> dict[str, Array]:
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of tensor {name!r}"))
             raw = read(4 * math.prod(dims), f"values for tensor {name!r}")
             out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(out[name]).all():
+                raise ParseError(f"{path}: non-finite values in tensor {name!r}")
         if fh.read(1):
             raise ParseError(f"{path}: trailing bytes after {count} tensors")
         return out

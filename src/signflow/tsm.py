@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .tensor import Tensor, concat, narrow, roll_time
+from .tensor import Tensor, roll_time
 
 BIDIRECTIONAL = "bidirectional"
 UNIDIRECTIONAL = "unidirectional"
@@ -104,15 +104,16 @@ class OnlineCache:
         return cls(stream_id, layer_id, np.zeros((n, cf, h, w), dtype=dtype))
 
 
-def online_step(frame_features: Tensor | np.ndarray, cache: OnlineCache
-                ) -> tuple[Tensor, OnlineCache]:
+def online_step(frame_features: np.ndarray, cache: OnlineCache
+                ) -> tuple[np.ndarray, OnlineCache]:
     """One streaming step: swap the cached fold into the current frame.
 
-    Returns the blended features (cache fold + current remainder) and the
-    successor cache holding the current frame's fold.
+    Takes and returns plain [N,C,H,W] arrays: the blended features (cache
+    fold + current remainder) and the successor cache holding the current
+    frame's fold.
     """
-    x = frame_features if isinstance(frame_features, Tensor) else Tensor(frame_features)
-    if x.data.ndim != 4:
+    x = np.asarray(frame_features)
+    if x.ndim != 4:
         raise UsageError(f"online_step expects frame features [N,C,H,W], got {x.shape}")
     n, c, h, w = x.shape
     cf = cache.fold.shape[1]
@@ -122,7 +123,5 @@ def online_step(frame_features: Tensor | np.ndarray, cache: OnlineCache
             f"for stream {cache.stream_id!r} layer {cache.layer_id!r}")
     if cf == 0:
         return x, cache
-    saved = np.array(x.data[:, :cf], copy=True)
-    out = concat([Tensor(cache.fold.astype(x.data.dtype, copy=False)),
-                  narrow(x, 1, cf, c - cf)], axis=1)
-    return out, OnlineCache(cache.stream_id, cache.layer_id, saved)
+    out = np.concatenate([cache.fold.astype(x.dtype, copy=False), x[:, cf:]], axis=1)
+    return out, OnlineCache(cache.stream_id, cache.layer_id, x[:, :cf].copy())

@@ -50,7 +50,12 @@ class TransitionPolicy:
         if text == HARD_CUT:
             return cls()
         if text.startswith("hold-last-frame:"):
-            return cls("hold-last-frame", int(text.split(":", 1)[1]))
+            try:
+                frames = int(text.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"cannot parse transition policy {text!r}: "
+                                  "hold frames must be an integer") from None
+            return cls("hold-last-frame", frames)
         raise ConfigError(f"cannot parse transition policy {text!r}")
 
 
@@ -201,7 +206,7 @@ def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule
     for w_start, w_len in windows:
         indices = [w_start + i for i in segment_sample(w_len, sample_spec)]
         clip = read_clip(entry, indices, base=base, size=size)
-        logits = model.forward(clip[None].astype(np.float32, copy=False)).numpy()[0]
+        logits = model.infer(clip[None])[0]
         cls = int(np.argmax(logits))
         gloss_ids.append(inv_labels[cls])
         details.append({"start": w_start, "length": w_len, "class": cls,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signflow.backbone import (Metrics, Model, NetSpec, StageSpec, TrainConfig, build,
                                evaluate, parameter_count, topk_hits, train)
@@ -158,18 +159,18 @@ class TestGradients:
 
 class TestEvaluate:
     class OracleModel:
-        """Perfect classifier stub implementing the forward protocol."""
+        """Perfect classifier stub implementing the infer protocol."""
 
         def __init__(self, labels_by_clip, k):
             self.labels = labels_by_clip
             self.k = k
             self.dtype = np.float32
 
-        def forward(self, clips):
+        def infer(self, clips):
             logits = np.zeros((len(clips), self.k), dtype=np.float32)
             for i, clip in enumerate(np.asarray(clips)):
                 logits[i, self.labels[round(float(clip.sum()))]] = 10.0
-            return Tensor(logits)
+            return logits
 
     def test_oracle_model_scores_100(self):
         k = 6
@@ -331,3 +332,120 @@ class TestMetricsInvariants:
     def test_metrics_dict_shape(self):
         d = Metrics(prec1=50.0, prec5=100.0, loss=0.5).to_dict(epoch=3)
         assert list(d) == ["epoch", "prec1", "prec5", "loss"]
+
+
+# -- graph-free inference ---------------------------------------------------------------
+
+# Folded inference agrees with the graph to rounding: |diff| <= TOL * max(1, max|logit|).
+TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def perturbed(model, seed=0):
+    """Random affine scales/shifts and biases, so that folding has work to do."""
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        if p.name.endswith(".gamma"):
+            p.data = rng.uniform(0.5, 1.5, p.shape).astype(model.dtype)
+        elif p.name.endswith((".beta", ".b", "_b", "_bias")):
+            p.data = rng.uniform(-0.5, 0.5, p.shape).astype(model.dtype)
+    return model
+
+
+def assert_agrees(got, reference, dtype):
+    assert got.dtype == dtype
+    scale = max(1.0, float(np.abs(reference).max()))
+    assert np.abs(got - reference).max() <= TOL[dtype] * scale
+
+
+def stream_logits(model, clip):
+    """[N,T,...] clip -> [N,T,K] frame logits of one stream over it."""
+    stream = model.open_stream(n=clip.shape[0])
+    return np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(clip.shape[1])],
+                    axis=1)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("temporal,direction", [("shift", "bidirectional"),
+                                                    ("shift", "unidirectional"),
+                                                    ("none", "bidirectional"),
+                                                    ("action", "bidirectional")])
+    def test_matches_forward(self, temporal, direction, dtype):
+        spec = tiny_spec(temporal=temporal, direction=direction, stem_stride=2,
+                         stages=(StageSpec(1, 8), StageSpec(1, 16, 2)))
+        model = perturbed(build(spec, seed=3, dtype=dtype), seed=4)
+        clips = np.random.default_rng(5).uniform(0, 1, (3, *spec.clip_shape)).astype(dtype)
+        got = model.infer(clips)
+        assert got.shape == (3, spec.num_classes)
+        assert_agrees(got, model.forward(clips).numpy(), dtype)
+
+    def test_follows_current_weights(self):
+        model = build(tiny_spec(), seed=1)
+        other = perturbed(build(tiny_spec(), seed=2), seed=3)
+        clip = np.random.default_rng(4).uniform(0, 1, (1, *tiny_spec().clip_shape))
+        model.load_state_dict(other.state_dict())
+        npt.assert_array_equal(model.infer(clip), other.infer(clip))
+
+    def test_wrong_shape_rejected(self):
+        model = build(tiny_spec(), seed=0)
+        for shape in [(1, 5, 2, 8, 8), (1, 4, 3, 8, 8)]:
+            with pytest.raises(DimensionError):
+                model.infer(np.zeros(shape, dtype=np.float32))
+
+
+class TestStream:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stem_stride", [1, 2])
+    def test_matches_per_frame_logits(self, stem_stride, dtype):
+        # odd frame sizes and a strided stage: the cache shapes follow the convs
+        spec = tiny_spec(direction="unidirectional", frame_size=(9, 7), stem_stride=stem_stride,
+                         stages=(StageSpec(1, 8), StageSpec(1, 16, 2)), t=5)
+        model = perturbed(build(spec, seed=6, dtype=dtype), seed=7)
+        clip = np.random.default_rng(8).uniform(0, 1, (2, 5, 2, 9, 7)).astype(dtype)
+        assert_agrees(stream_logits(model, clip), model.per_frame_logits(clip).numpy(), dtype)
+
+    def test_none_model_streams(self):
+        spec = tiny_spec(temporal="none")
+        model = perturbed(build(spec, seed=1, dtype=np.float64), seed=2)
+        clip = np.random.default_rng(3).uniform(0, 1, (1, *spec.clip_shape))
+        assert_agrees(stream_logits(model, clip), model.per_frame_logits(clip).numpy(),
+                      np.float64)
+
+    def test_stream_keeps_weights_it_was_opened_with(self):
+        spec = tiny_spec(direction="unidirectional")
+        model = build(spec, seed=1, dtype=np.float64)
+        clip = np.random.default_rng(2).uniform(0, 1, (1, *spec.clip_shape))
+        expected = model.per_frame_logits(clip).numpy()[0]
+        stream = model.open_stream()
+        model.load_state_dict(perturbed(build(spec, seed=3, dtype=np.float64)).state_dict())
+        got = np.stack([stream.step(clip[:, t])["frame_logits"][0] for t in range(spec.t)])
+        assert_agrees(got, expected, np.float64)
+
+    def test_step_builds_no_tensor(self, monkeypatch):
+        model = build(tiny_spec(direction="unidirectional"), seed=0)
+        stream = model.open_stream()
+
+        def no_tensor(self, *args, **kwargs):
+            raise AssertionError("stream step built a Tensor")
+
+        monkeypatch.setattr(Tensor, "__init__", no_tensor)
+        stream.step(np.zeros((2, 8, 8), dtype=np.float32))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_stream_equals_offline_over_random_specs(self, data):
+        draw = data.draw
+        stages = tuple(StageSpec(1, draw(st.sampled_from([8, 16])), draw(st.integers(1, 2)))
+                       for _ in range(draw(st.integers(1, 2))))
+        spec = NetSpec(num_classes=3, t=draw(st.integers(1, 5)),
+                       in_channels=draw(st.integers(1, 3)),
+                       frame_size=(draw(st.integers(3, 10)), draw(st.integers(3, 10))),
+                       stem_channels=draw(st.sampled_from([8, 16])),
+                       stem_stride=draw(st.integers(1, 2)), stages=stages, temporal="shift",
+                       fold_fraction=draw(st.sampled_from([0.125, 0.25, 0.5])),
+                       direction="unidirectional")
+        seed = draw(st.integers(0, 2**16))
+        model = perturbed(build(spec, seed=seed, dtype=np.float64), seed=seed + 1)
+        clip = np.random.default_rng(seed).uniform(0, 1, (1, *spec.clip_shape))
+        assert_agrees(stream_logits(model, clip), model.per_frame_logits(clip).numpy(),
+                      np.float64)

@@ -23,6 +23,14 @@ def json_lines(stdout: str):
     return [json.loads(line) for line in stdout.splitlines() if line.strip()]
 
 
+def assert_one_line_error(proc, code, *needles):
+    """Exit ``code`` with a single stderr line containing every needle."""
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    for needle in needles:
+        assert needle in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "synth"
@@ -145,6 +153,15 @@ class TestTranslate:
         out = json_lines(proc.stdout)[-1]
         assert out["manifest"]["total_frames"] == 8  # only 我 planned
 
+    def test_unparsable_policy_is_config_error(self, tmp_path):
+        clips = tmp_path / "clips"
+        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+                "--out", str(clips), "--no-timestamp")
+        proc = run_cli("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
+                       "--clips", str(clips / "manifest.jsonl"),
+                       "--policy", "hold-last-frame:x", check=False)
+        assert_one_line_error(proc, 1, "'hold-last-frame:x'")
+
 
 class TestStream:
     def test_stream_matches_offline_recognition(self, tmp_path):
@@ -210,6 +227,16 @@ class TestRecognizeCommand:
         assert out["glosses"][0].startswith("ORDER")
         assert out["text"].startswith("w")
 
+    def test_malformed_labels_is_parse_error(self, synth_dir, trained, tmp_path):
+        labels = tmp_path / "labels.json"
+        labels.write_text("{not json", encoding="utf-8")
+        entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+        proc = run_cli("recognize", "--weights", str(trained / "model.sgnf"),
+                       "--lexicon", str(DEMO / "lexicon.tsv"), "--labels", str(labels),
+                       "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--video-id", entry["video_id"], check=False)
+        assert_one_line_error(proc, 1, str(labels))
+
 
 class TestBench:
     def test_report_schema_and_latency(self, synth_dir):
@@ -237,6 +264,20 @@ class TestConfigFile:
                 "--no-timestamp")
         labels = json.loads((out / "labels.json").read_text())
         assert len(labels) == 3  # flag wins over config's 2
+
+    def test_missing_config_is_usage_error(self, tmp_path):
+        missing = tmp_path / "nonexistent.json"
+        proc = run_cli("translate", "--text", "x", "--lexicon", str(DEMO / "lexicon.tsv"),
+                       "--config", str(missing), check=False)
+        assert_one_line_error(proc, 2, str(missing))
+
+    @pytest.mark.parametrize("content", ["{\"seed\": ", "[1, 2]"])
+    def test_malformed_config_is_usage_error(self, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content, encoding="utf-8")
+        proc = run_cli("translate", "--text", "x", "--lexicon", str(DEMO / "lexicon.tsv"),
+                       "--config", str(cfg), check=False)
+        assert_one_line_error(proc, 2, str(cfg))
 
     def test_env_seed_default(self, tmp_path):
         import os

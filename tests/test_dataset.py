@@ -89,6 +89,15 @@ class TestManifest:
         with pytest.raises(ParseError, match=":2:"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("labels", ["{not json", "[0, 1]", '{"HELLO": "zero"}'])
+    def test_malformed_labels_names_file(self, tmp_path, labels):
+        p = tmp_path / "m.jsonl"
+        save_manifest(p, [self.entry()])
+        (tmp_path / "labels.json").write_text(labels)
+        with pytest.raises(ParseError) as exc:
+            load_manifest(p)
+        assert str(tmp_path / "labels.json") in str(exc.value)
+
     def test_verify_missing_dir(self, tmp_path):
         p = tmp_path / "m.jsonl"
         save_manifest(p, [self.entry()])

@@ -348,6 +348,7 @@ class TestWeightStore:
         pytest.param("trailing_bytes", "trailing bytes", id="trailing_bytes"),
         pytest.param("duplicate_name", "duplicate tensor name 'w'", id="duplicate_name"),
         pytest.param("name_not_utf8", "not UTF-8", id="name_not_utf8"),
+        pytest.param("non_finite", "non-finite values in tensor 'w'", id="non_finite"),
     ])
     def test_bad_file_rejected(self, tmp_path, case, match):
         w = np.zeros((2, 3), dtype=np.float32)
@@ -363,6 +364,8 @@ class TestWeightStore:
             bad.write_bytes(raw + b"\x00")
         elif case == "duplicate_name":
             save_weights(bad, [("w", w), ("w", w + 1)])
+        elif case == "non_finite":
+            save_weights(bad, {"w": np.array([[0.0, np.nan, 1.0], [np.inf, 0.0, -np.inf]])})
         else:
             bad.write_bytes(raw[:13] + b"\xff" + raw[14:])
         with pytest.raises(ParseError, match=match) as exc:

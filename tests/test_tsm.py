@@ -187,8 +187,8 @@ class TestOnlineStep:
         f1 = rng.uniform(-1, 1, (1, 8, 2, 2)).astype(np.float32)
         cache = OnlineCache.zeros("s", "layer0", 1, 1, 2, 2)
         out, cache2 = online_step(f1, cache)
-        npt.assert_array_equal(out.numpy()[:, :1], np.zeros((1, 1, 2, 2)))
-        npt.assert_array_equal(out.numpy()[:, 1:], f1[:, 1:])
+        npt.assert_array_equal(out[:, :1], np.zeros((1, 1, 2, 2)))
+        npt.assert_array_equal(out[:, 1:], f1[:, 1:])
         npt.assert_array_equal(cache2.fold, f1[:, :1])
 
     def test_second_step_sees_first_fold(self):
@@ -198,7 +198,7 @@ class TestOnlineStep:
         cache = OnlineCache.zeros("s", "layer0", 1, 1, 2, 2)
         _, cache = online_step(f1, cache)
         out, cache = online_step(f2, cache)
-        npt.assert_array_equal(out.numpy()[:, :1], f1[:, :1])
+        npt.assert_array_equal(out[:, :1], f1[:, :1])
         npt.assert_array_equal(cache.fold, f2[:, :1])
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
@@ -211,7 +211,7 @@ class TestOnlineStep:
         cache = OnlineCache.zeros("s", "layer0", 1, 2, 3, 3, dtype=dtype)
         for ti in range(t):
             out, cache = online_step(x[:, ti], cache)
-            assert np.abs(out.numpy() - offline[:, ti]).max() <= tol
+            assert np.abs(out - offline[:, ti]).max() <= tol
 
     def test_shape_mismatch_rejected(self):
         cache = OnlineCache.zeros("s", "layer0", 1, 2, 4, 4)

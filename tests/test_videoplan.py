@@ -8,7 +8,6 @@ from signflow.errors import ConfigError, GlossLookupError, InputError
 from signflow.gloss import (GlossSequence, LexEntry, Lexicon, ReorderRule, Token,
                             reorder, segment)
 from signflow.sampler import SampleSpec
-from signflow.tensor import Tensor
 from signflow.videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy,
                                 concat_frames, plan, recognize, _cut_windows)
 
@@ -135,7 +134,7 @@ class TestConcatFrames:
 
 
 class OracleModel:
-    """Decodes the isolated-clip intensity signature; forward protocol only."""
+    """Decodes the isolated-clip intensity signature; infer protocol only."""
 
     def __init__(self, k):
         class _Spec:
@@ -147,7 +146,7 @@ class OracleModel:
         self.k = k
         self.dtype = np.float32
 
-    def forward(self, clips):
+    def infer(self, clips):
         clips = np.asarray(clips)
         logits = np.zeros((clips.shape[0], self.k), dtype=np.float32)
         for i, clip in enumerate(clips):
@@ -155,7 +154,7 @@ class OracleModel:
             patch = clip[:, 0, h // 4: 3 * h // 4, w // 4: 3 * w // 4]
             label = int(round(float(np.median(patch)) * (self.k + 1))) - 1
             logits[i, max(0, min(self.k - 1, label))] = 10.0
-        return Tensor(logits)
+        return logits
 
 
 class TestRecognize:
