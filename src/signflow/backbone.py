@@ -400,7 +400,7 @@ class Model:
                 caches.append(OnlineCache.zeros(stream_id, f"block{li}", n, cf, h, w,
                                                 dtype=self.dtype))
                 h, w = block.conv2.out_hw(*block.conv1.out_hw(h, w))
-        return StreamState(InferencePlan(self), self.dtype, stream_id, caches)
+        return StreamState(InferencePlan(self), stream_id, caches)
 
 
 def _relu(x: Array) -> Array:
@@ -419,7 +419,7 @@ class _FoldedConv:
         self.stride, self.pad = unit.stride, unit.pad
 
     def __call__(self, x: Array) -> Array:
-        return conv2d_array(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        return conv2d_array(x, self.w, self.b, self.stride, self.pad)
 
 
 class _FoldedBlock:
@@ -458,9 +458,9 @@ class StreamState:
 
     It holds the InferencePlan folded when the stream was opened."""
 
-    def __init__(self, plan: InferencePlan, dtype, stream_id: str, caches: list[OnlineCache]):
+    def __init__(self, plan: InferencePlan, stream_id: str, caches: list[OnlineCache]):
         self.plan = plan
-        self.dtype = dtype
+        self.dtype = plan.head_w.dtype
         self.stream_id = stream_id
         self.caches = caches
         self.frames_seen = 0

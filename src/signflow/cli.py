@@ -434,7 +434,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     with open(path, encoding="utf-8") as fh:
         try:
             defaults = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise UsageError(f"--config: {path} is not valid JSON ({exc})") from None
     if not isinstance(defaults, dict):
         raise UsageError(f"--config: {path} must hold a JSON object")

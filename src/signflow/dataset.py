@@ -195,7 +195,7 @@ def load_labels(path: Path | str) -> dict[str, int]:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise ParseError(f"{path}: {exc}") from None
     try:
         return {str(k): int(v) for k, v in raw.items()}

@@ -462,10 +462,9 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
     return out, xp
 
 
-def conv2d_array(x: Array, w: Array, bias: Array | None = None, stride: int = 1,
-                 pad: int = 0, mode: str = "auto") -> Array:
-    """The forward of conv2d on plain arrays, with no graph node."""
-    return _conv2d_forward(x, w, bias, stride, pad, mode)[0]
+def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
+    """The forward of conv2d (mode 'auto') on plain arrays, with no graph node."""
+    return _conv2d_forward(x, w, bias, stride, pad, "auto")[0]
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,

@@ -271,10 +271,11 @@ class TestConfigFile:
                        "--config", str(missing), check=False)
         assert_one_line_error(proc, 2, str(missing))
 
-    @pytest.mark.parametrize("content", ["{\"seed\": ", "[1, 2]"])
+    @pytest.mark.parametrize("content", ["{\"seed\": ", "[1, 2]", "{\"\xff\": 1}"])
     def test_malformed_config_is_usage_error(self, tmp_path, content):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(content, encoding="utf-8")
+        # latin-1 writes the last case's \xff as one byte, which is not UTF-8
+        cfg.write_text(content, encoding="latin-1")
         proc = run_cli("translate", "--text", "x", "--lexicon", str(DEMO / "lexicon.tsv"),
                        "--config", str(cfg), check=False)
         assert_one_line_error(proc, 2, str(cfg))

@@ -89,11 +89,13 @@ class TestManifest:
         with pytest.raises(ParseError, match=":2:"):
             load_manifest(p)
 
-    @pytest.mark.parametrize("labels", ["{not json", "[0, 1]", '{"HELLO": "zero"}'])
+    @pytest.mark.parametrize("labels", ["{not json", "[0, 1]", '{"HELLO": "zero"}',
+                                        '{"\xff": 0}'])
     def test_malformed_labels_names_file(self, tmp_path, labels):
         p = tmp_path / "m.jsonl"
         save_manifest(p, [self.entry()])
-        (tmp_path / "labels.json").write_text(labels)
+        # latin-1 writes the last case's \xff as one byte, which is not UTF-8
+        (tmp_path / "labels.json").write_text(labels, encoding="latin-1")
         with pytest.raises(ParseError) as exc:
             load_manifest(p)
         assert str(tmp_path / "labels.json") in str(exc.value)
