@@ -125,7 +125,19 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    history = train(model, train_ds, cfg, on_epoch=_emit_line)
+    epoch_start = time.perf_counter()
+
+    def on_epoch(record: dict) -> None:
+        # timing goes to stderr: stdout stays byte-stable for a seed
+        nonlocal epoch_start
+        seconds = time.perf_counter() - epoch_start
+        _emit_line(record)
+        print(json.dumps({"epoch": record["epoch"], "seconds": round(seconds, 6),
+                          "clips_per_s": round(len(train_ds) / seconds, 3)}),
+              file=sys.stderr, flush=True)
+        epoch_start = time.perf_counter()
+
+    history = train(model, train_ds, cfg, on_epoch=on_epoch)
     weights_path = out / "model.sgnf"
     model.save(weights_path, out / "netspec.json")
     summary = {"weights": str(weights_path), "netspec": str(out / "netspec.json"),
@@ -305,6 +317,10 @@ def cmd_gradcheck(args) -> int:
     xt = rng.uniform(-1, 1, (2, 3, 5, 2))
     wt = rng.uniform(-1, 1, (2, 3, 5, 2))
     record("roll_time", grad_check(lambda t: mul(roll_time(t, (-1, 2), 2), Tensor(wt)).sum(), xt))
+    xw = rng.uniform(-1, 1, (2, 3, 6, 6))
+    ww = rng.uniform(-1, 1, (4, 3, 3, 3))
+    record("conv2d_weight",
+           grad_check(lambda t: conv2d(Tensor(xw), t, stride=2, pad=1).sum(), ww))
 
     ok = all(c["pass"] for c in checks)
     _emit({"checks": checks, "all_pass": ok}, args)
@@ -327,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field (byte-stable output)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        p.set_defaults(config_flags={a.dest: a for a in p._actions})
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -440,10 +457,26 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
         raise UsageError(f"--config: {path} must hold a JSON object")
     given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given:
-            setattr(args, attr, value)
+        action = args.config_flags.get(key.replace("-", "_"))
+        if action is not None and hasattr(args, action.dest) and action.dest not in given:
+            setattr(args, action.dest, _config_value(action, key, value, path))
     return args
+
+
+def _config_value(action: argparse.Action, key: str, value, path: Path):
+    """A --config value checked against its flag's argparse type and choices."""
+    if action.nargs == 0:  # store_true flags
+        want, ok = "true or false", isinstance(value, bool)
+    else:
+        want, kinds = {int: ("an integer", int), float: ("a number", (int, float))}.get(
+            action.type, ("a string", str))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok:
+        raise UsageError(f"--config: {path}: {key!r} must be {want}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"--config: {path}: {key!r} must be one of "
+                         f"{', '.join(map(str, action.choices))}, got {value!r}")
+    return float(value) if action.type is float else value
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -82,21 +82,29 @@ def read_frame(path: Path | str) -> np.ndarray:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
         if raw[pos:pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            end = raw.find(b"\n", pos)
+            if end < 0:
+                raise FrameIOError(f"{path}: unterminated comment in header")
+            pos = end + 1
             continue
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
+        if not raw[start:pos].isdigit():
+            raise FrameIOError(f"{path}: bad or truncated header field {raw[start:pos]!r}")
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise FrameIOError(f"{path}: only 8-bit rasters supported, maxval {maxval}")
+    if not w or not h:
+        raise FrameIOError(f"{path}: empty raster ({w}x{h})")
     channels = 1 if magic == b"P5" else 3
     expected = w * h * channels
+    if len(raw) - pos < expected:
+        raise FrameIOError(f"{path}: truncated raster ({max(len(raw) - pos, 0)} of "
+                           f"{expected} bytes)")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
-    if pixels.size != expected:
-        raise FrameIOError(f"{path}: truncated raster ({pixels.size} of {expected} bytes)")
     if channels == 1:
         out = pixels.reshape(1, h, w)
     else:

@@ -13,10 +13,16 @@ Layout conventions:
 
 conv2d runs in one of two modes. The ``exact`` mode accumulates kernel taps
 in (c, kh, kw) order with the innermost axis last, which makes its output
-bit-identical to a naive six-loop evaluation. The ``fast`` mode lowers to an
-im2col matmul (BLAS). Mode ``auto`` picks exact for float64 and fast for
-float32. ``conv2d_array`` is the same forward on plain arrays, without a
-graph node; graph-free inference calls it directly.
+bit-identical to a naive six-loop evaluation. The ``fast`` mode lowers
+channel-major: the padded input's windows, viewed as (c, kh, kw, n, oh, ow),
+are copied to cols [C*kh*kw, N*oh*ow], so each copy runs along output rows;
+the output is one GEMM w[Co, C*kh*kw] @ cols, transposed once to
+[N, Co, oh, ow]. Mode ``auto`` picks exact for float64 and fast for float32.
+``conv2d_array`` is the same forward on plain arrays, without a graph node;
+graph-free inference calls it directly. The backward of both modes runs on
+the same lowering: dW = g @ cols^T with cols rebuilt from the saved padded
+input, and dX scatters w^T @ g tap by tap into a [C, N, Hp, Wp] buffer that
+is transposed once at the end.
 """
 
 from __future__ import annotations
@@ -404,16 +410,16 @@ def _conv2d_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> t
 
 
 def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """[N,C,Hp,Wp] -> [N*oh*ow, C*kh*kw] with columns in (c, kh, kw) order."""
+    """[N,C,Hp,Wp] -> cols [C*kh*kw, N*oh*ow], rows in (c, kh, kw) order."""
     n, c = xp.shape[:2]
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(c, kh, kw, n, oh, ow),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
         writeable=False,
     )
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    return windows.reshape(c * kh * kw, n * oh * ow)
 
 
 def _zero_pad(x: Array, pad: int, axes: int) -> Array:
@@ -455,10 +461,10 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
         if bias is not None:
             out = out + bias.reshape(1, co, 1, 1)
     else:
-        rows = _im2col(xp, kh, kw, stride, oh, ow) @ w.reshape(co, -1).T  # [N*oh*ow, Co]
+        rows = w.reshape(co, -1) @ _im2col(xp, kh, kw, stride, oh, ow)  # [Co, N*oh*ow]
         if bias is not None:
-            rows = rows + bias
-        out = np.ascontiguousarray(rows.reshape(n, oh, ow, co).transpose(0, 3, 1, 2))
+            rows += bias[:, None]
+        out = np.ascontiguousarray(rows.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
     return out, xp
 
 
@@ -483,20 +489,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     oh, ow = out_data.shape[2:]
 
     def backward(grad: Array) -> None:
-        grad_flat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, co)
+        g_t = grad.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
         if w.requires_grad:
-            cols_b = _im2col(xp, kh, kw, stride, oh, ow)
-            w.grad += (grad_flat.T @ cols_b).reshape(w.shape)
+            w.grad += (g_t @ _im2col(xp, kh, kw, stride, oh, ow).T).reshape(w.shape)
         if x.requires_grad:
-            dcols = (grad_flat @ w.data.reshape(co, -1)).reshape(n, oh, ow, c, kh, kw)
-            dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=grad.dtype)
+            dcols = (w.data.reshape(co, -1).T @ g_t).reshape(c, kh, kw, n, oh, ow)
+            dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=grad.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            x.grad += dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+            x.grad += dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
         if bias is not None and bias.requires_grad:
-            bias.grad += grad.sum(axis=(0, 2, 3))
+            bias.grad += g_t.sum(axis=1)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return x._child(out_data, parents, backward, "conv2d")

@@ -100,6 +100,18 @@ class TestTrainEval:
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
 
+    def test_epoch_timing_on_stderr_only(self, synth_dir, tmp_path):
+        proc = run_cli("train", "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--out", str(tmp_path / "m"), "--epochs", "3", "--seed", "7",
+                       "--no-timestamp")
+        timing = json_lines(proc.stderr)
+        assert [t["epoch"] for t in timing] == [0, 1, 2]
+        for t in timing:
+            assert set(t) == {"epoch", "seconds", "clips_per_s"}
+            assert t["seconds"] > 0 and t["clips_per_s"] > 0
+        for line in json_lines(proc.stdout):
+            assert not {"seconds", "clips_per_s"} & set(line)
+
 
 class TestGradcheckCommand:
     def test_all_pass(self):
@@ -108,7 +120,7 @@ class TestGradcheckCommand:
         assert out["all_pass"] is True
         assert all(c["pass"] for c in out["checks"])
         ops = {c["op"] for c in out["checks"]}
-        assert {"matmul", "conv2d", "conv3d", "softmax_cross_entropy",
+        assert {"matmul", "conv2d", "conv2d_weight", "conv3d", "softmax_cross_entropy",
                 "backbone_input"} <= ops
 
 
@@ -237,6 +249,18 @@ class TestRecognizeCommand:
                        "--video-id", entry["video_id"], check=False)
         assert_one_line_error(proc, 1, str(labels))
 
+    def test_truncated_frame_is_frame_error(self, synth_dir, trained, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "frame_00000.pgm").write_bytes(b"P5\n32")
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("".join(f"w{k}\tORDER{k}\tORDER{k}\t\n" for k in range(4)),
+                       encoding="utf-8")
+        proc = run_cli("recognize", "--weights", str(trained / "model.sgnf"),
+                       "--lexicon", str(lex), "--labels", str(synth_dir / "labels.json"),
+                       "--frames", str(frames), check=False)
+        assert_one_line_error(proc, 1, str(frames / "frame_00000.pgm"))
+
 
 class TestBench:
     def test_report_schema_and_latency(self, synth_dir):
@@ -279,6 +303,22 @@ class TestConfigFile:
         proc = run_cli("translate", "--text", "x", "--lexicon", str(DEMO / "lexicon.tsv"),
                        "--config", str(cfg), check=False)
         assert_one_line_error(proc, 2, str(cfg))
+
+    @pytest.mark.parametrize("content,key", [
+        ({"classes": "2"}, "classes"),         # int flag given a string
+        ({"noise": "0.1"}, "noise"),           # float flag given a string
+        ({"isolated": 1}, "isolated"),         # switch given a number
+        ({"test-per-class": 1.5}, "test-per-class"),
+        ({"temporal": "lstm"}, "temporal"),    # outside the flag's choices
+    ])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, content, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        command = ("train", "--manifest", "m.jsonl") if key == "temporal" else ("synth",)
+        proc = run_cli(*command, "--out", str(tmp_path / "ds"), "--config", str(cfg),
+                       check=False)
+        assert_one_line_error(proc, 2, str(cfg), repr(key))
+        assert not (tmp_path / "ds").exists()
 
     def test_env_seed_default(self, tmp_path):
         import os

@@ -52,6 +52,21 @@ class TestFrameIO:
         with pytest.raises(FrameIOError, match="magic"):
             read_frame(p)
 
+    @pytest.mark.parametrize("raw,match", [
+        (b"P5\n32", "header field b''"),
+        (b"P5\n4 x\n255\n", "header field b'x'"),
+        (b"P5\n4 4\n255\nab", "truncated raster \\(2 of 16"),
+        (b"P5\n4 4\n255", "truncated raster \\(0 of 16"),
+        (b"P5\n0 4\n255\n", "empty raster"),
+        (b"P5\n# c", "unterminated comment"),
+    ])
+    def test_malformed_header_or_raster_names_file(self, tmp_path, raw, match):
+        p = tmp_path / "frame_00000.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(FrameIOError, match=match) as info:
+            read_frame(p)
+        assert str(p) in str(info.value)
+
 
 class TestManifest:
     def entry(self, vid="v1", **kw):

@@ -127,6 +127,88 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
+def naive_conv2d_backward(x, w, g, stride, pad):
+    """Loop oracle for conv2d's (dX, dW, db, covered) under upstream grad g.
+
+    ``covered`` marks the input pixels some window reads; the rest must get
+    exactly zero gradient.
+    """
+    n, c, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    covered = np.zeros(xp.shape, dtype=bool)
+    dw = np.zeros_like(w)
+    db = np.zeros(co)
+    for ni in range(n):
+        for o in range(co):
+            for a in range(oh):
+                for b in range(ow):
+                    rows = slice(a * stride, a * stride + kh)
+                    cols = slice(b * stride, b * stride + kw)
+                    gv = g[ni, o, a, b]
+                    dw[o] += gv * xp[ni, :, rows, cols]
+                    dxp[ni, :, rows, cols] += gv * w[o]
+                    covered[ni, :, rows, cols] = True
+                    db[o] += gv
+    inner = (slice(None), slice(None), slice(pad, pad + h), slice(pad, pad + wd))
+    return dxp[inner], dw, db, covered[inner]
+
+
+def conv2d_grads(x, w, b, g, stride, pad, mode):
+    """(dX, dW, db) of sum(conv2d(x, w, b) * g) through the autodiff graph."""
+    xt, wt, bt = Parameter(x), Parameter(w), Parameter(b)
+    tsum(mul(conv2d(xt, wt, bt, stride=stride, pad=pad, mode=mode), Tensor(g))).backward()
+    return xt.grad, wt.grad, bt.grad
+
+
+CONV_BACKWARD_CASES = [  # (x shape, out channels, kernel, stride, pad)
+    ((1, 1, 4, 4), 2, 3, 1, 1),
+    ((2, 3, 8, 8), 4, 3, 2, 1),
+    ((2, 2, 7, 5), 3, 3, 2, 0),
+    ((2, 2, 8, 6), 3, 3, 2, 0),  # no window reads the last row or column
+    ((1, 3, 8, 8), 2, 1, 1, 0),
+    ((2, 3, 5, 6), 3, 1, 2, 0),  # odd rows/columns and the last column unread
+]
+
+
+class TestConv2dBackward:
+    @staticmethod
+    def _case(shape, co, k, stride, pad):
+        rng = np.random.default_rng([*shape, co, k, stride, pad])
+        x = rng.uniform(-1, 1, shape)
+        w = rng.uniform(-1, 1, (co, shape[1], k, k))
+        b = rng.uniform(-1, 1, co)
+        oh = (shape[2] + 2 * pad - k) // stride + 1
+        ow = (shape[3] + 2 * pad - k) // stride + 1
+        g = rng.uniform(-1, 1, (shape[0], co, oh, ow))
+        return x, w, b, g
+
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("shape,co,k,stride,pad", CONV_BACKWARD_CASES)
+    def test_float64_matches_loop_oracle(self, shape, co, k, stride, pad, mode):
+        x, w, b, g = self._case(shape, co, k, stride, pad)
+        dx, dw, db = conv2d_grads(x, w, b, g, stride, pad, mode)
+        ex, ew, eb, covered = naive_conv2d_backward(x, w, g, stride, pad)
+        npt.assert_allclose(dx, ex, rtol=0, atol=1e-12)
+        npt.assert_allclose(dw, ew, rtol=0, atol=1e-12)
+        npt.assert_allclose(db, eb, rtol=0, atol=1e-12)
+        assert not dx[~covered].any()
+
+    @pytest.mark.parametrize("shape,co,k,stride,pad", CONV_BACKWARD_CASES)
+    def test_float32_fast_close_to_float64_oracle(self, shape, co, k, stride, pad):
+        x, w, b, g = (a.astype(np.float32) for a in self._case(shape, co, k, stride, pad))
+        got = conv2d_grads(x, w, b, g, stride, pad, "fast")
+        ex, ew, eb, covered = naive_conv2d_backward(*(a.astype(np.float64) for a in (x, w, g)),
+                                                    stride, pad)
+        for grad, oracle in zip(got, (ex, ew, eb)):
+            assert grad.dtype == np.float32
+            tol = 1e-5 * max(1.0, float(np.abs(oracle).max()))
+            npt.assert_allclose(grad, oracle, rtol=0, atol=tol)
+        assert not got[0][~covered].any()
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         out = global_avg_pool(Tensor(np.full((2, 3, 4, 4), 0.25))).numpy()
