@@ -4,13 +4,13 @@ The block multiplies its input by data-dependent gates computed three ways
 and adds the gated results:
 
   * ste: a spatial-temporal gate from a channel-mean map passed through a
-    3x3x3 convolution over (T, H, W);
+    3x3x3 convolution over (T, H, W), run as conv2d + roll_time;
   * ce: a channel gate from spatially pooled features squeezed C -> C/r,
     convolved across time (kernel 3, zero pad), and expanded back;
   * me: a motion gate from differences between transformed consecutive
     squeezed frames.
 
-Both temporal moves (the ce conv taps and the me frame difference) are
+Every temporal move (the ste and ce conv taps and the me frame difference) is
 ``tensor.roll_time``, the same zero-filled move along time as the shift.
 
 Each branch output is bounded by |x| elementwise (pure sub-unit gating; the
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Parameter, Tensor, add, conv2d, conv3d, global_avg_pool, matmul, mul,
-                     narrow, reshape, roll_time, sigmoid, tmean)
+from .tensor import (Parameter, Tensor, add, conv2d, global_avg_pool, matmul, mul, narrow,
+                     reshape, roll_time, sigmoid, tmean, tsum)
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,17 @@ class ActionBlock:
     # -- branches ---------------------------------------------------------------
 
     def ste(self, x: Tensor) -> Tensor:
-        """Spatial-temporal gate: channel mean -> 3D conv -> sigmoid -> x * g."""
+        """Spatial-temporal gate: channel mean -> 3x3x3 conv -> sigmoid -> x * g.
+
+        One conv2d puts the 3 time taps of ste_w on its output channels; roll_time
+        moves tap a by 1 - a frames (zero fill), and the taps are summed.
+        """
         n, t, c, h, w = x.shape
-        cmap = tmean(x, axis=2)                          # [N,T,H,W]
-        cmap = reshape(cmap, n, 1, t, h, w)              # conv3d wants [N,C,D,H,W]
-        g = conv3d(cmap, self.ste_w, self.ste_b, pad=1)  # [N,1,T,H,W]
-        g = sigmoid(g)
-        g = reshape(g, n, t, 1, h, w)
-        return mul(x, g)
+        cmap = reshape(tmean(x, axis=2), n * t, 1, h, w)
+        taps = conv2d(cmap, reshape(self.ste_w, 3, 1, 3, 3), pad=1)  # [N*T, 3, H, W]
+        taps = roll_time(reshape(taps, n, t, 3, h, w), (+1, 0, -1), 1)
+        g = sigmoid(add(tsum(taps, axis=2), self.ste_b))             # [N, T, H, W]
+        return mul(x, reshape(g, n, t, 1, h, w))
 
     def ce(self, x: Tensor) -> Tensor:
         """Channel gate: pool -> squeeze -> temporal conv -> expand -> sigmoid."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, NumericError, UsageError
+from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .sampler import consensus
 from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, conv2d, conv2d_array,
                      global_avg_pool, matmul, mul, relu, reshape, softmax_cross_entropy,
@@ -68,6 +68,8 @@ class NetSpec:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.t < 1:
             raise ConfigError(f"t must be >= 1, got {self.t}")
+        if len(self.frame_size) != 2:
+            raise ConfigError(f"frame_size must be (H, W), got {self.frame_size}")
         if self.temporal not in (TEMPORAL_NONE, TEMPORAL_SHIFT, TEMPORAL_ACTION):
             raise ConfigError(f"unknown temporal module {self.temporal!r}")
         if self.temporal == TEMPORAL_ACTION:
@@ -103,6 +105,17 @@ class NetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetSpec":
+        """Inverse of to_dict: the same keys, each value of its JSON type."""
+        like = cls(num_classes=2).to_dict()
+        if not isinstance(d, dict):
+            raise ConfigError(f"netspec must be a JSON object, got {type(d).__name__}")
+        if set(d) != set(like):
+            raise ConfigError(f"netspec keys: missing {sorted(set(like) - set(d))}, "
+                              f"unexpected {sorted(set(d) - set(like))}")
+        for key, value in d.items():
+            if not _json_like(value, like[key]):
+                raise ConfigError(f"netspec {key!r}: expected a value like {like[key]!r}, "
+                                  f"got {value!r}")
         d = dict(d)
         d["stages"] = tuple(StageSpec(**s) for s in d["stages"])
         d["frame_size"] = tuple(d["frame_size"])
@@ -131,6 +144,17 @@ class NetSpec:
                    stem_channels=8, stem_stride=2,
                    stages=(StageSpec(1, 8, 2), StageSpec(1, 16, 2)),
                    temporal=temporal, **kw)
+
+
+def _json_like(value, like) -> bool:
+    """Whether a JSON value has the keys and value types of ``like``."""
+    if isinstance(like, dict):
+        return isinstance(value, dict) and set(value) == set(like) and all(
+            _json_like(value[k], like[k]) for k in like)
+    if isinstance(like, list):
+        return isinstance(value, list) and all(_json_like(v, like[0]) for v in value)
+    kinds = (int, float) if isinstance(like, float) else type(like)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -303,8 +327,12 @@ class Model:
 
     @classmethod
     def load(cls, weights_path, spec_path) -> "Model":
-        with open(spec_path, encoding="utf-8") as fh:
-            spec = NetSpec.from_dict(json.load(fh))
+        """Build from a netspec.json and load weights; a bad netspec is a ParseError."""
+        try:
+            with open(spec_path, encoding="utf-8") as fh:
+                spec = NetSpec.from_dict(json.load(fh))
+        except (ValueError, ConfigError) as exc:  # invalid JSON, not UTF-8, or a bad value
+            raise ParseError(f"{spec_path}: {exc}") from None
         model = cls(spec, seed=0)
         model.load_state_dict(load_weights(weights_path))
         return model

@@ -26,8 +26,8 @@ from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
 from .errors import SignflowError, UsageError
 from .gloss import load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
-from .tensor import (Tensor, conv2d, conv3d, global_avg_pool, grad_check, matmul, mul, relu,
-                     roll_time, sigmoid, softmax_cross_entropy)
+from .tensor import (Tensor, conv2d, global_avg_pool, grad_check, matmul, mul, relu, roll_time,
+                     sigmoid, softmax_cross_entropy)
 from .tsm import UNIDIRECTIONAL
 from .videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy, concat_frames,
                         plan, recognize)
@@ -289,9 +289,6 @@ def cmd_gradcheck(args) -> int:
     xc = rng.uniform(-1, 1, (2, 3, 6, 6))
     wc = rng.uniform(-1, 1, (4, 3, 3, 3))
     record("conv2d", grad_check(lambda t: conv2d(t, Tensor(wc), stride=2, pad=1).sum(), xc))
-    x3 = rng.uniform(-1, 1, (1, 1, 4, 5, 5))
-    w3 = rng.uniform(-1, 1, (1, 1, 3, 3, 3))
-    record("conv3d", grad_check(lambda t: conv3d(t, Tensor(w3), pad=1).sum(), x3))
     record("global_avg_pool", grad_check(lambda t: global_avg_pool(t).sum(), xc))
     # keep relu inputs away from the kink
     xr = rng.uniform(0.1, 1, (3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5))

@@ -1,7 +1,7 @@
 """Minimal dense-tensor autodiff engine.
 
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
-video backbone needs: elementwise arithmetic, matmul, 2D/3D convolution,
+video backbone needs: elementwise arithmetic, matmul, 2D convolution,
 pooling, reductions, slicing/concatenation, moves along the time axis
 (roll_time), and softmax cross-entropy.
 
@@ -346,32 +346,19 @@ def tsum(x: Tensor, axis=None) -> Tensor:
     out_data = x.data.sum(axis=axis)
 
     def backward(grad: Array) -> None:
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x.grad += grad  # broadcasts scalar
-        else:
-            x.grad += np.expand_dims(grad, axis)
+        if x.requires_grad:  # a full reduction's scalar grad broadcasts as it is
+            x.grad += grad if axis is None else np.expand_dims(grad, axis)
 
     return x._child(out_data, (x,), backward, "sum")
 
 
 def tmean(x: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = x.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([x.data.shape[a] for a in axis]))
-    else:
-        count = x.data.shape[axis]
     out_data = x.data.mean(axis=axis)
+    count = x.data.size // max(out_data.size, 1)  # entries averaged into each output
 
     def backward(grad: Array) -> None:
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x.grad += grad / count
-        else:
-            x.grad += np.expand_dims(grad, axis) / count
+        if x.requires_grad:
+            x.grad += (grad if axis is None else np.expand_dims(grad, axis)) / count
 
     return x._child(out_data, (x,), backward, "mean")
 
@@ -422,16 +409,16 @@ def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     return windows.reshape(c * kh * kw, n * oh * ow)
 
 
-def _zero_pad(x: Array, pad: int, axes: int) -> Array:
-    """Zero-pad the last ``axes`` axes of x by ``pad`` on both sides.
+def _zero_pad(x: Array, pad: int) -> Array:
+    """Zero-pad H and W of [N,C,H,W] by ``pad`` on both sides.
 
     Writes x into a preallocated zero buffer; returns x itself when pad is 0.
     """
     if not pad:
         return x
-    lead = x.ndim - axes
-    out = np.zeros(x.shape[:lead] + tuple(s + 2 * pad for s in x.shape[lead:]), dtype=x.dtype)
-    out[(slice(None),) * lead + tuple(slice(pad, pad + s) for s in x.shape[lead:])] = x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = x
     return out
 
 
@@ -447,7 +434,7 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
     oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
     if mode == "auto":
         mode = "exact" if x.dtype == np.float64 else "fast"
-    xp = _zero_pad(x, pad, 2)
+    xp = _zero_pad(x, pad)
 
     if mode == "exact":
         out = np.zeros((n, co, oh, ow), dtype=x.dtype)
@@ -504,61 +491,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     parents = (x, w) if bias is None else (x, w, bias)
     return x._child(out_data, parents, backward, "conv2d")
-
-
-def conv3d(x: Tensor, w: Tensor, bias: Tensor | None = None, pad: int = 1) -> Tensor:
-    """Cross-correlation of [N,C,D,H,W] with [Co,C,kd,kh,kw], stride 1.
-
-    Tap-accumulation implementation; desk-scale kernels only (the gating
-    branches use it at one or two channels).
-    """
-    x = _wrap(x)
-    w = _wrap(w)
-    if x.data.ndim != 5 or w.data.ndim != 5:
-        raise DimensionError(f"conv3d expects 5D x and w, got {x.shape} and {w.shape}")
-    n, c, d, h, wd = x.shape
-    co, cw, kd, kh, kw = w.shape
-    if cw != c:
-        raise DimensionError(f"conv3d channel mismatch: x {x.shape} vs w {w.shape}")
-    od, oh, ow = d + 2 * pad - kd + 1, h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    if od <= 0 or oh <= 0 or ow <= 0:
-        raise DimensionError(f"conv3d output empty for input {x.shape}, kernel {w.shape}, pad {pad}")
-
-    xp = _zero_pad(x.data, pad, 3)
-    out_data = np.zeros((n, co, od, oh, ow), dtype=x.data.dtype)
-    for ci in range(c):
-        for a in range(kd):
-            for i in range(kh):
-                for j in range(kw):
-                    patch = xp[:, ci, a:a + od, i:i + oh, j:j + ow]
-                    out_data += patch[:, None] * w.data[None, :, ci, a, i, j, None, None, None]
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, co, 1, 1, 1)
-
-    def backward(grad: Array) -> None:
-        if w.requires_grad:
-            for ci in range(c):
-                for a in range(kd):
-                    for i in range(kh):
-                        for j in range(kw):
-                            patch = xp[:, ci, a:a + od, i:i + oh, j:j + ow]
-                            w.grad[:, ci, a, i, j] += np.einsum("nodhw,ndhw->o", grad, patch,
-                                                                optimize=False)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for ci in range(c):
-                for a in range(kd):
-                    for i in range(kh):
-                        for j in range(kw):
-                            contrib = np.einsum("nodhw,o->ndhw", grad, w.data[:, ci, a, i, j],
-                                                optimize=False)
-                            dxp[:, ci, a:a + od, i:i + oh, j:j + ow] += contrib
-            x.grad += dxp[:, :, pad:pad + d, pad:pad + h, pad:pad + wd] if pad else dxp
-        if bias is not None and bias.requires_grad:
-            bias.grad += grad.sum(axis=(0, 2, 3, 4))
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    return x._child(out_data, parents, backward, "conv3d")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

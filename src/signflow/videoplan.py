@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import ManifestEntry, frame_path, load_manifest, read_clip, save_manifest
 from .errors import ConfigError, FrameIOError, GlossLookupError, InputError
-from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text
+from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text, tokens_from_gloss_ids
 from .sampler import SampleSpec, segment_sample
 
 HARD_CUT = "hard-cut"
@@ -186,7 +186,6 @@ class RecognizeConfig:
 
     window: int | None = None
     stride: int | None = None
-    collapse_repeats: bool = True
 
 
 def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule],
@@ -211,12 +210,7 @@ def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule
         gloss_ids.append(inv_labels[cls])
         details.append({"start": w_start, "length": w_len, "class": cls,
                         "gloss": inv_labels[cls]})
-    if cfg.collapse_repeats:
-        collapsed = [g for i, g in enumerate(gloss_ids) if i == 0 or g != gloss_ids[i - 1]]
-    else:
-        collapsed = gloss_ids
-    from .gloss import tokens_from_gloss_ids
-
+    collapsed = [g for i, g in enumerate(gloss_ids) if i == 0 or g != gloss_ids[i - 1]]
     seq = tokens_from_gloss_ids(collapsed, lex)
     text = glosses_to_text(seq, lex, rules)
     return {"text": text, "glosses": collapsed, "windows": details,

@@ -15,11 +15,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from signflow.actionnet import ActionBlock, ActionConfig
 from signflow.backbone import Model, NetSpec, StageSpec, TrainConfig, build, evaluate, train
 from signflow.dataset import SynthSpec, load_clip_dataset, load_manifest, synth_temporal
 from signflow.gloss import ReorderRule, Token, inverse_reorder, reorder, segment
 from signflow.sampler import MODE_EVAL_CENTER, SampleSpec, segment_sample
-from signflow.tensor import Tensor, conv2d, conv3d, global_avg_pool, grad_check, \
+from signflow.tensor import Tensor, conv2d, global_avg_pool, grad_check, \
     load_weights, matmul, save_weights, sigmoid, softmax_cross_entropy, tsum
 from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, \
     shift_bidirectional, shift_unidirectional
@@ -57,8 +58,9 @@ def test_c01_gradient_suite():
         x4 = rng.uniform(-1, 1, (2, 2, 5, 5))
         w4 = rng.uniform(-1, 1, (3, 2, 3, 3))
         b = rng.uniform(-1, 1, 3)
-        x5 = rng.uniform(-1, 1, (1, 1, 3, 4, 4))
-        w5 = rng.uniform(-1, 1, (1, 1, 3, 3, 3))
+        x5 = rng.uniform(-1, 1, (1, 3, 4, 4, 4))
+        gate = ActionBlock(4, ActionConfig(), rng, "act", dtype=np.float64)
+        gate.ste_b.data = rng.uniform(-1, 1, 1)
         wm = Tensor(rng.uniform(-1, 1, (4, 2)))
         xs = rng.uniform(0.1, 1, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
         shift_w = Tensor(rng.uniform(-1, 1, (1, 4, 8, 2, 2)))
@@ -66,7 +68,7 @@ def test_c01_gradient_suite():
         errs = [
             grad_check(lambda t: conv2d(t, Tensor(w4), Tensor(b), stride=2, pad=1).sum(), x4),
             grad_check(lambda t: conv2d(Tensor(x4), t, stride=2, pad=1).sum(), w4),
-            grad_check(lambda t: conv3d(t, Tensor(w5), pad=1).sum(), x5),
+            grad_check(lambda t: tsum(gate.ste(t)), x5),
             grad_check(lambda t: global_avg_pool(t).sum(), x4),
             grad_check(lambda t: matmul(t, wm).sum(), rng.uniform(-1, 1, (3, 4))),
             grad_check(lambda t: tsum(sigmoid(t)), xs),

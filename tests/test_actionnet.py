@@ -29,6 +29,25 @@ def ce_oracle(block, x):
     return x * g[..., None, None]
 
 
+def ste_oracle(block, x):
+    """Spatial-temporal gate by loops: channel mean, 3x3x3 conv zero padded in T, H, W."""
+    n, t, c, h, w = x.shape
+    cmap = x.mean(axis=2)                                     # [N, T, H, W]
+    k = block.ste_w.data[0, 0]                                # [3, 3, 3] over (T, H, W)
+    z = np.full((n, t, h, w), block.ste_b.data[0])
+    for ni in range(n):
+        for ti in range(t):
+            for i in range(h):
+                for j in range(w):
+                    for a in range(3):
+                        for b in range(3):
+                            for d in range(3):
+                                src, row, col = ti + a - 1, i + b - 1, j + d - 1
+                                if 0 <= src < t and 0 <= row < h and 0 <= col < w:
+                                    z[ni, ti, i, j] += k[a, b, d] * cmap[ni, src, row, col]
+    return x * sigmoid(z)[:, :, None]
+
+
 def me_oracle(block, x):
     """Motion gate by loops: m[t] = transform(s[t+1]) - s[t], m[T-1] = 0."""
     n, t, c, h, w = x.shape
@@ -129,6 +148,28 @@ class TestBranches:
         x = self.rng.uniform(-1, 1, (2, t, 8, 3, 3))
         npt.assert_allclose(block.me(Tensor(x)).numpy(), me_oracle(block, x),
                             rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 2, 4, 5])
+    def test_ste_matches_loop_oracle(self, t):
+        block = make_block(seed=6)
+        block.ste_b.data = np.array([0.3])
+        x = self.rng.uniform(-1, 1, (2, t, 8, 4, 5))
+        npt.assert_allclose(block.ste(Tensor(x)).numpy(), ste_oracle(block, x),
+                            rtol=0, atol=1e-12)
+
+    def test_ste_gradients(self):
+        block = make_block(channels=4, seed=9)
+        x = self.rng.uniform(-1, 1, (1, 3, 4, 4, 5))
+        w = block.ste_w.data.copy()
+        b = np.array([0.3])
+
+        def ste_sum(xt, wt, bt):
+            block.ste_w, block.ste_b = wt, bt
+            return tsum(block.ste(xt))
+
+        assert grad_check(lambda t: ste_sum(t, Tensor(w), Tensor(b)), x) <= 1e-6
+        assert grad_check(lambda t: ste_sum(Tensor(x), t, Tensor(b)), w) <= 1e-6
+        assert grad_check(lambda t: ste_sum(Tensor(x), Tensor(w), t), b) <= 1e-6
 
     def test_ste_gate_floor(self):
         block = make_block()

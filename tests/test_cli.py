@@ -87,6 +87,27 @@ class TestTrainEval:
         assert proc.returncode == 2
         assert "weights" in proc.stderr
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda spec: b"{not json", id="invalid_json"),
+        pytest.param(lambda spec: b'{"num_classes": "\xff"}', id="not_utf8"),
+        pytest.param(lambda spec: b"[3]", id="not_an_object"),
+        pytest.param(lambda spec: b'{"num_classes": 3}', id="missing_keys"),
+        pytest.param(lambda spec: {**spec, "extra": 1}, id="unknown_key"),
+        pytest.param(lambda spec: {**spec, "stages": 3}, id="stages_not_a_list"),
+        pytest.param(lambda spec: {**spec, "t": 8.5}, id="t_not_an_int"),
+        pytest.param(lambda spec: {**spec, "frame_size": [32]}, id="frame_size_one_value"),
+        pytest.param(lambda spec: {**spec, "num_classes": 1}, id="rejected_by_netspec"),
+    ])
+    def test_malformed_netspec_is_parse_error(self, synth_dir, trained, tmp_path, make):
+        content = make(json.loads((trained / "netspec.json").read_text(encoding="utf-8")))
+        netspec = tmp_path / "netspec.json"
+        netspec.write_bytes(content if isinstance(content, bytes) else
+                            json.dumps(content).encode())
+        proc = run_cli("eval", "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--weights", str(trained / "model.sgnf"), "--netspec", str(netspec),
+                       check=False)
+        assert_one_line_error(proc, 1, str(netspec))
+
     def test_train_determinism_byte_identical(self, synth_dir, tmp_path):
         outs = []
         for name in ("m1", "m2"):
@@ -120,7 +141,7 @@ class TestGradcheckCommand:
         assert out["all_pass"] is True
         assert all(c["pass"] for c in out["checks"])
         ops = {c["op"] for c in out["checks"]}
-        assert {"matmul", "conv2d", "conv2d_weight", "conv3d", "softmax_cross_entropy",
+        assert {"matmul", "conv2d", "conv2d_weight", "softmax_cross_entropy",
                 "backbone_input"} <= ops
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
-from signflow.tensor import (Parameter, Tensor, add, concat, conv2d, conv3d,
+from signflow.tensor import (Parameter, Tensor, add, concat, conv2d,
                              global_avg_pool, grad_check, load_weights, matmul, mul,
                              narrow, relu, reshape, roll_time, save_weights, sigmoid,
                              softmax, softmax_cross_entropy, tsum)
@@ -320,13 +320,6 @@ class TestGradCheck:
                        rng.uniform(-1, 1, (2, 4))),
         ]
         assert max(checks) <= 1e-4
-
-    def test_conv3d_gradients(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, (1, 1, 3, 4, 4))
-        w = rng.uniform(-1, 1, (2, 1, 3, 3, 3))
-        assert grad_check(lambda t: conv3d(t, Tensor(w), pad=1).sum(), x) <= 1e-6
-        assert grad_check(lambda t: conv3d(Tensor(x), t, pad=1).sum(), w) <= 1e-6
 
 
 class TestShapeOps:
