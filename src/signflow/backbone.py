@@ -6,14 +6,17 @@ axis). Each block may carry a temporal module on its residual branch:
 trunk: global spatial pooling, consensus averaging over the T segments,
 and a linear classification head.
 
-Normalization is a per-channel affine (scale/bias with running statistics
-frozen to mean 0 / var 1), so outputs carry no batch-size dependence.
+Normalization is part of each conv unit: a per-channel affine (gamma,
+beta; running statistics frozen to mean 0 / var 1, so outputs carry no
+batch-size dependence), folded into the conv's weight and bias by one
+expression, ``_fold``.
 
-Two forward paths share the weights. ``Model.forward`` and
+Two forward paths share the weights and the fold. ``Model.forward`` and
 ``per_frame_logits`` build the autodiff graph (training needs it, and it is
-the reference). ``Model.infer`` and ``StreamState.step`` run an
-``InferencePlan``: each affine folded into the conv before it, and plain
-numpy calls with no graph.
+the reference): ``_fold`` runs on the Parameters, so gamma and beta get
+their gradients through it. ``Model.infer`` and ``StreamState.step`` run an
+``InferencePlan``: ``_fold`` on the parameters' arrays, and plain numpy
+calls with no graph.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .sampler import consensus
 from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, conv2d, conv2d_array,
-                     global_avg_pool, matmul, mul, relu, reshape, softmax_cross_entropy,
+                     global_avg_pool, matmul, relu, reshape, softmax_cross_entropy,
                      load_weights, save_weights)
 from .tsm import (BIDIRECTIONAL, UNIDIRECTIONAL, OnlineCache, ShiftConfig, online_step,
                   shift)
@@ -70,6 +73,17 @@ class NetSpec:
             raise ConfigError(f"t must be >= 1, got {self.t}")
         if len(self.frame_size) != 2:
             raise ConfigError(f"frame_size must be (H, W), got {self.frame_size}")
+        sizes = {"in_channels": self.in_channels, "stem_channels": self.stem_channels,
+                 "stem_stride": self.stem_stride, "frame_size[0]": self.frame_size[0],
+                 "frame_size[1]": self.frame_size[1]}
+        for i, stage in enumerate(self.stages):
+            if stage.blocks < 0:
+                raise ConfigError(f"stages[{i}].blocks must be >= 0, got {stage.blocks}")
+            sizes.update({f"stages[{i}].channels": stage.channels,
+                          f"stages[{i}].stride": stage.stride})
+        for key, value in sizes.items():
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.temporal not in (TEMPORAL_NONE, TEMPORAL_SHIFT, TEMPORAL_ACTION):
             raise ConfigError(f"unknown temporal module {self.temporal!r}")
         if self.temporal == TEMPORAL_ACTION:
@@ -195,40 +209,36 @@ class Metrics:
 # -- layers ------------------------------------------------------------------------
 
 
-class _Affine:
-    """Per-channel scale/bias; running statistics frozen to (0, 1)."""
-
-    def __init__(self, channels: int, name: str, dtype):
-        self.gamma = Parameter(np.ones(channels, dtype=dtype), f"{name}.gamma")
-        self.beta = Parameter(np.zeros(channels, dtype=dtype), f"{name}.beta")
-        self.channels = channels
-
-    def __call__(self, x: Tensor) -> Tensor:
-        c = self.channels
-        return add(mul(x, reshape(self.gamma, 1, c, 1, 1)), reshape(self.beta, 1, c, 1, 1))
-
-    def parameters(self):
-        return [self.gamma, self.beta]
+def _fold(w, b, gamma, beta):
+    """The conv's frozen-statistics affine folded into it: w' = gamma * w per
+    output channel, b' = gamma * b + beta. Runs on Parameters (a graph) and
+    on plain arrays (a snapshot) alike."""
+    return w * gamma.reshape(-1, 1, 1, 1), b * gamma + beta
 
 
 class _ConvUnit:
+    """A conv and its per-channel affine; ``norm`` names gamma and beta."""
+
     def __init__(self, cin: int, cout: int, k: int, stride: int, pad: int, name: str,
-                 rng: np.random.Generator, dtype):
+                 norm: str, rng: np.random.Generator, dtype):
         bound = math.sqrt(6.0 / (cin * k * k))
         self.w = Parameter(rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(dtype),
                            f"{name}.w")
         self.b = Parameter(np.zeros(cout, dtype=dtype), f"{name}.b")
+        self.gamma = Parameter(np.ones(cout, dtype=dtype), f"{norm}.gamma")
+        self.beta = Parameter(np.zeros(cout, dtype=dtype), f"{norm}.beta")
         self.stride, self.pad = stride, pad
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
+        w, b = _fold(self.w, self.b, self.gamma, self.beta)
+        return conv2d(x, w, b, stride=self.stride, pad=self.pad)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         kh, kw = self.w.shape[2:]
         return _conv2d_out_hw(h, w, kh, kw, self.stride, self.pad)
 
     def parameters(self):
-        return [self.w, self.b]
+        return [self.w, self.b, self.gamma, self.beta]
 
 
 class _Block:
@@ -237,16 +247,12 @@ class _Block:
     def __init__(self, cin: int, cout: int, stride: int, spec: NetSpec, name: str,
                  rng: np.random.Generator, dtype):
         self.cin, self.cout, self.stride = cin, cout, stride
-        self.conv1 = _ConvUnit(cin, cout, 3, stride, 1, f"{name}.conv1", rng, dtype)
-        self.norm1 = _Affine(cout, f"{name}.norm1", dtype)
-        self.conv2 = _ConvUnit(cout, cout, 3, 1, 1, f"{name}.conv2", rng, dtype)
-        self.norm2 = _Affine(cout, f"{name}.norm2", dtype)
-        if cin != cout or stride != 1:
-            self.proj = _ConvUnit(cin, cout, 1, stride, 0, f"{name}.proj", rng, dtype)
-            self.proj_norm = _Affine(cout, f"{name}.proj_norm", dtype)
-        else:
-            self.proj = None
-            self.proj_norm = None
+        self.conv1 = _ConvUnit(cin, cout, 3, stride, 1, f"{name}.conv1", f"{name}.norm1",
+                               rng, dtype)
+        self.conv2 = _ConvUnit(cout, cout, 3, 1, 1, f"{name}.conv2", f"{name}.norm2",
+                               rng, dtype)
+        self.proj = _ConvUnit(cin, cout, 1, stride, 0, f"{name}.proj", f"{name}.proj_norm",
+                              rng, dtype) if cin != cout or stride != 1 else None
         self.action: ActionBlock | None = None
         if spec.temporal == TEMPORAL_ACTION:
             self.action = ActionBlock(cin, ActionConfig(spec.action_ratio,
@@ -254,10 +260,9 @@ class _Block:
                                       rng, f"{name}.action", dtype)
 
     def parameters(self):
-        params = [*self.conv1.parameters(), *self.norm1.parameters(),
-                  *self.conv2.parameters(), *self.norm2.parameters()]
+        params = [*self.conv1.parameters(), *self.conv2.parameters()]
         if self.proj is not None:
-            params += [*self.proj.parameters(), *self.proj_norm.parameters()]
+            params += self.proj.parameters()
         if self.action is not None:
             params += self.action.parameters()
         return params
@@ -274,8 +279,7 @@ class Model:
             if spec.temporal == TEMPORAL_SHIFT else None
 
         self.stem = _ConvUnit(spec.in_channels, spec.stem_channels, 3, spec.stem_stride, 1,
-                              "stem", rng, dtype)
-        self.stem_norm = _Affine(spec.stem_channels, "stem_norm", dtype)
+                              "stem", "stem_norm", rng, dtype)
 
         self.blocks: list[_Block] = []
         cin = spec.stem_channels
@@ -295,7 +299,7 @@ class Model:
     # -- parameter plumbing ------------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params = [*self.stem.parameters(), *self.stem_norm.parameters()]
+        params = self.stem.parameters()
         for block in self.blocks:
             params += block.parameters()
         params += [self.head_w, self.head_b]
@@ -352,14 +356,13 @@ class Model:
         return reshape(out, n * t, c, h, w)
 
     def _block_forward(self, x: Tensor, block: _Block, branch_input: Tensor) -> Tensor:
-        y = relu(block.norm1(block.conv1(branch_input)))
-        y = block.norm2(block.conv2(y))
-        skip = block.proj_norm(block.proj(x)) if block.proj is not None else x
+        y = block.conv2(relu(block.conv1(branch_input)))
+        skip = block.proj(x) if block.proj is not None else x
         return relu(add(y, skip))
 
     def _trunk(self, frames: Tensor, n: int, t: int) -> Tensor:
         """[N*T,C,H,W] frames -> [N*T,D] pooled features."""
-        x = relu(self.stem_norm(self.stem(frames)))
+        x = relu(self.stem(frames))
         for block in self.blocks:
             branch = self._temporal(x, block, n, t)
             x = self._block_forward(x, block, branch)
@@ -437,13 +440,10 @@ def _relu(x: Array) -> Array:
 
 
 class _FoldedConv:
-    """A conv followed by its frozen-statistics affine, as one conv:
-    w' = gamma * w per output channel, b' = gamma * b + beta."""
+    """A conv unit as one conv on its folded weights (new arrays: a snapshot)."""
 
-    def __init__(self, unit: _ConvUnit, norm: _Affine):
-        gamma = norm.gamma.data
-        self.w = unit.w.data * gamma[:, None, None, None]
-        self.b = unit.b.data * gamma + norm.beta.data
+    def __init__(self, unit: _ConvUnit):
+        self.w, self.b = _fold(unit.w.data, unit.b.data, unit.gamma.data, unit.beta.data)
         self.stride, self.pad = unit.stride, unit.pad
 
     def __call__(self, x: Array) -> Array:
@@ -454,9 +454,9 @@ class _FoldedBlock:
     """Residual block on folded convs; the branch input comes from the caller."""
 
     def __init__(self, block: _Block):
-        self.conv1 = _FoldedConv(block.conv1, block.norm1)
-        self.conv2 = _FoldedConv(block.conv2, block.norm2)
-        self.proj = _FoldedConv(block.proj, block.proj_norm) if block.proj is not None else None
+        self.conv1 = _FoldedConv(block.conv1)
+        self.conv2 = _FoldedConv(block.conv2)
+        self.proj = _FoldedConv(block.proj) if block.proj is not None else None
 
     def __call__(self, x: Array, branch: Array) -> Array:
         y = self.conv2(_relu(self.conv1(branch)))
@@ -472,7 +472,7 @@ class InferencePlan:
     """
 
     def __init__(self, model: Model):
-        self.stem = _FoldedConv(model.stem, model.stem_norm)
+        self.stem = _FoldedConv(model.stem)
         self.blocks = [_FoldedBlock(block) for block in model.blocks]
         self.head_w = model.head_w.data.copy()
         self.head_b = model.head_b.data.copy()

@@ -379,37 +379,6 @@ def glosses_to_text(glosses: GlossSequence, lex: Lexicon, rules: list[ReorderRul
     return join_surfaces(natural, separator)
 
 
-def load_paired_corpus(path: Path | str) -> list[tuple[str, list[str]]]:
-    """TSV evaluation pairs: sentence <tab> expected gloss ids (space-separated)."""
-    pairs: list[tuple[str, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected sentence\\tgloss_ids")
-            pairs.append((parts[0], parts[1].split()))
-    return pairs
-
-
-def evaluate_corpus(lex: Lexicon, rules: list[ReorderRule],
-                    pairs: list[tuple[str, list[str]]]) -> dict:
-    """Sentence-level exact-match accuracy of segment+reorder against the
-    expected statute-order gloss ids."""
-    mismatches = []
-    for sentence, expected in pairs:
-        got = reorder(segment(sentence, lex), rules).gloss_ids
-        if got != expected:
-            mismatches.append({"sentence": sentence, "expected": expected, "got": got})
-    total = len(pairs)
-    correct = total - len(mismatches)
-    return {"total": total, "correct": correct,
-            "accuracy": (100.0 * correct / total) if total else 100.0,
-            "mismatches": mismatches}
-
-
 def tokens_from_gloss_ids(gloss_ids: list[str], lex: Lexicon) -> GlossSequence:
     """Build a trace-free GlossSequence from recognizer output ids.
 

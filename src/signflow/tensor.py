@@ -2,8 +2,8 @@
 
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
 video backbone needs: elementwise arithmetic, matmul, 2D convolution,
-pooling, reductions, slicing/concatenation, moves along the time axis
-(roll_time), and softmax cross-entropy.
+pooling, reductions, slicing, moves along the time axis (roll_time), and
+softmax cross-entropy.
 
 Layout conventions:
   * all data is row-major; video batches use [N, T, C, H, W],
@@ -290,23 +290,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return x._child(out_data, (x,), backward, "narrow")
 
 
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def backward(grad: Array) -> None:
-        offset = 0
-        for p, size in zip(parts, sizes):
-            if p.requires_grad:
-                idx = [slice(None)] * grad.ndim
-                idx[axis] = slice(offset, offset + size)
-                p.grad += grad[tuple(idx)]
-            offset += size
-
-    return parts[0]._child(out_data, tuple(parts), backward, "concat")
-
-
 def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
     """Move channel blocks of [N,T,C,...] along time, filling the gap with zeros.
 
@@ -513,10 +496,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def log_softmax(logits: Array) -> Array:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax(logits: Array) -> Array:
-    return np.exp(log_softmax(logits))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -81,6 +81,12 @@ class TestBuild:
             # stem 6 channels not divisible by action ratio 4
             tiny_spec(temporal="action", stem_channels=6, stages=(StageSpec(1, 8),))
 
+    def test_zero_blocks_and_no_stages_build(self):
+        # sizes must be >= 1 (tests/test_cli.py), but a stage may have no blocks
+        for stages in ((StageSpec(0, 8),), ()):
+            model = build(tiny_spec(stages=stages), seed=0)
+            assert model.infer(np.zeros((1, 4, 2, 8, 8), dtype=np.float32)).shape == (1, 3)
+
 
 class TestForward:
     def test_logit_shape(self):
@@ -126,11 +132,21 @@ class TestForward:
 
 
 class TestGradients:
-    def test_full_net_parameter_gradients(self):
+    @pytest.mark.parametrize("stages,random_gamma", [
+        pytest.param((StageSpec(1, 8),), False, id="unit_gamma"),
+        # gamma != 1 so a gradient that drops the fold's scale shows; the
+        # stride-2 stage adds a projection; biases stay 0, away from relu kinks
+        pytest.param((StageSpec(1, 8), StageSpec(1, 16, 2)), True, id="random_gamma_proj"),
+    ])
+    def test_full_net_parameter_gradients(self, stages, random_gamma):
         # analytic grads of every parameter vs central differences
-        spec = tiny_spec()
+        spec = tiny_spec(stages=stages)
         model = build(spec, seed=2, dtype=np.float64)
         rng = np.random.default_rng(2)
+        if random_gamma:
+            for p in model.parameters():
+                if p.name.endswith(".gamma"):
+                    p.data = rng.uniform(0.5, 1.5, p.data.shape)
         clip = Tensor(rng.uniform(0.05, 1, (1, *spec.clip_shape)))
         labels = np.array([1])
 
@@ -308,6 +324,21 @@ class TestSaveLoad:
         rng = np.random.default_rng(12)
         clip = rng.uniform(0, 1, (1, *spec.clip_shape)).astype(np.float32)
         npt.assert_array_equal(model.forward(clip).numpy(), loaded.forward(clip).numpy())
+
+    def test_weight_names_and_order(self):
+        def conv(unit, norm):
+            return [f"{unit}.w", f"{unit}.b", f"{norm}.gamma", f"{norm}.beta"]
+
+        spec = tiny_spec(stages=(StageSpec(1, 8), StageSpec(1, 16, 2)))
+        block0, block1 = "stage0.block0", "stage1.block0"
+        assert list(build(spec, seed=0).state_dict()) == [
+            *conv("stem", "stem_norm"),
+            *conv(f"{block0}.conv1", f"{block0}.norm1"),
+            *conv(f"{block0}.conv2", f"{block0}.norm2"),
+            *conv(f"{block1}.conv1", f"{block1}.norm1"),
+            *conv(f"{block1}.conv2", f"{block1}.norm2"),
+            *conv(f"{block1}.proj", f"{block1}.proj_norm"),
+            "head.w", "head.b"]
 
     def test_weight_file_roundtrips_bit_exact(self, tmp_path):
         from signflow.tensor import load_weights

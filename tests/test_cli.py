@@ -31,6 +31,11 @@ def assert_one_line_error(proc, code, *needles):
         assert needle in proc.stderr
 
 
+def _with_stage(spec: dict, **changes) -> dict:
+    """A netspec dict whose first stage has ``changes`` applied."""
+    return {**spec, "stages": [{**spec["stages"][0], **changes}, *spec["stages"][1:]]}
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "synth"
@@ -97,6 +102,14 @@ class TestTrainEval:
         pytest.param(lambda spec: {**spec, "t": 8.5}, id="t_not_an_int"),
         pytest.param(lambda spec: {**spec, "frame_size": [32]}, id="frame_size_one_value"),
         pytest.param(lambda spec: {**spec, "num_classes": 1}, id="rejected_by_netspec"),
+        pytest.param(lambda spec: {**spec, "stem_stride": 0}, id="stem_stride_zero"),
+        pytest.param(lambda spec: {**spec, "stem_stride": -1}, id="stem_stride_negative"),
+        pytest.param(lambda spec: {**spec, "in_channels": 0}, id="in_channels_zero"),
+        pytest.param(lambda spec: {**spec, "stem_channels": 0}, id="stem_channels_zero"),
+        pytest.param(lambda spec: {**spec, "frame_size": [0, 0]}, id="frame_size_zero"),
+        pytest.param(lambda spec: _with_stage(spec, channels=0), id="stage_channels_zero"),
+        pytest.param(lambda spec: _with_stage(spec, stride=0), id="stage_stride_zero"),
+        pytest.param(lambda spec: _with_stage(spec, blocks=-1), id="stage_blocks_negative"),
     ])
     def test_malformed_netspec_is_parse_error(self, synth_dir, trained, tmp_path, make):
         content = make(json.loads((trained / "netspec.json").read_text(encoding="utf-8")))

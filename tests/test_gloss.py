@@ -271,34 +271,3 @@ class TestGlossesToText:
         assert seq.tokens[1].oov and seq.tokens[1].surface == "x"
         with pytest.raises(GlossLookupError):
             tokens_from_gloss_ids(["G_NOPE"], lex)
-
-
-class TestPairedCorpus:
-    def make_lex(self):
-        return Lexicon({
-            "我": LexEntry("我", "G_WO", "c", ("PRON",)),
-            "不": LexEntry("不", "G_BU", "c", ("NEG",)),
-            "吃": LexEntry("吃", "G_CHI", "c", ("V",)),
-        })
-
-    def test_load_and_evaluate(self, tmp_path):
-        from signflow.gloss import evaluate_corpus, load_paired_corpus
-        p = tmp_path / "pairs.tsv"
-        p.write_text("# pairs\n我不吃\tG_WO G_CHI G_BU\n我吃\tG_WO G_CHI\n"
-                     "不吃\tG_BU G_CHI\n", encoding="utf-8")
-        pairs = load_paired_corpus(p)
-        assert len(pairs) == 3
-        lex = self.make_lex()
-        rules = [ReorderRule("neg", 10, "move-to-end", tag="NEG")]
-        result = evaluate_corpus(lex, rules, pairs)
-        # third pair expects NEG first, which the rule contradicts
-        assert result["total"] == 3 and result["correct"] == 2
-        assert result["accuracy"] == pytest.approx(100 * 2 / 3)
-        assert result["mismatches"][0]["sentence"] == "不吃"
-
-    def test_malformed_line(self, tmp_path):
-        from signflow.gloss import load_paired_corpus
-        p = tmp_path / "pairs.tsv"
-        p.write_text("just a sentence with no tab\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=":1:"):
-            load_paired_corpus(p)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
-from signflow.tensor import (Parameter, Tensor, add, concat, conv2d,
+from signflow.tensor import (Parameter, Tensor, add, conv2d,
                              global_avg_pool, grad_check, load_weights, matmul, mul,
                              narrow, relu, reshape, roll_time, save_weights, sigmoid,
-                             softmax, softmax_cross_entropy, tsum)
+                             softmax_cross_entropy, tsum)
 
 
 def naive_matmul(a, b):
@@ -244,11 +244,6 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(InputError):
             softmax_cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        p = softmax(rng.uniform(-5, 5, (20, 7)))
-        npt.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
     def test_grad_rows_sum_to_zero(self):
         rng = np.random.default_rng(4)
         logits = Tensor(rng.uniform(-2, 2, (6, 5)), requires_grad=True)
@@ -330,11 +325,12 @@ class TestShapeOps:
         with pytest.raises(Exception):
             reshape(x, 5, 5)
 
-    def test_narrow_concat_roundtrip(self):
+    def test_narrow_matches_slicing(self):
         x = np.random.default_rng(7).uniform(-1, 1, (2, 6, 3))
         t = Tensor(x)
-        back = concat([narrow(t, 1, 0, 2), narrow(t, 1, 2, 4)], axis=1)
-        npt.assert_array_equal(back.numpy(), x)
+        npt.assert_array_equal(narrow(t, 1, 0, 2).numpy(), x[:, 0:2])
+        npt.assert_array_equal(narrow(t, 1, 2, 4).numpy(), x[:, 2:6])
+        npt.assert_array_equal(narrow(t, 2, 1, 1).numpy(), x[:, :, 1:2])
 
     def test_narrow_backward_scatters(self):
         x = Tensor(np.ones((2, 4)), requires_grad=True)
