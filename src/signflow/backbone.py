@@ -17,6 +17,10 @@ the reference): ``_fold`` runs on the Parameters, so gamma and beta get
 their gradients through it. ``Model.infer`` and ``StreamState.step`` run an
 ``InferencePlan``: ``_fold`` on the parameters' arrays, and plain numpy
 calls with no graph.
+
+A stream runs one frame at a time. For each block it keeps the previous
+frame's block input, and ``tsm.online_step`` takes the shifted fold from
+it, which equals the offline unidirectional shift frame by frame.
 """
 
 from __future__ import annotations
@@ -30,11 +34,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .sampler import consensus
-from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, conv2d, conv2d_array,
-                     global_avg_pool, matmul, relu, reshape, softmax_cross_entropy,
-                     load_weights, save_weights)
-from .tsm import (BIDIRECTIONAL, UNIDIRECTIONAL, OnlineCache, ShiftConfig, online_step,
-                  shift)
+from .tensor import (Array, Parameter, Tensor, add, conv2d, conv2d_array, global_avg_pool,
+                     matmul, relu, reshape, softmax_cross_entropy, load_weights, save_weights)
+from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
 from .actionnet import ActionBlock, ActionConfig
 
 TEMPORAL_NONE = "none"
@@ -233,10 +235,6 @@ class _ConvUnit:
         w, b = _fold(self.w, self.b, self.gamma, self.beta)
         return conv2d(x, w, b, stride=self.stride, pad=self.pad)
 
-    def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.w.shape[2:]
-        return _conv2d_out_hw(h, w, kh, kw, self.stride, self.pad)
-
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]
 
@@ -416,22 +414,17 @@ class Model:
 
     # -- streaming ---------------------------------------------------------------
 
-    def open_stream(self, stream_id: str = "stream0", n: int = 1) -> "StreamState":
+    def open_stream(self, stream_id: str = "stream0") -> "StreamState":
         """A stream over the weights as they are now: it runs an InferencePlan
         folded here, so later training or load_state_dict does not reach it."""
         if self.spec.temporal == TEMPORAL_ACTION:
             raise UsageError("streaming inference is only defined for shift or none")
         if self.spec.temporal == TEMPORAL_SHIFT and self.spec.direction != UNIDIRECTIONAL:
             raise UsageError("streaming requires a unidirectional shift model")
-        caches: list[OnlineCache] = []
-        if self.spec.temporal == TEMPORAL_SHIFT:
-            h, w = self.stem.out_hw(*self.spec.frame_size)
-            for li, block in enumerate(self.blocks):
-                cf = self.shift_cfg.fold_channels(block.cin)
-                caches.append(OnlineCache.zeros(stream_id, f"block{li}", n, cf, h, w,
-                                                dtype=self.dtype))
-                h, w = block.conv2.out_hw(*block.conv1.out_hw(h, w))
-        return StreamState(InferencePlan(self), stream_id, caches)
+        folds = [self.shift_cfg.fold_channels(block.cin) if self.shift_cfg else 0
+                 for block in self.blocks]
+        frame_shape = (self.spec.in_channels, *self.spec.frame_size)
+        return StreamState(InferencePlan(self), stream_id, folds, frame_shape)
 
 
 def _relu(x: Array) -> Array:
@@ -482,15 +475,20 @@ class InferencePlan:
 
 
 class StreamState:
-    """Per-stream mutable state: one fold cache per block plus a logit sum.
+    """Per-stream mutable state: each block's previous input plus a logit sum.
 
-    It holds the InferencePlan folded when the stream was opened."""
+    It holds the InferencePlan folded when the stream was opened, and each
+    block's fold (0 for a ``none`` model). The batch size N is the first
+    frame's; later frames must match it."""
 
-    def __init__(self, plan: InferencePlan, stream_id: str, caches: list[OnlineCache]):
+    def __init__(self, plan: InferencePlan, stream_id: str, folds: list[int],
+                 frame_shape: tuple[int, int, int]):
         self.plan = plan
         self.dtype = plan.head_w.dtype
         self.stream_id = stream_id
-        self.caches = caches
+        self.folds = folds
+        self.frame_shape = frame_shape
+        self.prev: list[Array | None] = [None] * len(folds)
         self.frames_seen = 0
         self.logit_sum: Array | None = None
 
@@ -501,14 +499,16 @@ class StreamState:
         frame = np.asarray(frame, dtype=self.dtype)
         if frame.ndim == 3:
             frame = frame[None]
-        if frame.ndim != 4:
-            raise InputError(f"stream step expects [N,C,H,W] frame, got {frame.shape}")
+        rows = frame.shape[:1] if self.logit_sum is None else self.logit_sum.shape[:1]
+        if frame.shape != (*rows, *self.frame_shape) or not frame.size:
+            n = "N" if self.logit_sum is None else rows[0]
+            raise InputError(f"stream {self.stream_id!r}: frame shape {frame.shape} is not "
+                             f"[{n},{','.join(map(str, self.frame_shape))}]")
         x = _relu(plan.stem(frame))
-        for li, block in enumerate(plan.blocks):
-            if self.caches:
-                branch, self.caches[li] = online_step(x, self.caches[li])
-            else:
-                branch = x
+        for i, block in enumerate(plan.blocks):
+            # block inputs are new arrays that nothing writes to, so kept as is
+            branch = online_step(x, self.prev[i], self.folds[i])
+            self.prev[i] = x
             x = block(x, branch)
         logits = plan.head(x.mean(axis=(2, 3)))
         self.frames_seen += 1

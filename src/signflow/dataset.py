@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FrameIOError, InputError, IntegrityError, ParseError
+from .errors import ConfigError, FrameIOError, InputError, ParseError
 
 SPLITS = ("train", "val", "test")
 
@@ -149,12 +149,10 @@ def save_manifest(path: Path | str, entries: list[ManifestEntry],
             fh.write("\n")
 
 
-def load_manifest(path: Path | str, verify: bool = False
-                  ) -> tuple[list[ManifestEntry], dict[str, int] | None]:
+def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int] | None]:
     """Parse a JSONL manifest; returns entries and the sibling label map.
 
     Duplicate video ids and malformed lines are rejected with line numbers.
-    With verify on, each frame_dir must exist and hold num_frames frames.
     """
     path = Path(path)
     entries: list[ManifestEntry] = []
@@ -177,17 +175,6 @@ def load_manifest(path: Path | str, verify: bool = False
                     f"(first seen on line {seen[entry.video_id]})")
             seen[entry.video_id] = lineno
             entries.append(entry)
-
-    if verify:
-        base = path.parent
-        for entry in entries:
-            d = _resolve_dir(base, entry.frame_dir)
-            if not d.is_dir():
-                raise IntegrityError(f"{entry.video_id}: frame_dir {d} missing")
-            count = len(list(d.glob("frame_*.p?m")))
-            if count != entry.num_frames:
-                raise IntegrityError(
-                    f"{entry.video_id}: manifest says {entry.num_frames} frames, found {count}")
 
     labels_path = path.parent / "labels.json"
     label_map = load_labels(labels_path) if labels_path.exists() else None

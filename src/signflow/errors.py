@@ -30,10 +30,6 @@ class ParseError(SignflowError):
     """Malformed on-disk artifact; message carries file and line context."""
 
 
-class IntegrityError(SignflowError):
-    """On-disk data does not match its manifest."""
-
-
 class GlossLookupError(SignflowError):
     """Gloss id not resolvable in the lexicon."""
 

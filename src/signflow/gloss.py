@@ -350,10 +350,8 @@ def _is_cjk(ch: str) -> bool:
             or 0xFF00 <= cp <= 0xFFEF)
 
 
-def join_surfaces(tokens: list[Token], separator: str = "auto") -> str:
+def join_surfaces(tokens: list[Token]) -> str:
     """Concatenate surfaces: no space between CJK neighbors, else one space."""
-    if separator != "auto":
-        return separator.join(t.surface for t in tokens)
     out: list[str] = []
     for i, tok in enumerate(tokens):
         if i > 0:
@@ -365,8 +363,7 @@ def join_surfaces(tokens: list[Token], separator: str = "auto") -> str:
     return "".join(out)
 
 
-def glosses_to_text(glosses: GlossSequence, lex: Lexicon, rules: list[ReorderRule],
-                    separator: str = "auto") -> str:
+def glosses_to_text(glosses: GlossSequence, lex: Lexicon, rules: list[ReorderRule]) -> str:
     """Sign-order glosses -> natural-order text.
 
     Every non-fingerspell gloss id must resolve in the lexicon.
@@ -376,7 +373,7 @@ def glosses_to_text(glosses: GlossSequence, lex: Lexicon, rules: list[ReorderRul
     if missing:
         raise GlossLookupError(f"gloss ids not in lexicon: {sorted(set(missing))}")
     natural = inverse_reorder(glosses, rules)
-    return join_surfaces(natural, separator)
+    return join_surfaces(natural)
 
 
 def tokens_from_gloss_ids(gloss_ids: list[str], lex: Lexicon) -> GlossSequence:

@@ -211,10 +211,8 @@ def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule
         details.append({"start": w_start, "length": w_len, "class": cls,
                         "gloss": inv_labels[cls]})
     collapsed = [g for i, g in enumerate(gloss_ids) if i == 0 or g != gloss_ids[i - 1]]
-    seq = tokens_from_gloss_ids(collapsed, lex)
-    text = glosses_to_text(seq, lex, rules)
-    return {"text": text, "glosses": collapsed, "windows": details,
-            "trace": [s.to_dict() for s in seq.trace]}
+    text = glosses_to_text(tokens_from_gloss_ids(collapsed, lex), lex, rules)
+    return {"text": text, "glosses": collapsed, "windows": details}
 
 
 def _gloss_by_class(model, lex: Lexicon, label_map: dict[str, int] | None) -> dict[int, str]:

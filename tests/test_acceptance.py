@@ -22,8 +22,7 @@ from signflow.gloss import ReorderRule, Token, inverse_reorder, reorder, segment
 from signflow.sampler import MODE_EVAL_CENTER, SampleSpec, segment_sample
 from signflow.tensor import Tensor, conv2d, global_avg_pool, grad_check, \
     load_weights, matmul, save_weights, sigmoid, softmax_cross_entropy, tsum
-from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, \
-    shift_bidirectional, shift_unidirectional
+from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, shift
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
 
@@ -74,7 +73,7 @@ def test_c01_gradient_suite():
             grad_check(lambda t: tsum(sigmoid(t)), xs),
             grad_check(lambda t: softmax_cross_entropy(t, [2, 0]),
                        rng.uniform(-1, 1, (2, 4))),
-            grad_check(lambda t: tsum(shift_bidirectional(t, cfg) * shift_w),
+            grad_check(lambda t: tsum(shift(t, cfg) * shift_w),
                        rng.uniform(-1, 1, (1, 4, 8, 2, 2))),
         ]
         worst = max(worst, max(errs))
@@ -164,8 +163,7 @@ def test_c02_shift_oracles():
         return out
 
     cases = 0
-    for direction, fn in ((BIDIRECTIONAL, shift_bidirectional),
-                          (UNIDIRECTIONAL, shift_unidirectional)):
+    for direction in (BIDIRECTIONAL, UNIDIRECTIONAL):
         cfg = ShiftConfig(0.125, direction)
         for t in (1, 2, 3, 8):
             for c in (4, 8, 16):
@@ -174,7 +172,7 @@ def test_c02_shift_oracles():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     cf = cfg.fold_channels(c)
-                    got = fn(Tensor(x), cfg).numpy()
+                    got = shift(Tensor(x), cfg).numpy()
                 npt.assert_array_equal(got, oracle(x, cf, direction))
                 cases += 1
     report(2, "shift-oracles", f"({cases} shape cases, exact)")

@@ -390,7 +390,7 @@ def assert_agrees(got, reference, dtype):
 
 def stream_logits(model, clip):
     """[N,T,...] clip -> [N,T,K] frame logits of one stream over it."""
-    stream = model.open_stream(n=clip.shape[0])
+    stream = model.open_stream()
     return np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(clip.shape[1])],
                     axis=1)
 
@@ -451,6 +451,27 @@ class TestStream:
         model.load_state_dict(perturbed(build(spec, seed=3, dtype=np.float64)).state_dict())
         got = np.stack([stream.step(clip[:, t])["frame_logits"][0] for t in range(spec.t)])
         assert_agrees(got, expected, np.float64)
+
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    @pytest.mark.parametrize("shape", [(1, 2, 20, 24), (1, 3, 8, 8), (2, 8, 8, 1),
+                                       (8, 8), (1, 1, 2, 8, 8), (0, 2, 8, 8)])
+    def test_bad_frame_shape_names_stream(self, temporal, shape):
+        model = build(tiny_spec(temporal=temporal, direction="unidirectional"), seed=0)
+        stream = model.open_stream(stream_id="cam7")
+        with pytest.raises(InputError, match="cam7"):
+            stream.step(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    @pytest.mark.parametrize("first,then", [(1, 2), (2, 3), (2, 1)])
+    def test_batch_change_names_stream(self, temporal, first, then):
+        model = build(tiny_spec(temporal=temporal, direction="unidirectional"), seed=0)
+        stream = model.open_stream(stream_id="cam7")
+        stream.step(np.zeros((first, 2, 8, 8), dtype=np.float32))
+        with pytest.raises(InputError, match="cam7"):
+            stream.step(np.zeros((then, 2, 8, 8), dtype=np.float32))
+        # the bad frame left the stream as it was
+        out = stream.step(np.zeros((first, 2, 8, 8), dtype=np.float32))
+        assert out["rolling_logits"].shape == (first, 3)
 
     def test_step_builds_no_tensor(self, monkeypatch):
         model = build(tiny_spec(direction="unidirectional"), seed=0)

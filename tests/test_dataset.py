@@ -8,7 +8,7 @@ from signflow.dataset import (ManifestEntry, SynthSpec, base_frames, class_order
                               frame_name, load_clip_dataset, load_manifest,
                               make_isolated_clips, read_clip, read_frame, save_manifest,
                               synth_temporal, write_frame)
-from signflow.errors import ConfigError, FrameIOError, InputError, IntegrityError, ParseError
+from signflow.errors import ConfigError, FrameIOError, InputError, ParseError
 from signflow.sampler import SampleSpec
 
 
@@ -114,12 +114,6 @@ class TestManifest:
         with pytest.raises(ParseError) as exc:
             load_manifest(p)
         assert str(tmp_path / "labels.json") in str(exc.value)
-
-    def test_verify_missing_dir(self, tmp_path):
-        p = tmp_path / "m.jsonl"
-        save_manifest(p, [self.entry()])
-        with pytest.raises(IntegrityError, match="v1"):
-            load_manifest(p, verify=True)
 
     def test_lossless_roundtrip(self, tmp_path):
         entries = [self.entry(f"v{i}", label=i % 3, split=s)

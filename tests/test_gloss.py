@@ -262,7 +262,6 @@ class TestGlossesToText:
         ascii_toks = [Token("hello", "G3"), Token("world", "G4")]
         assert join_surfaces(cjk) == "我吃"
         assert join_surfaces(ascii_toks) == "hello world"
-        assert join_surfaces(ascii_toks, separator="") == "helloworld"
 
     def test_tokens_from_gloss_ids(self):
         lex = lex_of(("不", ("NEG",)))

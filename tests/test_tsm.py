@@ -1,11 +1,14 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from signflow.errors import ConfigError, UsageError
+from signflow.errors import ConfigError
 from signflow.tensor import Tensor, grad_check, tsum
-from signflow.tsm import (BIDIRECTIONAL, UNIDIRECTIONAL, OnlineCache, ShiftConfig,
-                          online_step, shift_bidirectional, shift_unidirectional)
+from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
 
 
 def shift_oracle(x, cf, direction):
@@ -30,7 +33,6 @@ def shift_oracle(x, cf, direction):
 
 
 def fold_of(cfg, c):
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return cfg.fold_channels(c)
@@ -46,7 +48,7 @@ class TestShiftBidirectional:
         for c in range(2, 8):
             x[0, :, c, 0, 0] = [7.0 + c, 8.0 + c, 9.0 + c]
         cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift_bidirectional(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cfg).numpy()
         npt.assert_array_equal(out[0, :, 0, 0, 0], [2.0, 3.0, 0.0])
         npt.assert_array_equal(out[0, :, 1, 0, 0], [0.0, 4.0, 5.0])
         npt.assert_array_equal(out[0, :, 2:], x[0, :, 2:])
@@ -54,14 +56,14 @@ class TestShiftBidirectional:
     def test_t_equals_one_zeroes_folds(self):
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 16, 2, 2))
         cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift_bidirectional(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cfg).numpy()
         npt.assert_array_equal(out[:, :, :4], np.zeros((2, 1, 4, 2, 2)))
         npt.assert_array_equal(out[:, :, 4:], x[:, :, 4:])
 
     def test_degenerate_fold_is_identity(self):
         x = np.random.default_rng(1).uniform(-1, 1, (1, 3, 4, 2, 2))
         with pytest.warns(UserWarning, match="floors to 0"):
-            out = shift_bidirectional(Tensor(x), ShiftConfig(0.125, BIDIRECTIONAL)).numpy()
+            out = shift(Tensor(x), ShiftConfig(0.125, BIDIRECTIONAL)).numpy()
         npt.assert_array_equal(out, x)
 
     def test_fold_too_large_rejected(self):
@@ -78,14 +80,14 @@ class TestShiftUnidirectional:
         x = np.zeros((1, 3, 8, 1, 1))
         x[0, :, 0, 0, 0] = [1.0, 2.0, 3.0]
         cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        out = shift_unidirectional(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cfg).numpy()
         npt.assert_array_equal(out[0, :, 0, 0, 0], [0.0, 1.0, 2.0])
         npt.assert_array_equal(out[0, :, 1:], x[0, :, 1:])
 
     def test_first_timestep_fold_zero(self):
         x = np.random.default_rng(2).uniform(-1, 1, (2, 4, 8, 2, 2))
         cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        out = shift_unidirectional(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cfg).numpy()
         npt.assert_array_equal(out[:, 0, :1], np.zeros((2, 1, 2, 2)))
 
 
@@ -98,11 +100,9 @@ def test_shift_matches_index_oracle(direction, t, c):
     cf = fold_of(cfg, c)
     for n in (1, 2):
         x = rng.uniform(-1, 1, (n, t, c, 2, 2))
-        fn = shift_bidirectional if direction == BIDIRECTIONAL else shift_unidirectional
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = fn(Tensor(x), cfg).numpy()
+            out = shift(Tensor(x), cfg).numpy()
         npt.assert_array_equal(out, shift_oracle(x, cf, direction))
 
 
@@ -113,7 +113,7 @@ class TestShiftProperties:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.5, 1.5, (1, 8, 16, 2, 2))  # strictly nonzero values
         cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift_bidirectional(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cfg).numpy()
         cf = 2
         for ci in range(16):
             vals_in = sorted(x[0, :, ci].ravel())
@@ -129,8 +129,8 @@ class TestShiftProperties:
         rng = np.random.default_rng(4)
         x = rng.uniform(0.5, 1.5, (1, 6, 16, 1, 1))
         cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        once = shift_unidirectional(Tensor(x), cfg)
-        twice = shift_unidirectional(once, cfg).numpy()
+        once = shift(Tensor(x), cfg)
+        twice = shift(once, cfg).numpy()
         cf = 2
         for ti in range(6):
             for ci in range(cf):
@@ -140,16 +140,8 @@ class TestShiftProperties:
 
     def test_shape_preserved(self):
         x = np.zeros((3, 5, 8, 4, 6))
-        for direction, fn in ((BIDIRECTIONAL, shift_bidirectional),
-                              (UNIDIRECTIONAL, shift_unidirectional)):
-            assert fn(Tensor(x), ShiftConfig(0.125, direction)).shape == x.shape
-
-    def test_wrong_direction_rejected(self):
-        x = Tensor(np.zeros((1, 2, 8, 1, 1)))
-        with pytest.raises(ConfigError):
-            shift_bidirectional(x, ShiftConfig(0.125, UNIDIRECTIONAL))
-        with pytest.raises(ConfigError):
-            shift_unidirectional(x, ShiftConfig(0.125, BIDIRECTIONAL))
+        for direction in (BIDIRECTIONAL, UNIDIRECTIONAL):
+            assert shift(Tensor(x), ShiftConfig(0.125, direction)).shape == x.shape
 
 
 class TestShiftBackward:
@@ -157,7 +149,7 @@ class TestShiftBackward:
         x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, 3, 8, 2, 2)),
                    requires_grad=True)
         cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        tsum(shift_bidirectional(x, cfg)).backward()
+        tsum(shift(x, cfg)).backward()
         npt.assert_array_equal(x.grad[:, :, 2:], np.ones((1, 3, 6, 2, 2)))
 
     def test_boundary_grad_zero(self):
@@ -165,7 +157,7 @@ class TestShiftBackward:
         x = Tensor(np.random.default_rng(6).uniform(-1, 1, (1, 4, 8, 2, 2)),
                    requires_grad=True)
         cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        tsum(shift_bidirectional(x, cfg)).backward()
+        tsum(shift(x, cfg)).backward()
         npt.assert_array_equal(x.grad[:, 0, 0], np.zeros((1, 2, 2)))      # fwd fold at t=0
         npt.assert_array_equal(x.grad[:, -1, 1], np.zeros((1, 2, 2)))     # bwd fold at t=T-1
 
@@ -176,44 +168,46 @@ class TestShiftBackward:
         w = rng.uniform(-1, 1, x.shape)  # weighted sum makes the loss non-degenerate
 
         def loss(t):
-            return tsum(shift_bidirectional(t, cfg) * Tensor(w))
+            return tsum(shift(t, cfg) * Tensor(w))
 
         assert grad_check(loss, x) <= 1e-6
 
 
 class TestOnlineStep:
     def test_first_step_uses_zero_cache(self):
-        rng = np.random.default_rng(8)
-        f1 = rng.uniform(-1, 1, (1, 8, 2, 2)).astype(np.float32)
-        cache = OnlineCache.zeros("s", "layer0", 1, 1, 2, 2)
-        out, cache2 = online_step(f1, cache)
+        f1 = np.random.default_rng(8).uniform(-1, 1, (1, 8, 2, 2)).astype(np.float32)
+        out = online_step(f1, None, 1)
         npt.assert_array_equal(out[:, :1], np.zeros((1, 1, 2, 2)))
         npt.assert_array_equal(out[:, 1:], f1[:, 1:])
-        npt.assert_array_equal(cache2.fold, f1[:, :1])
 
     def test_second_step_sees_first_fold(self):
         rng = np.random.default_rng(9)
         f1 = rng.uniform(-1, 1, (1, 8, 2, 2)).astype(np.float32)
         f2 = rng.uniform(-1, 1, (1, 8, 2, 2)).astype(np.float32)
-        cache = OnlineCache.zeros("s", "layer0", 1, 1, 2, 2)
-        _, cache = online_step(f1, cache)
-        out, cache = online_step(f2, cache)
-        npt.assert_array_equal(out[:, :1], f1[:, :1])
-        npt.assert_array_equal(cache.fold, f2[:, :1])
+        out = online_step(f2, f1, 2)
+        npt.assert_array_equal(out[:, :2], f1[:, :2])
+        npt.assert_array_equal(out[:, 2:], f2[:, 2:])
 
-    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    def test_stream_equals_offline_shift(self, dtype, tol):
+    def test_inputs_not_modified(self):
         rng = np.random.default_rng(10)
-        t = 8
-        x = rng.uniform(-1, 1, (1, t, 16, 3, 3)).astype(dtype)
-        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        offline = shift_unidirectional(Tensor(x), cfg).numpy()
-        cache = OnlineCache.zeros("s", "layer0", 1, 2, 3, 3, dtype=dtype)
-        for ti in range(t):
-            out, cache = online_step(x[:, ti], cache)
-            assert np.abs(out - offline[:, ti]).max() <= tol
+        prev, x = rng.uniform(-1, 1, (2, 2, 8, 3, 3))
+        prev_before, x_before = prev.copy(), x.copy()
+        out = online_step(x, prev, 4)
+        out[:] = 0.0
+        npt.assert_array_equal(prev, prev_before)
+        npt.assert_array_equal(x, x_before)
 
-    def test_shape_mismatch_rejected(self):
-        cache = OnlineCache.zeros("s", "layer0", 1, 2, 4, 4)
-        with pytest.raises(UsageError, match="stream"):
-            online_step(np.zeros((1, 16, 2, 2), dtype=np.float32), cache)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2]), t=st.integers(1, 6), c=st.sampled_from([4, 8, 16]),
+           frac=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_stream_equals_offline_shift(self, n, t, c, frac, dtype, seed):
+        x = np.random.default_rng(seed).uniform(-1, 1, (n, t, c, 3, 2)).astype(dtype)
+        cfg = ShiftConfig(frac, UNIDIRECTIONAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            offline = shift(Tensor(x), cfg).numpy()
+        fold, prev = fold_of(cfg, c), None
+        for ti in range(t):
+            npt.assert_array_equal(online_step(x[:, ti], prev, fold), offline[:, ti])
+            prev = x[:, ti]

@@ -169,6 +169,7 @@ class TestRecognize:
         # text of a single known gloss is its surface word
         out = recognize(entries[0], model, demo["lex"], [], spec,
                         base=demo["manifest"].parent, label_map=labels)
+        assert set(out) == {"text", "glosses", "windows"}
         assert out["text"] == demo["lex"].lookup_gloss(entries[0].video_id).word
 
     def test_deterministic(self, demo):
