@@ -197,11 +197,24 @@ class TestOnlineStep:
         npt.assert_array_equal(prev, prev_before)
         npt.assert_array_equal(x, x_before)
 
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_stream_equals_offline_shift(self, dtype, tol):
+        rng = np.random.default_rng(10)
+        t = 8
+        x = rng.uniform(-1, 1, (1, t, 16, 3, 3)).astype(dtype)
+        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
+        offline = shift(Tensor(x), cfg).numpy()
+        fold, prev = fold_of(cfg, 16), None
+        for ti in range(t):
+            out = online_step(x[:, ti], prev, fold)
+            assert np.abs(out - offline[:, ti]).max() <= tol
+            prev = x[:, ti]
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([1, 2]), t=st.integers(1, 6), c=st.sampled_from([4, 8, 16]),
            frac=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
-    def test_stream_equals_offline_shift(self, n, t, c, frac, dtype, seed):
+    def test_stream_equals_offline_shift_any_shape(self, n, t, c, frac, dtype, seed):
         x = np.random.default_rng(seed).uniform(-1, 1, (n, t, c, 3, 2)).astype(dtype)
         cfg = ShiftConfig(frac, UNIDIRECTIONAL)
         with warnings.catch_warnings():
