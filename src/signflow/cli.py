@@ -236,6 +236,17 @@ def _median_ms(fn, reps: int, warmup: int = 3) -> float:
     return statistics.median(samples)
 
 
+def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
+    """Per-op backward ms and op-node count of one training step (no update)."""
+    batch = dataset[:cfg.batch_size]
+    clips = np.stack([np.asarray(c, dtype=cfg.dtype) for c, _ in batch])
+    labels = np.array([l for _, l in batch], dtype=np.int64)
+    profile: dict[str, list] = {}
+    softmax_cross_entropy(model.forward(Tensor(clips)), labels).backward(profile)
+    return {"op_nodes": sum(calls for calls, _ in profile.values()),
+            "backward_ms": {op: round(sec * 1e3, 4) for op, (_, sec) in sorted(profile.items())}}
+
+
 def cmd_bench(args) -> int:
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
@@ -256,6 +267,10 @@ def cmd_bench(args) -> int:
         eval_split = args.split if any(e.split == args.split for e in entries) else "train"
         eval_ds = load_clip_dataset(manifest, eval_split, sample, size=spec.frame_size)
         metrics = evaluate(model, eval_ds)
+        if args.profile:
+            line = {"variant": variant, "batch_size": cfg.batch_size,
+                    **_profile_step(model, train_ds, cfg)}
+            print(json.dumps(line, sort_keys=True), file=sys.stderr, flush=True)
 
         clip = np.asarray(eval_ds[0][0], dtype=model.dtype)[None]
         ms_clip = _median_ms(lambda: model.infer(clip), args.reps)
@@ -430,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--split", default="test")
     p.add_argument("--reps", type=int, default=30)
+    p.add_argument("--profile", action="store_true",
+                   help="print per-op backward ms of one training step to stderr")
     common(p)
     p.set_defaults(fn=cmd_bench)
 

@@ -12,23 +12,28 @@ Layout conventions:
   * float64 is the test/oracle precision, float32 is allowed for training.
 
 conv2d runs in one of two modes. The ``exact`` mode accumulates kernel taps
-in (c, kh, kw) order with the innermost axis last, which makes its output
-bit-identical to a naive six-loop evaluation. The ``fast`` mode lowers
-channel-major: the padded input's windows, viewed as (c, kh, kw, n, oh, ow),
-are copied to cols [C*kh*kw, N*oh*ow], so each copy runs along output rows;
-the output is one GEMM w[Co, C*kh*kw] @ cols, transposed once to
-[N, Co, oh, ow]. Mode ``auto`` picks exact for float64 and fast for float32.
+in (c, kh, kw) order, which makes its output bit-identical to a naive
+six-loop evaluation. The ``fast`` mode lowers with the batch innermost: the
+input is held zero-padded and channel-major as [C, Hp, Wp, N] (a view when
+pad is 0), its windows, viewed as (c, kh, kw, oh, ow, n), are copied to cols
+[C*kh*kw, oh*ow*N], and the output is one GEMM w[Co, C*kh*kw] @ cols,
+transposed once to [N, Co, oh, ow]. Every copy then runs N wide at stride 2
+and ow*N wide at stride 1, where a row-major window copy would run only ow
+wide. Mode ``auto`` picks exact for float64 and fast for float32.
 ``conv2d_array`` is the same forward on plain arrays, without a graph node;
-graph-free inference calls it directly. The backward of both modes runs on
-the same lowering: dW = g @ cols^T with cols rebuilt from the saved padded
-input, and dX scatters w^T @ g tap by tap into a [C, N, Hp, Wp] buffer that
-is transposed once at the end.
+graph-free inference calls it directly. At N = 1 the channel-major layout
+has the memory order of [1, C, H, W], so that path copies no more than a
+plain pad. The backward of both modes runs on the fast lowering: with
+g [Co, oh*ow*N], dW = g @ cols^T (cols rebuilt from the unpadded input the
+node keeps), and dX scatters w^T @ g tap by tap into a [C, Hp, Wp, N]
+buffer that is transposed once at the end.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -133,12 +138,13 @@ class Tensor:
 
     # -- backward --------------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, profile: dict[str, list] | None = None) -> None:
         """Populate .grad on every reachable tensor with d(self)/d(node).
 
         self must be a scalar produced by tracked ops. Grads are zeroed at
         the start of every pass; a second backward without a fresh forward
-        is rejected.
+        is rejected. With ``profile`` given, each op's backward is timed and
+        ``profile[op]`` accumulates [calls, seconds].
         """
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -167,9 +173,19 @@ class Tensor:
         for node in order:
             node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
+        if profile is None:
+            for node in reversed(order):
+                if node._backward is not None:
+                    node._backward(node.grad)
+            return
+        clock = time.perf_counter
         for node in reversed(order):
             if node._backward is not None:
+                t0 = clock()
                 node._backward(node.grad)
+                entry = profile.setdefault(node._op, [0, 0.0])
+                entry[0] += 1
+                entry[1] += clock() - t0
 
 
 class Parameter(Tensor):
@@ -234,12 +250,11 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out_data = np.where(mask, x.data, 0.0).astype(x.data.dtype)
+    out_data = np.maximum(x.data, 0)
 
     def backward(grad: Array) -> None:
         if x.requires_grad:
-            x.grad += grad * mask
+            x.grad += grad * (out_data > 0)
 
     return x._child(out_data, (x,), backward, "relu")
 
@@ -247,9 +262,8 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # numerically stable two-sided form
     d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out_data = out_data.astype(d.dtype)
+    e = np.exp(-np.abs(d))
+    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(d.dtype)
 
     def backward(grad: Array) -> None:
         if x.requires_grad:
@@ -379,35 +393,33 @@ def _conv2d_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> t
     return oh, ow
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """[N,C,Hp,Wp] -> cols [C*kh*kw, N*oh*ow], rows in (c, kh, kw) order."""
-    n, c = xp.shape[:2]
-    s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, kh, kw, n, oh, ow),
-        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return windows.reshape(c * kh * kw, n * oh * ow)
-
-
-def _zero_pad(x: Array, pad: int) -> Array:
-    """Zero-pad H and W of [N,C,H,W] by ``pad`` on both sides.
-
-    Writes x into a preallocated zero buffer; returns x itself when pad is 0.
-    """
+def _channel_major(x: Array, pad: int) -> Array:
+    """[N,C,H,W] -> [C, H+2*pad, W+2*pad, N], zero borders; a view when pad is 0."""
+    xt = x.transpose(1, 2, 3, 0)
     if not pad:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad:pad + h, pad:pad + w] = x
+        return xt
+    c, h, w, n = xt.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    out[:, pad:pad + h, pad:pad + w] = xt
     return out
 
 
+def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """[C,Hp,Wp,N] -> cols [C*kh*kw, oh*ow*N], rows in (c, kh, kw) order."""
+    c, _, _, n = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(c, kh, kw, oh, ow, n),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride, s3),
+        writeable=False,
+    )
+    return windows.reshape(c * kh * kw, oh * ow * n)
+
+
 def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
-                    mode: str) -> tuple[Array, Array]:
-    """Checked conv2d arithmetic; returns (output, zero-padded input)."""
+                    mode: str) -> Array:
+    """Checked conv2d arithmetic: [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow]."""
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -417,30 +429,27 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
     oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
     if mode == "auto":
         mode = "exact" if x.dtype == np.float64 else "fast"
-    xp = _zero_pad(x, pad)
+    xp = _channel_major(x, pad)
 
     if mode == "exact":
-        out = np.zeros((n, co, oh, ow), dtype=x.dtype)
+        out = np.zeros((co, oh, ow, n), dtype=x.dtype)
         tmp = np.empty_like(out)
         for ci in range(c):
             for i in range(kh):
                 for j in range(kw):
-                    patch = xp[:, ci, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                    np.multiply(patch[:, None, :, :], w[None, :, ci, i, j, None, None], out=tmp)
+                    patch = xp[ci, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                    np.multiply(patch, w[:, ci, i, j, None, None, None], out=tmp)
                     out += tmp
-        if bias is not None:
-            out = out + bias.reshape(1, co, 1, 1)
     else:
-        rows = w.reshape(co, -1) @ _im2col(xp, kh, kw, stride, oh, ow)  # [Co, N*oh*ow]
-        if bias is not None:
-            rows += bias[:, None]
-        out = np.ascontiguousarray(rows.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
-    return out, xp
+        out = (w.reshape(co, -1) @ _im2col(xp, kh, kw, stride, oh, ow)).reshape(co, oh, ow, n)
+    if bias is not None:
+        out += bias[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
 
 
 def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
     """The forward of conv2d (mode 'auto') on plain arrays, with no graph node."""
-    return _conv2d_forward(x, w, bias, stride, pad, "auto")[0]
+    return _conv2d_forward(x, w, bias, stride, pad, "auto")
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -452,23 +461,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     """
     x = _wrap(x)
     w = _wrap(w)
-    out_data, xp = _conv2d_forward(x.data, w.data, None if bias is None else bias.data,
-                                   stride, pad, mode)
-    n, c, h, wd = x.shape
+    if bias is not None:
+        bias = _wrap(bias, like=x)
+    xd = x.data
+    out_data = _conv2d_forward(xd, w.data, None if bias is None else bias.data, stride, pad, mode)
+    n, c, h, wd = xd.shape
     co, _, kh, kw = w.shape
     oh, ow = out_data.shape[2:]
 
     def backward(grad: Array) -> None:
-        g_t = grad.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
+        g_t = grad.transpose(1, 2, 3, 0).reshape(co, oh * ow * n)
         if w.requires_grad:
-            w.grad += (g_t @ _im2col(xp, kh, kw, stride, oh, ow).T).reshape(w.shape)
+            cols = _im2col(_channel_major(xd, pad), kh, kw, stride, oh, ow)
+            w.grad += (g_t @ cols.T).reshape(w.shape)
         if x.requires_grad:
-            dcols = (w.data.reshape(co, -1).T @ g_t).reshape(c, kh, kw, n, oh, ow)
-            dxp = np.zeros((c, n, h + 2 * pad, wd + 2 * pad), dtype=grad.dtype)
+            dcols = (w.data.reshape(co, -1).T @ g_t).reshape(c, kh, kw, oh, ow, n)
+            dxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=grad.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-            x.grad += dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3)
+                    dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+            x.grad += dxp[:, pad:pad + h, pad:pad + wd].transpose(3, 0, 1, 2)
         if bias is not None and bias.requires_grad:
             bias.grad += g_t.sum(axis=1)
 

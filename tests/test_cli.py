@@ -311,6 +311,22 @@ class TestBench:
         for variant in ("shift", "none"):
             assert rows[variant]["online_offline_ratio"] < 1.0
 
+    def test_profile_goes_to_stderr_only(self, synth_dir, monkeypatch, capsys):
+        from signflow import cli
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        args = ["bench", "--manifest", str(synth_dir / "manifest.jsonl"), "--variants",
+                "shift,none", "--epochs", "0", "--reps", "1", "--batch-size", "2",
+                "--no-timestamp"]
+        assert cli.main(args) == 0
+        plain = capsys.readouterr()
+        assert cli.main(args + ["--profile"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain.out and plain.err == ""
+        rows = [json.loads(line) for line in profiled.err.splitlines()]
+        assert [r["variant"] for r in rows] == ["shift", "none"]
+        for row in rows:
+            assert row["backward_ms"]["conv2d"] >= 0 and row["op_nodes"] > 0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
-from signflow.tensor import (Parameter, Tensor, add, conv2d,
+from signflow.tensor import (Parameter, Tensor, add, conv2d, conv2d_array,
                              global_avg_pool, grad_check, load_weights, matmul, mul,
                              narrow, relu, reshape, roll_time, save_weights, sigmoid,
                              softmax_cross_entropy, tsum)
@@ -126,6 +126,28 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
+    def test_array_bias_equals_tensor_bias(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, (2, 3, 5, 5)).astype(np.float32)
+        w = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
+        b = rng.uniform(-1, 1, 4)
+        from_array = conv2d(Tensor(x), Tensor(w), b, pad=1).numpy()
+        from_tensor = conv2d(Tensor(x), Tensor(w), Tensor(b.astype(np.float32)), pad=1).numpy()
+        assert from_array.dtype == np.float32
+        npt.assert_array_equal(from_array, from_tensor)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0)])
+    def test_batch_one_array_forward_equals_graph(self, dtype, k, stride, pad):
+        rng = np.random.default_rng([k, stride, pad])
+        x = rng.uniform(-1, 1, (1, 3, 7, 6)).astype(dtype)
+        w = rng.uniform(-1, 1, (4, 3, k, k)).astype(dtype)
+        b = rng.uniform(-1, 1, 4).astype(dtype)
+        got = conv2d_array(x, w, b, stride, pad)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        npt.assert_array_equal(got, conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                                           pad=pad).numpy())
+
 
 def naive_conv2d_backward(x, w, g, stride, pad):
     """Loop oracle for conv2d's (dX, dW, db, covered) under upstream grad g.
@@ -170,6 +192,9 @@ CONV_BACKWARD_CASES = [  # (x shape, out channels, kernel, stride, pad)
     ((2, 2, 8, 6), 3, 3, 2, 0),  # no window reads the last row or column
     ((1, 3, 8, 8), 2, 1, 1, 0),
     ((2, 3, 5, 6), 3, 1, 2, 0),  # odd rows/columns and the last column unread
+    ((2, 2, 4, 5), 3, 1, 1, 1),  # pad > k - 1: border windows read only padding
+    ((3, 2, 7, 6), 2, 2, 2, 0),  # even kernel at stride 2
+    ((2, 3, 9, 8), 2, 3, 3, 1),  # stride 3
 ]
 
 
@@ -207,6 +232,23 @@ class TestConv2dBackward:
             tol = 1e-5 * max(1.0, float(np.abs(oracle).max()))
             npt.assert_allclose(grad, oracle, rtol=0, atol=tol)
         assert not got[0][~covered].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_float64_matches_loop_oracle_any_shape(self, data):
+        n, c, co = (data.draw(st.integers(1, hi)) for hi in (3, 4, 4))
+        h, wd = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        k = data.draw(st.sampled_from([1, 2, 3]))
+        stride, pad = data.draw(st.integers(1, 3)), data.draw(st.integers(0, k))
+        assume(h + 2 * pad >= k and wd + 2 * pad >= k)
+        x, w, b, g = self._case((n, c, h, wd), co, k, stride, pad)
+        ex, ew, eb, covered = naive_conv2d_backward(x, w, g, stride, pad)
+        for mode in ("exact", "fast"):
+            dx, dw, db = conv2d_grads(x, w, b, g, stride, pad, mode)
+            npt.assert_allclose(dx, ex, rtol=0, atol=1e-12)
+            npt.assert_allclose(dw, ew, rtol=0, atol=1e-12)
+            npt.assert_allclose(db, eb, rtol=0, atol=1e-12)
+            assert not dx[~covered].any()
 
 
 class TestGlobalAvgPool:
@@ -265,6 +307,40 @@ class TestBackward:
                    requires_grad=True)
         tsum(relu(x)).backward()
         npt.assert_array_equal(x.grad, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_zero_at_zero_and_below(self, dtype):
+        x = Tensor(np.array([0.0, -0.0, -2.0, -1e-30, 1e-30, 3.0], dtype=dtype),
+                   requires_grad=True)
+        out = relu(x)
+        assert out.numpy().dtype == dtype
+        npt.assert_array_equal(out.numpy(), [0, 0, 0, 0, dtype(1e-30), 3])
+        tsum(mul(out, 2.0)).backward()
+        assert x.grad.dtype == dtype
+        npt.assert_array_equal(x.grad, [0, 0, 0, 0, 2, 2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_finite(self, dtype):
+        d = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0], dtype=dtype)
+        out = sigmoid(Tensor(d)).numpy()
+        assert out.dtype == dtype
+        assert np.isfinite(out).all() and (out >= 0).all() and (out <= 1).all()
+        npt.assert_allclose(out, [0.0, 1 / (1 + math.e), 0.5, 1 / (1 + 1 / math.e), 1.0],
+                            rtol=1e-6)
+
+    def test_profile_times_each_op_and_keeps_grads(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, (2, 2, 5, 5))
+        w = rng.uniform(-1, 1, (3, 2, 3, 3))
+        grads = []
+        for profile in (None, {}):
+            xt, wt = Parameter(x), Parameter(w)
+            tsum(relu(conv2d(xt, wt, pad=1))).backward(profile)
+            grads.append((xt.grad, wt.grad))
+        npt.assert_array_equal(grads[0][0], grads[1][0])
+        npt.assert_array_equal(grads[0][1], grads[1][1])
+        assert set(profile) == {"conv2d", "relu", "sum"}
+        assert all(calls == 1 and sec >= 0 for calls, sec in profile.values())
 
     def test_grad_zeroed_per_pass(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
