@@ -458,6 +458,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     mode: 'exact' accumulates taps in (c,kh,kw) order and is bit-identical to
     the naive loop; 'fast' uses im2col+matmul; 'auto' picks exact for float64.
+    An array bias is wrapped as a constant in x's dtype.
     """
     x = _wrap(x)
     w = _wrap(w)
