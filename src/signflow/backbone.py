@@ -3,20 +3,21 @@
 The trunk is a per-frame 2D residual network (time folded into the batch
 axis). Each block may carry a temporal module on its residual branch:
 ``shift`` (see tsm), ``action`` (see actionnet), or ``none``. After the
-trunk: global spatial pooling, consensus averaging over the T segments,
-and a linear classification head.
+trunk: global spatial pooling and a linear classification head on each
+frame, then consensus: the mean of the T segments' class scores.
 
 Normalization is part of each conv unit: a per-channel affine (gamma,
 beta; running statistics frozen to mean 0 / var 1, so outputs carry no
 batch-size dependence), folded into the conv's weight and bias by one
 expression, ``_fold``.
 
-Two forward paths share the weights and the fold. ``Model.forward`` and
-``per_frame_logits`` build the autodiff graph (training needs it, and it is
-the reference): ``_fold`` runs on the Parameters, so gamma and beta get
-their gradients through it. ``Model.infer`` and ``StreamState.step`` run an
-``InferencePlan``: ``_fold`` on the parameters' arrays, and plain numpy
-calls with no graph.
+The network is walked once per representation; both walks share the
+weights and the fold. ``per_frame_logits`` builds the autodiff graph
+(training needs it, and it is the reference), with ``_fold`` on the
+Parameters so gamma and beta get their gradients; ``forward`` is its
+consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
+plain numpy calls; its caller gives each block's branch input (``infer``
+the temporal module over the clip, ``StreamState.step`` the online shift).
 
 A stream runs one frame at a time. For each block it keeps the previous
 frame's block input, and ``tsm.online_step`` takes the shifted fold from
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -353,19 +355,6 @@ class Model:
             out = block.action(x5)
         return reshape(out, n * t, c, h, w)
 
-    def _block_forward(self, x: Tensor, block: _Block, branch_input: Tensor) -> Tensor:
-        y = block.conv2(relu(block.conv1(branch_input)))
-        skip = block.proj(x) if block.proj is not None else x
-        return relu(add(y, skip))
-
-    def _trunk(self, frames: Tensor, n: int, t: int) -> Tensor:
-        """[N*T,C,H,W] frames -> [N*T,D] pooled features."""
-        x = relu(self.stem(frames))
-        for block in self.blocks:
-            branch = self._temporal(x, block, n, t)
-            x = self._block_forward(x, block, branch)
-        return global_avg_pool(x)
-
     def _clip(self, clip, check_t: bool) -> Tensor:
         """Clip as an [N,T,C,H,W] tensor; C, H, W (and T if check_t) must match the spec."""
         x = clip if isinstance(clip, Tensor) else Tensor(np.asarray(clip, dtype=self.dtype))
@@ -379,13 +368,9 @@ class Model:
         return x
 
     def forward(self, clip) -> Tensor:
-        """[N,T,C,H,W] clip -> [N,K] consensus logits."""
-        x = self._clip(clip, check_t=True)
-        n, t = x.shape[0], x.shape[1]
-        feats = self._trunk(reshape(x, n * t, *x.shape[2:]), n, t)     # [N*T, D]
-        per_frame = reshape(feats, n, t, feats.shape[1])
-        pooled = consensus(per_frame)                                  # mean over T
-        return add(matmul(pooled, self.head_w), self.head_b)
+        """[N,T,C,H,W] clip -> [N,K] consensus logits: the mean over T of
+        per_frame_logits."""
+        return consensus(self.per_frame_logits(self._clip(clip, check_t=True)))
 
     def infer(self, clips) -> Array:
         """[N,T,C,H,W] clips -> [N,K] consensus logits, without a graph.
@@ -396,20 +381,23 @@ class Model:
         """
         x = self._clip(clips, check_t=True).data
         n, t = x.shape[:2]
-        plan = InferencePlan(self)
-        feats = _relu(plan.stem(x.reshape(n * t, *x.shape[2:])))
-        for block, folded in zip(self.blocks, plan.blocks):
-            feats = folded(feats, self._temporal(Tensor(feats), block, n, t).data)
-        pooled = feats.mean(axis=(2, 3)).reshape(n, t, -1).mean(axis=1)
-        return plan.head(pooled)
+
+        def branch(i: int, feats: Array) -> Array:
+            return self._temporal(Tensor(feats), self.blocks[i], n, t).data
+
+        logits = InferencePlan(self).frame_logits(x.reshape(n * t, *x.shape[2:]), branch)
+        return logits.reshape(n, t, -1).mean(axis=1)
 
     def per_frame_logits(self, clip) -> Tensor:
         """[N,T,C,H,W] (or [T,C,H,W]) -> [N,T,K] logits of each frame before
         consensus; T may differ from the spec's."""
         x = self._clip(clip, check_t=False)
         n, t = x.shape[0], x.shape[1]
-        feats = self._trunk(reshape(x, n * t, *x.shape[2:]), n, t)
-        logits = add(matmul(feats, self.head_w), self.head_b)
+        x = relu(self.stem(reshape(x, n * t, *x.shape[2:])))
+        for block in self.blocks:
+            y = block.conv2(relu(block.conv1(self._temporal(x, block, n, t))))
+            x = relu(add(y, block.proj(x) if block.proj is not None else x))
+        logits = add(matmul(global_avg_pool(x), self.head_w), self.head_b)
         return reshape(logits, n, t, self.spec.num_classes)
 
     # -- streaming ---------------------------------------------------------------
@@ -443,20 +431,6 @@ class _FoldedConv:
         return conv2d_array(x, self.w, self.b, self.stride, self.pad)
 
 
-class _FoldedBlock:
-    """Residual block on folded convs; the branch input comes from the caller."""
-
-    def __init__(self, block: _Block):
-        self.conv1 = _FoldedConv(block.conv1)
-        self.conv2 = _FoldedConv(block.conv2)
-        self.proj = _FoldedConv(block.proj) if block.proj is not None else None
-
-    def __call__(self, x: Array, branch: Array) -> Array:
-        y = self.conv2(_relu(self.conv1(branch)))
-        y += self.proj(x) if self.proj is not None else x
-        return _relu(y)
-
-
 class InferencePlan:
     """A model's weights folded for graph-free inference.
 
@@ -466,12 +440,21 @@ class InferencePlan:
 
     def __init__(self, model: Model):
         self.stem = _FoldedConv(model.stem)
-        self.blocks = [_FoldedBlock(block) for block in model.blocks]
+        self.blocks = [(_FoldedConv(block.conv1), _FoldedConv(block.conv2),
+                        _FoldedConv(block.proj) if block.proj is not None else None)
+                       for block in model.blocks]
         self.head_w = model.head_w.data.copy()
         self.head_b = model.head_b.data.copy()
 
-    def head(self, feats: Array) -> Array:
-        return feats @ self.head_w + self.head_b
+    def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
+        """[M,C,H,W] frames -> [M,K] logits of each frame. ``branch(i, x)``
+        gives block i's branch input from its input x."""
+        x = _relu(self.stem(frames))
+        for i, (conv1, conv2, proj) in enumerate(self.blocks):
+            y = conv2(_relu(conv1(branch(i, x))))
+            y += proj(x) if proj is not None else x
+            x = _relu(y)
+        return x.mean(axis=(2, 3)) @ self.head_w + self.head_b
 
 
 class StreamState:
@@ -495,7 +478,6 @@ class StreamState:
     def step(self, frame: Array) -> dict:
         """Process one [N,C,H,W] frame (or [C,H,W]); returns per-frame and
         rolling consensus logits."""
-        plan = self.plan
         frame = np.asarray(frame, dtype=self.dtype)
         if frame.ndim == 3:
             frame = frame[None]
@@ -504,18 +486,19 @@ class StreamState:
             n = "N" if self.logit_sum is None else rows[0]
             raise InputError(f"stream {self.stream_id!r}: frame shape {frame.shape} is not "
                              f"[{n},{','.join(map(str, self.frame_shape))}]")
-        x = _relu(plan.stem(frame))
-        for i, block in enumerate(plan.blocks):
-            # block inputs are new arrays that nothing writes to, so kept as is
-            branch = online_step(x, self.prev[i], self.folds[i])
-            self.prev[i] = x
-            x = block(x, branch)
-        logits = plan.head(x.mean(axis=(2, 3)))
+        logits = self.plan.frame_logits(frame, self._branch)
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
         rolling = self.logit_sum / self.frames_seen
         return {"frame_logits": logits, "rolling_logits": rolling,
                 "prediction": int(np.argmax(rolling[0]))}
+
+    def _branch(self, i: int, x: Array) -> Array:
+        """Block i's branch input, keeping x as block i's previous input.
+        Block inputs are new arrays that nothing writes to, so kept as is."""
+        branch = online_step(x, self.prev[i], self.folds[i])
+        self.prev[i] = x
+        return branch
 
 
 def build(spec: NetSpec, seed: int = 0, dtype=np.float32) -> Model:
@@ -618,9 +601,8 @@ def train(model: Model, dataset, cfg: TrainConfig, eval_dataset=None,
         record = Metrics(prec1=100.0 * hits1 / len(items), prec5=100.0 * hits5 / len(items),
                          loss=loss_sum / len(items)).to_dict(epoch=epoch)
         if eval_dataset is not None:
-            val = evaluate(model, eval_dataset)
-            record.update({"val_prec1": round(val.prec1, 4), "val_prec5": round(val.prec5, 4),
-                           "val_loss": round(val.loss, 6)})
+            val = evaluate(model, eval_dataset).to_dict()
+            record.update({f"val_{key}": value for key, value in val.items()})
         history.append(record)
         if on_epoch is not None:
             on_epoch(record)

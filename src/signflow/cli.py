@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field (byte-stable output)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.set_defaults(config_flags={a.dest: a for a in p._actions})
+        p.set_defaults(config_parser=p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -457,8 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill flags from --config JSON where the flag was not given explicitly."""
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str]) -> argparse.Namespace:
+    """Parse again with --config JSON values as the subcommand's defaults,
+    so that argparse, not a guess from argv, decides which flags were given."""
     if not getattr(args, "config", None):
         return args
     path = _require_file(args.config, "--config")
@@ -469,12 +471,14 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
             raise UsageError(f"--config: {path} is not valid JSON ({exc})") from None
     if not isinstance(defaults, dict):
         raise UsageError(f"--config: {path} must hold a JSON object")
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    actions = {a.dest: a for a in args.config_parser._actions}
+    values = {}
     for key, value in defaults.items():
-        action = args.config_flags.get(key.replace("-", "_"))
-        if action is not None and hasattr(args, action.dest) and action.dest not in given:
-            setattr(args, action.dest, _config_value(action, key, value, path))
-    return args
+        action = actions.get(key.replace("-", "_"))
+        if action is not None and hasattr(args, action.dest):
+            values[action.dest] = _config_value(action, key, value, path)
+    args.config_parser.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def _config_value(action: argparse.Action, key: str, value, path: Path):
@@ -496,8 +500,8 @@ def _config_value(action: argparse.Action, key: str, value, path: Path):
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
-        args = _apply_config(args, argv)
+        parser = build_parser()
+        args = _apply_config(parser, parser.parse_args(argv), argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

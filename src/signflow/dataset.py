@@ -158,23 +158,27 @@ def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int]
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                entry = ManifestEntry(str(obj["video_id"]), str(obj["frame_dir"]),
-                                      int(obj["num_frames"]), int(obj["label"]),
-                                      str(obj["split"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
-            if entry.video_id in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate video_id {entry.video_id!r} "
-                    f"(first seen on line {seen[entry.video_id]})")
-            seen[entry.video_id] = lineno
-            entries.append(entry)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            entry = ManifestEntry(str(obj["video_id"]), str(obj["frame_dir"]),
+                                  _json_int(obj["num_frames"], "num_frames"),
+                                  _json_int(obj["label"], "label"), str(obj["split"]))
+        except (KeyError, TypeError, ValueError, ParseError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
+        if entry.video_id in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate video_id {entry.video_id!r} "
+                f"(first seen on line {seen[entry.video_id]})")
+        seen[entry.video_id] = lineno
+        entries.append(entry)
 
     labels_path = path.parent / "labels.json"
     label_map = load_labels(labels_path) if labels_path.exists() else None
@@ -184,7 +188,7 @@ def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int]
 def load_labels(path: Path | str) -> dict[str, int]:
     """Read a labels.json gloss -> class index map.
 
-    Invalid JSON or anything but an object of integer values is a
+    Invalid JSON or anything but an object of JSON integer values is a
     ParseError that names the file.
     """
     with open(path, encoding="utf-8") as fh:
@@ -193,10 +197,17 @@ def load_labels(path: Path | str) -> dict[str, int]:
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise ParseError(f"{path}: {exc}") from None
     try:
-        return {str(k): int(v) for k, v in raw.items()}
+        return {str(k): _json_int(v, repr(k)) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError):
         raise ParseError(f"{path}: labels must be a JSON object of gloss -> class index") \
             from None
+
+
+def _json_int(value, key: str) -> int:
+    """A JSON integer; a float, a bool or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _resolve_dir(base: Path, frame_dir: str) -> Path:

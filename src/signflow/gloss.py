@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,8 +47,8 @@ class Lexicon:
         for word in self.entries:
             if not word:
                 raise ConfigError("lexicon words must be non-empty")
-        gloss_ids = [e.gloss_id for e in self.entries.values()]
-        dupes = {g for g in gloss_ids if gloss_ids.count(g) > 1}
+        counts = Counter(e.gloss_id for e in self.entries.values())
+        dupes = {g for g, count in counts.items() if count > 1}
         if dupes:
             raise ConfigError(f"duplicate gloss ids in lexicon: {sorted(dupes)}")
         self.max_word_len = max((len(w) for w in self.entries), default=1)
@@ -68,18 +69,22 @@ def load_lexicon(path: Path | str) -> Lexicon:
     """TSV: word <tab> gloss_id <tab> clip_ref <tab> comma-separated tags."""
     entries: dict[str, LexEntry] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ParseError(f"{path}:{lineno}: expected word\\tgloss_id\\tclip_ref[\\ttags]")
-            word, gloss_id, clip_ref = parts[0], parts[1], parts[2]
-            tags = tuple(t for t in parts[3].split(",") if t) if len(parts) > 3 else ()
-            if word in entries:
-                raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
-            entries[word] = LexEntry(word, gloss_id, clip_ref, tags)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 ({exc})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ParseError(f"{path}:{lineno}: expected word\\tgloss_id\\tclip_ref[\\ttags]")
+        word, gloss_id, clip_ref = parts[0], parts[1], parts[2]
+        tags = tuple(t for t in parts[3].split(",") if t) if len(parts) > 3 else ()
+        if word in entries:
+            raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
+        entries[word] = LexEntry(word, gloss_id, clip_ref, tags)
     return Lexicon(entries)
 
 
@@ -156,14 +161,16 @@ def load_rules(path: Path | str, known_tags: set[str] | None = None) -> list[Reo
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ParseError(f"{path}: {exc}") from None
     if not isinstance(raw, list):
         raise ParseError(f"{path}: rules file must be a JSON list")
     rules = []
     for i, obj in enumerate(raw):
+        match = obj.get("match", {}) if isinstance(obj, dict) else None
+        if not isinstance(match, dict):
+            raise ParseError(f"{path}: rule #{i}: a rule and its match must be JSON objects")
         try:
-            match = obj.get("match", {})
             rule = ReorderRule(rule_id=str(obj["id"]), priority=int(obj["priority"]),
                                action=str(obj["action"]), tag=match.get("tag"),
                                index=match.get("index"))

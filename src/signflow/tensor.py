@@ -32,6 +32,7 @@ buffer that is transposed once at the end.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import time
 from typing import Callable, Iterable, Sequence
@@ -602,9 +603,11 @@ def load_weights(path) -> dict[str, Array]:
     or a NaN or infinite value is a ParseError that names the file.
     """
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
 
         def read(size: int, what: str) -> bytes:
-            raw = fh.read(size)
+            # a size past the end (dims up to 2**32 - 1 each) is not read at all
+            raw = fh.read(size) if size <= end - fh.tell() else b""
             if len(raw) != size:
                 raise ParseError(f"{path}: truncated {what}")
             return raw

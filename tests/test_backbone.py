@@ -117,6 +117,16 @@ class TestForward:
         for shape in [(1, 6, 2, 8, 8), (6, 2, 8, 8)]:
             assert model.per_frame_logits(np.zeros(shape, dtype=np.float32)).shape == (1, 6, 3)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("temporal", ["shift", "action", "none"])
+    def test_forward_is_mean_of_per_frame_logits(self, temporal, dtype):
+        # TSN/TSM consensus: the head runs on each frame, then class scores are averaged
+        spec = tiny_spec(temporal=temporal, stages=(StageSpec(1, 8), StageSpec(1, 16, 2)))
+        model = build(spec, seed=4, dtype=dtype)
+        clips = np.random.default_rng(5).uniform(0, 1, (3, *spec.clip_shape)).astype(dtype)
+        npt.assert_array_equal(model.forward(clips).numpy(),
+                               model.per_frame_logits(clips).numpy().mean(axis=1))
+
     def test_shift_net_is_order_sensitive_none_net_is_not(self):
         rng = np.random.default_rng(3)
         clip = rng.uniform(0, 1, (1, 4, 2, 8, 8))

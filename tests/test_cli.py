@@ -333,11 +333,12 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classes": 2, "t": 4, "train-per-class": 1,
                                    "test-per-class": 0, "seed": 4}))
-        out = tmp_path / "ds"
-        run_cli("synth", "--out", str(out), "--config", str(cfg), "--classes", "3",
-                "--no-timestamp")
-        labels = json.loads((out / "labels.json").read_text())
-        assert len(labels) == 3  # flag wins over config's 2
+        for flag in ("--classes", "--cla"):  # argparse accepts an unambiguous abbreviation
+            out = tmp_path / flag.strip("-")
+            run_cli("synth", "--out", str(out), "--config", str(cfg), flag, "3",
+                    "--no-timestamp")
+            labels = json.loads((out / "labels.json").read_text())
+            assert len(labels) == 3  # flag wins over config's 2
 
     def test_missing_config_is_usage_error(self, tmp_path):
         missing = tmp_path / "nonexistent.json"

@@ -1,0 +1,86 @@
+"""Malformed artifacts × subcommands: each ends in one typed error line.
+
+Every row writes its artifacts into a fresh directory and runs one
+subcommand on them. The run must exit with code 1 and print a single
+stderr line that names the bad file (and the line, for a manifest) and
+holds no Python traceback.
+"""
+
+import json
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from signflow.backbone import NetSpec
+
+DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
+LEXICON = str(DEMO / "lexicon.tsv")
+TRANSLATE = ("translate", "--text", "x", "--lexicon")
+
+
+def manifest_line(**changes) -> bytes:
+    entry = {"video_id": "v0", "frame_dir": "v0", "num_frames": 2, "label": 0, "split": "train"}
+    return (json.dumps({**entry, **changes}) + "\n").encode()
+
+
+def weights_with_huge_dims() -> bytes:
+    """A weight file whose one tensor has three dims of 2**32 - 1 and no values."""
+    name = b"stem.w"
+    return (b"SGNF1" + struct.pack("<II", 1, len(name)) + name
+            + struct.pack("<4I", 3, *[2**32 - 1] * 3))
+
+
+def rules(*objs) -> bytes:
+    return json.dumps(list(objs)).encode()
+
+
+def clips_with_labels(labels: dict) -> dict:
+    """A valid clip manifest whose sibling labels.json holds ``labels``."""
+    return {"clips.jsonl": manifest_line(), "labels.json": json.dumps(labels).encode()}
+
+
+CLIPS = (*TRANSLATE, LEXICON, "--clips", "{d}/clips.jsonl")
+RULES = (*TRANSLATE, LEXICON, "--rules", "{d}/rules.json")
+EVAL = ("eval", "--manifest", "{d}/clips.jsonl", "--weights", "{d}/w.sgnf",
+        "--netspec", "{d}/netspec.json")
+
+# id: (artifacts as name -> bytes, argv with {d} for their directory, what stderr must name)
+ROWS = {
+    "lexicon-not-utf8": ({"lex.tsv": b"\xff\tG\tclip\n"}, (*TRANSLATE, "{d}/lex.tsv"),
+                         "{d}/lex.tsv"),
+    "manifest-not-utf8": ({"clips.jsonl": b'{"video_id": "\xff"}\n'}, CLIPS,
+                          "{d}/clips.jsonl"),
+    "manifest-num-frames-float": ({"clips.jsonl": manifest_line(num_frames=2.9)}, CLIPS,
+                                  "{d}/clips.jsonl:1"),
+    "manifest-label-bool": ({"clips.jsonl": manifest_line(label=True)}, CLIPS,
+                            "{d}/clips.jsonl:1"),
+    "manifest-num-frames-zero": ({"clips.jsonl": manifest_line(num_frames=0)}, CLIPS,
+                                 "{d}/clips.jsonl:1"),
+    "labels-float": (clips_with_labels({"A": 1.7}), CLIPS, "{d}/labels.json"),
+    "labels-bool": (clips_with_labels({"B": True}), CLIPS, "{d}/labels.json"),
+    "labels-string": (clips_with_labels({"C": "2"}), CLIPS, "{d}/labels.json"),
+    "rules-not-utf8": ({"rules.json": b"[\xff]"}, RULES, "{d}/rules.json"),
+    "rules-not-objects": ({"rules.json": rules(1)}, RULES, "{d}/rules.json"),
+    "rule-match-list": ({"rules.json": rules({"id": "r", "priority": 0, "action": "drop",
+                                              "match": ["tag"]})}, RULES, "{d}/rules.json"),
+    "weights-huge-dims": ({"clips.jsonl": manifest_line(), "w.sgnf": weights_with_huge_dims(),
+                           "netspec.json": json.dumps(NetSpec.micro(2).to_dict()).encode()},
+                          EVAL, "{d}/w.sgnf"),
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_malformed_artifact_is_one_typed_error(tmp_path, row):
+    artifacts, argv, names = ROWS[row]
+    for name, content in artifacts.items():
+        (tmp_path / name).write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "signflow",
+                           *(arg.format(d=tmp_path) for arg in argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error: ") and names.format(d=tmp_path) in proc.stderr, \
+        proc.stderr
