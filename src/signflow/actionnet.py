@@ -1,23 +1,25 @@
-"""Excitation gating block: three sigmoid-gated branches summed.
+"""Excitation gating block: the input times the sum of three sigmoid gates.
 
-The block multiplies its input by data-dependent gates computed three ways
-and adds the gated results:
+The block computes data-dependent gates three ways and multiplies its input
+once by their sum:
 
   * ste: a spatial-temporal gate from a channel-mean map passed through a
     3x3x3 convolution over (T, H, W), run as conv2d + roll_time;
   * ce: a channel gate from spatially pooled features squeezed C -> C/r,
-    convolved across time (kernel 3, zero pad), and expanded back;
+    convolved depthwise across time (kernel k, zero pad), and expanded back;
   * me: a motion gate from differences between transformed consecutive
     squeezed frames.
 
 Every temporal move (the ste and ce conv taps and the me frame difference) is
-``tensor.roll_time``, the same zero-filled move along time as the shift.
+``tensor.roll_time``, the same zero-filled move along time as the shift. Both
+temporal convs put their taps on channels, roll each tap once and sum them.
 
-Each branch output is bounded by |x| elementwise (pure sub-unit gating; the
-additive skip lives in the enclosing residual block). The branch internals
-are reconstructions consistent with the named components, not a replica of
-any published network. Like the shift module, the block sits on the
-residual branch of a backbone block.
+Each branch returns its gate, in (0, 1): ste as [N,T,1,H,W], ce and me as
+[N,T,C,1,1]. The block output x * (ste + ce + me) is therefore bounded by
+3|x| elementwise (pure gating; the additive skip lives in the enclosing
+residual block). The branch internals are reconstructions consistent with
+the named components, not a replica of any published network. Like the
+shift module, the block sits on the residual branch of a backbone block.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Parameter, Tensor, add, conv2d, global_avg_pool, matmul, mul, narrow,
-                     reshape, roll_time, sigmoid, tmean, tsum)
+from .tensor import (Parameter, Tensor, add, conv2d, global_avg_pool, matmul, mul, reshape,
+                     roll_time, sigmoid, tmean, tsum)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class ActionBlock:
     # -- branches ---------------------------------------------------------------
 
     def ste(self, x: Tensor) -> Tensor:
-        """Spatial-temporal gate: channel mean -> 3x3x3 conv -> sigmoid -> x * g.
+        """Spatial-temporal gate [N,T,1,H,W]: channel mean -> 3x3x3 conv -> sigmoid.
 
         One conv2d puts the 3 time taps of ste_w on its output channels; roll_time
         moves tap a by 1 - a frames (zero fill), and the taps are summed.
@@ -95,23 +97,27 @@ class ActionBlock:
         taps = conv2d(cmap, reshape(self.ste_w, 3, 1, 3, 3), pad=1)  # [N*T, 3, H, W]
         taps = roll_time(reshape(taps, n, t, 3, h, w), (+1, 0, -1), 1)
         g = sigmoid(add(tsum(taps, axis=2), self.ste_b))             # [N, T, H, W]
-        return mul(x, reshape(g, n, t, 1, h, w))
+        return reshape(g, n, t, 1, h, w)
 
     def ce(self, x: Tensor) -> Tensor:
-        """Channel gate: pool -> squeeze -> temporal conv -> expand -> sigmoid."""
+        """Channel gate [N,T,C,1,1]: pool -> squeeze -> temporal conv -> expand -> sigmoid.
+
+        The depthwise temporal conv puts the k taps of ce_temporal [D, k] on
+        channels d*k + tap; roll_time moves tap by k//2 - tap frames (zero fill),
+        and the taps are summed.
+        """
         n, t, c, h, w = x.shape
         pooled = global_avg_pool(reshape(x, n * t, c, h, w))      # [N*T, C]
-        s = matmul(pooled, self.ce_squeeze)                       # [N*T, C/r]
-        cr = s.shape[1]
-        s = reshape(s, n, t, cr)
-        s = _temporal_conv1d(s, self.ce_temporal)                 # [N, T, C/r]
-        g = add(matmul(reshape(s, n * t, cr), self.ce_expand), self.ce_bias)
-        g = sigmoid(g)
-        g = reshape(g, n, t, c, 1, 1)
-        return mul(x, g)
+        s = matmul(pooled, self.ce_squeeze)                       # [N*T, D]
+        d, k = self.ce_temporal.shape
+        taps = mul(reshape(s, n, t, d, 1), reshape(self.ce_temporal, 1, 1, d, k))
+        taps = roll_time(reshape(taps, n, t, d * k), tuple(range(k // 2, k // 2 - k, -1)) * d, 1)
+        s = tsum(reshape(taps, n, t, d, k), axis=3)               # [N, T, D]
+        g = sigmoid(add(matmul(reshape(s, n * t, d), self.ce_expand), self.ce_bias))
+        return reshape(g, n, t, c, 1, 1)
 
     def me(self, x: Tensor) -> Tensor:
-        """Motion gate from transformed frame differences; m[T-1] = 0."""
+        """Motion gate [N,T,C,1,1] from transformed frame differences; m[T-1] = 0."""
         n, t, c, h, w = x.shape
         s = conv2d(reshape(x, n * t, c, h, w), self.me_squeeze)   # [N*T, C/r, H, W]
         cr = s.shape[1]
@@ -120,26 +126,12 @@ class ActionBlock:
         prev = roll_time(reshape(s, n, t, cr, h, w), (+1,), cr)
         motion = roll_time(moved - prev, (-1,), cr)
         pooled = global_avg_pool(reshape(motion, n * t, cr, h, w))  # [N*T, C/r]
-        g = add(matmul(pooled, self.me_expand), self.me_bias)
-        g = sigmoid(g)
-        g = reshape(g, n, t, c, 1, 1)
-        return mul(x, g)
+        g = sigmoid(add(matmul(pooled, self.me_expand), self.me_bias))
+        return reshape(g, n, t, c, 1, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        """ste(x) + ce(x) + me(x)."""
-        return add(add(self.ste(x), self.ce(x)), self.me(x))
+        """x * (ste(x) + ce(x) + me(x)); the two [N,T,C,1,1] gates are added first."""
+        return mul(x, add(self.ste(x), add(self.ce(x), self.me(x))))
 
     __call__ = forward
 
-
-def _temporal_conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Depthwise conv over the middle (time) axis of [N,T,D] with [D,k] weights.
-
-    out[:, t] = sum over taps of w[:, tap] * x[:, t + tap - k//2], zero padded.
-    """
-    d, k = w.shape
-    out = None
-    for tap in range(k):
-        part = mul(roll_time(x, (k // 2 - tap,), d), reshape(narrow(w, 1, tap, 1), 1, 1, d))
-        out = part if out is None else add(out, part)
-    return out

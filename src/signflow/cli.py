@@ -248,6 +248,8 @@ def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
     num_classes = len(label_map) if label_map else max(e.label for e in entries) + 1

@@ -169,8 +169,8 @@ def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int]
         try:
             obj = json.loads(line)
             entry = ManifestEntry(str(obj["video_id"]), str(obj["frame_dir"]),
-                                  _json_int(obj["num_frames"], "num_frames"),
-                                  _json_int(obj["label"], "label"), str(obj["split"]))
+                                  json_int(obj["num_frames"], "num_frames"),
+                                  json_int(obj["label"], "label"), str(obj["split"]))
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
         if entry.video_id in seen:
@@ -197,13 +197,13 @@ def load_labels(path: Path | str) -> dict[str, int]:
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise ParseError(f"{path}: {exc}") from None
     try:
-        return {str(k): _json_int(v, repr(k)) for k, v in raw.items()}
+        return {str(k): json_int(v, repr(k)) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError):
         raise ParseError(f"{path}: labels must be a JSON object of gloss -> class index") \
             from None
 
 
-def _json_int(value, key: str) -> int:
+def json_int(value, key: str) -> int:
     """A JSON integer; a float, a bool or a string is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be a JSON integer, got {value!r}")
@@ -253,6 +253,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.t < 2:
             raise ConfigError("synthetic clips need t >= 2 to carry order information")
+        if min(self.frame_size) < 1:
+            raise ConfigError(f"frame size must be at least 1x1, got {self.frame_size}")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
         limit = 1
@@ -350,6 +352,10 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
     Class k is encoded as a patch whose intensity level is (k+1)/(K+1), so a
     deterministic oracle recognizer can decode the class from pixels alone.
     """
+    if num_frames < 1:
+        raise ConfigError(f"isolated clips need at least 1 frame, got {num_frames}")
+    if min(frame_size) < 1:
+        raise ConfigError(f"frame size must be at least 1x1, got {frame_size}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     k_total = len(glosses)

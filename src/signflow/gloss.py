@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .dataset import json_int
 from .errors import ConfigError, GlossLookupError, ParseError
 
 TAG_OOV = "OOV"
@@ -171,9 +172,11 @@ def load_rules(path: Path | str, known_tags: set[str] | None = None) -> list[Reo
         if not isinstance(match, dict):
             raise ParseError(f"{path}: rule #{i}: a rule and its match must be JSON objects")
         try:
-            rule = ReorderRule(rule_id=str(obj["id"]), priority=int(obj["priority"]),
+            index = match.get("index")
+            rule = ReorderRule(rule_id=str(obj["id"]),
+                               priority=json_int(obj["priority"], "priority"),
                                action=str(obj["action"]), tag=match.get("tag"),
-                               index=match.get("index"))
+                               index=None if index is None else json_int(index, "index"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: rule #{i}: {exc}") from exc
         if known_tags is not None and rule.tag is not None and rule.tag not in known_tags:

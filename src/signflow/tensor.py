@@ -2,7 +2,7 @@
 
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
 video backbone needs: elementwise arithmetic, matmul, 2D convolution,
-pooling, reductions, slicing, moves along the time axis (roll_time), and
+pooling, reductions, moves along the time axis (roll_time), and
 softmax cross-entropy.
 
 Layout conventions:
@@ -289,20 +289,6 @@ def reshape(x: Tensor, *shape) -> Tensor:
             x.grad += grad.reshape(old_shape)
 
     return x._child(new, (x,), backward, "reshape")
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries from ``start`` along ``axis``."""
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = x.data[idx]
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad[idx] += grad
-
-    return x._child(out_data, (x,), backward, "narrow")
 
 
 def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:

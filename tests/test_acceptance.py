@@ -230,7 +230,7 @@ def test_c05_action_block(synth_dataset):
                         dtype=np.float64)
     x = rng.uniform(-1, 1, (1, 4, 8, 4, 4))
     for branch in (block.ste, block.ce, block.me):
-        out = branch(Tensor(x)).numpy()
+        out = x * branch(Tensor(x)).numpy()
         assert out.shape == x.shape
         assert (np.abs(out) <= np.abs(x) + 1e-12).all()
     err = grad_check(lambda t: tsum(block.forward(t)), x)

@@ -76,6 +76,11 @@ def make_block(channels=8, seed=0, dtype=np.float64, **cfg_kw):
     return ActionBlock(channels, cfg, np.random.default_rng(seed), "act", dtype=dtype)
 
 
+def gated(block, branch, x):
+    """x times one branch's gate: that branch's term of the block output."""
+    return x * getattr(block, branch)(Tensor(x)).numpy()
+
+
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
@@ -95,19 +100,19 @@ class TestBranches:
 
     @pytest.mark.parametrize("branch", ["ste", "ce", "me"])
     def test_zero_input_zero_output(self, branch):
-        out = getattr(self.block, branch)(Tensor(np.zeros((1, 3, 8, 4, 4)))).numpy()
+        out = gated(self.block, branch, np.zeros((1, 3, 8, 4, 4)))
         npt.assert_array_equal(out, np.zeros((1, 3, 8, 4, 4)))
 
     @pytest.mark.parametrize("branch", ["ste", "ce", "me"])
     def test_gate_bounded_by_input(self, branch):
-        out = getattr(self.block, branch)(Tensor(self.x)).numpy()
+        out = gated(self.block, branch, self.x)
         assert (np.abs(out) <= np.abs(self.x) + 1e-12).all()
 
     @pytest.mark.parametrize("branch", ["ste", "ce", "me"])
     def test_shape_preserved(self, branch):
         for shape in [(1, 2, 8, 3, 3), (2, 4, 8, 4, 4), (1, 1, 8, 2, 2)]:
             x = self.rng.uniform(-1, 1, shape)
-            assert getattr(self.block, branch)(Tensor(x)).shape == shape
+            assert gated(self.block, branch, x).shape == shape
 
     def test_me_static_scene_motion_zero(self):
         # temporally constant input: the motion map itself need not vanish for
@@ -117,18 +122,18 @@ class TestBranches:
         block.me_transform.data = np.zeros_like(block.me_transform.data)
         block.me_squeeze.data = np.zeros_like(block.me_squeeze.data)
         x = np.tile(self.rng.uniform(-1, 1, (1, 1, 8, 4, 4)), (1, 4, 1, 1, 1))
-        out = block.me(Tensor(x)).numpy()
+        out = gated(block, "me", x)
         npt.assert_allclose(out, x * 0.5, rtol=1e-12)  # sigmoid(0) = 0.5
 
     def test_me_t1_motion_zero(self):
         x = self.rng.uniform(-1, 1, (2, 1, 8, 4, 4))
-        out = self.block.me(Tensor(x)).numpy()
+        out = gated(self.block, "me", x)
         gate = 1.0 / (1.0 + np.exp(-self.block.me_bias.data))
         npt.assert_allclose(out, x * gate.reshape(1, 1, 8, 1, 1), rtol=1e-10)
 
     def test_ce_t1_uses_single_frame(self):
         x = self.rng.uniform(-1, 1, (2, 1, 8, 4, 4))
-        out = self.block.ce(Tensor(x)).numpy()
+        out = gated(self.block, "ce", x)
         assert out.shape == x.shape
         assert (np.abs(out) <= np.abs(x) + 1e-12).all()
 
@@ -138,7 +143,7 @@ class TestBranches:
         block = make_block(seed=7, temporal_kernel=k)
         block.ce_bias.data = self.rng.uniform(-1, 1, 8)
         x = self.rng.uniform(-1, 1, (2, t, 8, 3, 3))
-        npt.assert_allclose(block.ce(Tensor(x)).numpy(), ce_oracle(block, x),
+        npt.assert_allclose(gated(block, "ce", x), ce_oracle(block, x),
                             rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 4])
@@ -146,7 +151,7 @@ class TestBranches:
         block = make_block(seed=8)
         block.me_bias.data = self.rng.uniform(-1, 1, 8)
         x = self.rng.uniform(-1, 1, (2, t, 8, 3, 3))
-        npt.assert_allclose(block.me(Tensor(x)).numpy(), me_oracle(block, x),
+        npt.assert_allclose(gated(block, "me", x), me_oracle(block, x),
                             rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 4, 5])
@@ -154,7 +159,7 @@ class TestBranches:
         block = make_block(seed=6)
         block.ste_b.data = np.array([0.3])
         x = self.rng.uniform(-1, 1, (2, t, 8, 4, 5))
-        npt.assert_allclose(block.ste(Tensor(x)).numpy(), ste_oracle(block, x),
+        npt.assert_allclose(gated(block, "ste", x), ste_oracle(block, x),
                             rtol=0, atol=1e-12)
 
     def test_ste_gradients(self):
@@ -165,7 +170,7 @@ class TestBranches:
 
         def ste_sum(xt, wt, bt):
             block.ste_w, block.ste_b = wt, bt
-            return tsum(block.ste(xt))
+            return tsum(xt * block.ste(xt))
 
         assert grad_check(lambda t: ste_sum(t, Tensor(w), Tensor(b)), x) <= 1e-6
         assert grad_check(lambda t: ste_sum(Tensor(x), t, Tensor(b)), w) <= 1e-6
@@ -175,7 +180,7 @@ class TestBranches:
         block = make_block()
         block.ste_b.data = np.array([-200.0])
         block.ste_w.data = np.zeros_like(block.ste_w.data)
-        out = block.ste(Tensor(self.x)).numpy()
+        out = gated(block, "ste", self.x)
         npt.assert_allclose(out, 0.0, atol=1e-12)
 
 
@@ -184,6 +189,18 @@ class TestActionBlock:
         block = make_block()
         out = block.forward(Tensor(np.zeros((1, 4, 8, 4, 4)))).numpy()
         npt.assert_array_equal(out, np.zeros((1, 4, 8, 4, 4)))
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_block_matches_sum_of_loop_oracles(self, t, k):
+        rng = np.random.default_rng(10)
+        block = make_block(seed=12, temporal_kernel=k)
+        block.ste_b.data = np.array([0.3])
+        block.ce_bias.data = rng.uniform(-1, 1, 8)
+        block.me_bias.data = rng.uniform(-1, 1, 8)
+        x = rng.uniform(-1, 1, (2, t, 8, 3, 4))
+        want = ste_oracle(block, x) + ce_oracle(block, x) + me_oracle(block, x)
+        npt.assert_allclose(block.forward(Tensor(x)).numpy(), want, rtol=0, atol=1e-12)
 
     def test_sum_bounded_by_three_gates(self):
         rng = np.random.default_rng(1)

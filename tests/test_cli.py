@@ -58,6 +58,17 @@ class TestSynth:
         assert (synth_dir / "manifest.jsonl").exists()
         assert (synth_dir / "labels.json").exists()
 
+    @pytest.mark.parametrize("flags, needle", [
+        (("--size", "0"), "frame size"),
+        (("--isolated", "--size", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "frame size"),
+        (("--isolated", "--t", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "1 frame"),
+    ])
+    def test_empty_frames_rejected_before_writing(self, tmp_path, flags, needle):
+        out = tmp_path / "out"
+        proc = run_cli("synth", "--out", str(out), *flags, check=False)
+        assert_one_line_error(proc, 1, needle)
+        assert not out.exists()
+
     def test_deterministic_generation(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -310,6 +321,12 @@ class TestBench:
         assert rows["action"]["ms_per_frame_online"] is None
         for variant in ("shift", "none"):
             assert rows[variant]["online_offline_ratio"] < 1.0
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_is_usage_error(self, synth_dir, reps):
+        proc = run_cli("bench", "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--reps", reps, check=False)
+        assert_one_line_error(proc, 2, "--reps")
 
     def test_profile_goes_to_stderr_only(self, synth_dir, monkeypatch, capsys):
         from signflow import cli

@@ -37,6 +37,11 @@ def rules(*objs) -> bytes:
     return json.dumps(list(objs)).encode()
 
 
+def drop_rule(**changes) -> dict:
+    """A valid rule that drops token 1, with ``changes`` applied."""
+    return {"id": "r", "priority": 0, "action": "drop", "match": {"index": 1}, **changes}
+
+
 def clips_with_labels(labels: dict) -> dict:
     """A valid clip manifest whose sibling labels.json holds ``labels``."""
     return {"clips.jsonl": manifest_line(), "labels.json": json.dumps(labels).encode()}
@@ -66,6 +71,14 @@ ROWS = {
     "rules-not-objects": ({"rules.json": rules(1)}, RULES, "{d}/rules.json"),
     "rule-match-list": ({"rules.json": rules({"id": "r", "priority": 0, "action": "drop",
                                               "match": ["tag"]})}, RULES, "{d}/rules.json"),
+    "rule-priority-float": ({"rules.json": rules(drop_rule(priority=1.7))}, RULES,
+                            "{d}/rules.json"),
+    "rule-priority-string": ({"rules.json": rules(drop_rule(priority="3"))}, RULES,
+                             "{d}/rules.json"),
+    "rule-index-bool": ({"rules.json": rules(drop_rule(match={"index": True}))}, RULES,
+                        "{d}/rules.json"),
+    "rule-index-float": ({"rules.json": rules(drop_rule(match={"index": 2.0}))}, RULES,
+                         "{d}/rules.json"),
     "weights-huge-dims": ({"clips.jsonl": manifest_line(), "w.sgnf": weights_with_huge_dims(),
                            "netspec.json": json.dumps(NetSpec.micro(2).to_dict()).encode()},
                           EVAL, "{d}/w.sgnf"),

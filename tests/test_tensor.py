@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
 from signflow.tensor import (Parameter, Tensor, add, conv2d, conv2d_array,
                              global_avg_pool, grad_check, load_weights, matmul, mul,
-                             narrow, relu, reshape, roll_time, save_weights, sigmoid,
+                             relu, reshape, roll_time, save_weights, sigmoid,
                              softmax_cross_entropy, tsum)
 
 
@@ -400,18 +400,6 @@ class TestShapeOps:
         assert y.size == 24
         with pytest.raises(Exception):
             reshape(x, 5, 5)
-
-    def test_narrow_matches_slicing(self):
-        x = np.random.default_rng(7).uniform(-1, 1, (2, 6, 3))
-        t = Tensor(x)
-        npt.assert_array_equal(narrow(t, 1, 0, 2).numpy(), x[:, 0:2])
-        npt.assert_array_equal(narrow(t, 1, 2, 4).numpy(), x[:, 2:6])
-        npt.assert_array_equal(narrow(t, 2, 1, 1).numpy(), x[:, :, 1:2])
-
-    def test_narrow_backward_scatters(self):
-        x = Tensor(np.ones((2, 4)), requires_grad=True)
-        tsum(narrow(x, 1, 1, 2)).backward()
-        npt.assert_array_equal(x.grad, [[0, 1, 1, 0], [0, 1, 1, 0]])
 
     def test_broadcast_add_backward(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
