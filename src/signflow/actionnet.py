@@ -15,11 +15,13 @@ Every temporal move (the ste and ce conv taps and the me frame difference) is
 temporal convs put their taps on channels, roll each tap once and sum them.
 
 Each branch returns its gate, in (0, 1): ste as [N,T,1,H,W], ce and me as
-[N,T,C,1,1]. The block output x * (ste + ce + me) is therefore bounded by
-3|x| elementwise (pure gating; the additive skip lives in the enclosing
-residual block). The branch internals are reconstructions consistent with
-the named components, not a replica of any published network. Like the
-shift module, the block sits on the residual branch of a backbone block.
+[N,T,C,1,1], each in the memory order of x (conv order, see tensor), so
+their sum and the block output are in it too. The block output
+x * (ste + ce + me) is bounded by 3|x| elementwise (pure gating; the
+additive skip lives in the enclosing residual block). The branch internals
+are reconstructions consistent with the named components, not a replica of
+any published network. Like the shift module, the block sits on the
+residual branch of a backbone block.
 """
 
 from __future__ import annotations
@@ -104,14 +106,16 @@ class ActionBlock:
 
         The depthwise temporal conv puts the k taps of ce_temporal [D, k] on
         channels d*k + tap; roll_time moves tap by k//2 - tap frames (zero fill),
-        and the taps are summed.
+        and the taps are summed. The squeeze and the taps are one [C, D*k]
+        matrix, so every matmul here reads the pooled features' memory order and
+        the gate comes out in x's order.
         """
         n, t, c, h, w = x.shape
         pooled = global_avg_pool(reshape(x, n * t, c, h, w))      # [N*T, C]
-        s = matmul(pooled, self.ce_squeeze)                       # [N*T, D]
         d, k = self.ce_temporal.shape
-        taps = mul(reshape(s, n, t, d, 1), reshape(self.ce_temporal, 1, 1, d, k))
-        taps = roll_time(reshape(taps, n, t, d * k), tuple(range(k // 2, k // 2 - k, -1)) * d, 1)
+        squeeze_taps = reshape(mul(reshape(self.ce_squeeze, c, d, 1), self.ce_temporal), c, d * k)
+        taps = reshape(matmul(pooled, squeeze_taps), n, t, d * k)  # [N, T, D*k]
+        taps = roll_time(taps, tuple(range(k // 2, k // 2 - k, -1)) * d, 1)
         s = tsum(reshape(taps, n, t, d, k), axis=3)               # [N, T, D]
         g = sigmoid(add(matmul(reshape(s, n * t, d), self.ce_expand), self.ce_bias))
         return reshape(g, n, t, c, 1, 1)

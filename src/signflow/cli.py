@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import sys
 import time
@@ -108,6 +109,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cmd_train(args) -> int:
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
@@ -125,17 +131,18 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    epoch_start = time.perf_counter()
+    epoch_start, faults_start = time.perf_counter(), _minor_faults()
 
     def on_epoch(record: dict) -> None:
-        # timing goes to stderr: stdout stays byte-stable for a seed
-        nonlocal epoch_start
-        seconds = time.perf_counter() - epoch_start
+        # timing and page faults go to stderr: stdout stays byte-stable for a seed
+        nonlocal epoch_start, faults_start
+        seconds, faults = time.perf_counter() - epoch_start, _minor_faults() - faults_start
         _emit_line(record)
         print(json.dumps({"epoch": record["epoch"], "seconds": round(seconds, 6),
-                          "clips_per_s": round(len(train_ds) / seconds, 3)}),
+                          "clips_per_s": round(len(train_ds) / seconds, 3),
+                          "minor_faults": faults}),
               file=sys.stderr, flush=True)
-        epoch_start = time.perf_counter()
+        epoch_start, faults_start = time.perf_counter(), _minor_faults()
 
     history = train(model, train_ds, cfg, on_epoch=on_epoch)
     weights_path = out / "model.sgnf"

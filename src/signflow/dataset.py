@@ -92,7 +92,10 @@ def read_frame(path: Path | str) -> np.ndarray:
             pos += 1
         if not raw[start:pos].isdigit():
             raise FrameIOError(f"{path}: bad or truncated header field {raw[start:pos]!r}")
-        fields.append(int(raw[start:pos]))
+        try:
+            fields.append(int(raw[start:pos]))
+        except ValueError:  # more digits than int() converts
+            raise FrameIOError(f"{path}: header field of {pos - start} digits") from None
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
@@ -253,8 +256,11 @@ class SynthSpec:
     def __post_init__(self):
         if self.t < 2:
             raise ConfigError("synthetic clips need t >= 2 to carry order information")
-        if min(self.frame_size) < 1:
-            raise ConfigError(f"frame size must be at least 1x1, got {self.frame_size}")
+        rows, cols = _grid(self.t)
+        h, w = self.frame_size
+        if h < rows or w < cols:
+            raise ConfigError(f"frame size {h}x{w} is smaller than the {rows}x{cols} cell grid "
+                              f"of t={self.t}: its cells would be empty")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
         limit = 1
@@ -271,11 +277,16 @@ class SynthSpec:
                 raise ConfigError(f"unknown split {split!r}")
 
 
+def _grid(t: int) -> tuple[int, int]:
+    """(rows, cols) of the near-square grid that holds t cells."""
+    cols = int(np.ceil(np.sqrt(t)))
+    return int(np.ceil(t / cols)), cols
+
+
 def _cell_positions(t: int, size: tuple[int, int]) -> list[tuple[int, int, int, int]]:
     """T cell rectangles arranged on a near-square grid."""
     h, w = size
-    cols = int(np.ceil(np.sqrt(t)))
-    rows = int(np.ceil(t / cols))
+    rows, cols = _grid(t)
     ch, cw = h // rows, w // cols
     cells = []
     for k in range(t):

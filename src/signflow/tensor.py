@@ -6,27 +6,33 @@ pooling, reductions, moves along the time axis (roll_time), and
 softmax cross-entropy.
 
 Layout conventions:
-  * all data is row-major; video batches use [N, T, C, H, W],
+  * shapes are logical numpy shapes; video batches use [N, T, C, H, W],
   * time is folded into batch ([N*T, C, H, W]) for 2D ops and restored with
     plain reshapes for temporal ops,
+  * memory order follows the data: conv2d returns [N, Co, oh, ow] as a view
+    of the [Co, oh, ow, N] array it computes ("conv order"); elementwise ops,
+    reductions and grad buffers keep their inputs' order, and matmul's
+    product its left operand's. Row-major inputs are read as they are,
   * float64 is the test/oracle precision, float32 is allowed for training.
 
 conv2d runs in one of two modes. The ``exact`` mode accumulates kernel taps
 in (c, kh, kw) order, which makes its output bit-identical to a naive
 six-loop evaluation. The ``fast`` mode lowers with the batch innermost: the
 input is held zero-padded and channel-major as [C, Hp, Wp, N] (a view when
-pad is 0), its windows, viewed as (c, kh, kw, oh, ow, n), are copied to cols
+pad is 0, and a contiguous one when the input is in conv order), its
+windows, viewed as (c, kh, kw, oh, ow, n), are copied to cols
 [C*kh*kw, oh*ow*N], and the output is one GEMM w[Co, C*kh*kw] @ cols,
-transposed once to [N, Co, oh, ow]. Every copy then runs N wide at stride 2
+returned as a conv-order view. Every copy then runs N wide at stride 2
 and ow*N wide at stride 1, where a row-major window copy would run only ow
 wide. Mode ``auto`` picks exact for float64 and fast for float32.
 ``conv2d_array`` is the same forward on plain arrays, without a graph node;
-graph-free inference calls it directly. At N = 1 the channel-major layout
-has the memory order of [1, C, H, W], so that path copies no more than a
-plain pad. The backward of both modes runs on the fast lowering: with
-g [Co, oh*ow*N], dW = g @ cols^T (cols rebuilt from the unpadded input the
-node keeps), and dX scatters w^T @ g tap by tap into a [C, Hp, Wp, N]
-buffer that is transposed once at the end.
+graph-free inference calls it directly. At N = 1 conv order is the memory
+order of [1, C, H, W], so that path copies no more than a plain pad. The
+backward of both modes runs on the fast lowering: with g [Co, oh*ow*N] (a
+free reshape of a conv-order grad), dW = g @ cols^T (cols rebuilt from the
+unpadded input the node keeps), and dX scatters w^T @ g tap by tap into a
+[C, Hp, Wp, N] buffer whose interior is added to x's grad, contiguously
+when x is in conv order.
 """
 
 from __future__ import annotations
@@ -357,7 +363,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
+    # keeps a's order: gates from features pooled in conv order stay in it
+    out_data = np.matmul(a.data, b.data, order="F" if a.data.flags.f_contiguous else "C")
 
     def backward(grad: Array) -> None:
         if a.requires_grad:
@@ -392,7 +399,8 @@ def _channel_major(x: Array, pad: int) -> Array:
 
 
 def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """[C,Hp,Wp,N] -> cols [C*kh*kw, oh*ow*N], rows in (c, kh, kw) order."""
+    """[C,Hp,Wp,N] -> C-contiguous cols [C*kh*kw, oh*ow*N], rows in (c, kh, kw)
+    order; a view only when xp already holds them so (a conv-order 1x1 input)."""
     c, _, _, n = xp.shape
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
@@ -401,12 +409,13 @@ def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
         strides=(s0, s1, s2, s1 * stride, s2 * stride, s3),
         writeable=False,
     )
-    return windows.reshape(c * kh * kw, oh * ow * n)
+    return np.ascontiguousarray(windows.reshape(c * kh * kw, oh * ow * n))
 
 
 def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
                     mode: str) -> Array:
-    """Checked conv2d arithmetic: [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow]."""
+    """Checked conv2d arithmetic: [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow],
+    a view of the [Co,oh,ow,N] array the GEMM or tap loop fills."""
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -431,7 +440,7 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
         out = (w.reshape(co, -1) @ _im2col(xp, kh, kw, stride, oh, ow)).reshape(co, oh, ow, n)
     if bias is not None:
         out += bias[:, None, None, None]
-    return np.ascontiguousarray(out.transpose(3, 0, 1, 2))
+    return out.transpose(3, 0, 1, 2)
 
 
 def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
@@ -586,7 +595,8 @@ def load_weights(path) -> dict[str, Array]:
     """Read a weight file written by save_weights; returns float32 arrays.
 
     A truncated file, trailing bytes, a repeated or non-UTF-8 tensor name,
-    or a NaN or infinite value is a ParseError that names the file.
+    dims too large to index, or a NaN or infinite value is a ParseError
+    that names the file.
     """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -614,7 +624,10 @@ def load_weights(path) -> dict[str, Array]:
             (rank,) = struct.unpack("<I", read(4, f"rank of tensor {name!r}"))
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of tensor {name!r}"))
             raw = read(4 * math.prod(dims), f"values for tensor {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            try:
+                out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            except ValueError:  # no values, but numpy cannot index dims that large
+                raise ParseError(f"{path}: dims {dims} of tensor {name!r} are too large") from None
             if not np.isfinite(out[name]).all():
                 raise ParseError(f"{path}: non-finite values in tensor {name!r}")
         if fh.read(1):

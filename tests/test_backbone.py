@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signflow import actionnet, backbone
 from signflow.backbone import (Metrics, Model, NetSpec, StageSpec, TrainConfig, build,
                                evaluate, parameter_count, topk_hits, train)
 from signflow.errors import ConfigError, DimensionError, InputError, NumericError
-from signflow.tensor import Tensor, softmax_cross_entropy
+from signflow.tensor import Tensor, conv2d, softmax_cross_entropy
 
 
 def tiny_spec(**kw):
@@ -126,6 +127,24 @@ class TestForward:
         clips = np.random.default_rng(5).uniform(0, 1, (3, *spec.clip_shape)).astype(dtype)
         npt.assert_array_equal(model.forward(clips).numpy(),
                                model.per_frame_logits(clips).numpy().mean(axis=1))
+
+    @pytest.mark.parametrize("temporal", ["shift", "action", "none"])
+    def test_convs_after_the_stem_read_conv_order(self, monkeypatch, temporal):
+        # each conv returns [N,C,H,W] held as [C,H,W,N]; the trunk and the
+        # action block keep that order, so no conv but the stem transposes its input
+        inputs = []
+
+        def recording(x, w, *args, **kw):
+            inputs.append(x.data)
+            return conv2d(x, w, *args, **kw)
+
+        monkeypatch.setattr(backbone, "conv2d", recording)
+        monkeypatch.setattr(actionnet, "conv2d", recording)
+        model = build(NetSpec.micro(4, temporal=temporal), seed=2)
+        model.forward(np.random.default_rng(6).uniform(0, 1, (2, 8, 1, 32, 32)).astype(np.float32))
+        assert len(inputs) > 1
+        for i, x in enumerate(inputs[1:], 1):
+            assert x.transpose(1, 2, 3, 0).flags.c_contiguous, (i, x.shape, x.strides)
 
     def test_shift_net_is_order_sensitive_none_net_is_not(self):
         rng = np.random.default_rng(3)

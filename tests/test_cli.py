@@ -62,6 +62,7 @@ class TestSynth:
         (("--size", "0"), "frame size"),
         (("--isolated", "--size", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "frame size"),
         (("--isolated", "--t", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "1 frame"),
+        (("--size", "2", "--t", "8"), "frame size 2x2 is smaller than the 3x3 cell grid"),
     ])
     def test_empty_frames_rejected_before_writing(self, tmp_path, flags, needle):
         out = tmp_path / "out"
@@ -152,10 +153,10 @@ class TestTrainEval:
         timing = json_lines(proc.stderr)
         assert [t["epoch"] for t in timing] == [0, 1, 2]
         for t in timing:
-            assert set(t) == {"epoch", "seconds", "clips_per_s"}
-            assert t["seconds"] > 0 and t["clips_per_s"] > 0
+            assert set(t) == {"epoch", "seconds", "clips_per_s", "minor_faults"}
+            assert t["seconds"] > 0 and t["clips_per_s"] > 0 and t["minor_faults"] >= 0
         for line in json_lines(proc.stdout):
-            assert not {"seconds", "clips_per_s"} & set(line)
+            assert not {"seconds", "clips_per_s", "minor_faults"} & set(line)
 
 
 class TestGradcheckCommand:

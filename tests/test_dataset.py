@@ -67,6 +67,13 @@ class TestFrameIO:
             read_frame(p)
         assert str(p) in str(info.value)
 
+    def test_header_field_too_long_for_int(self, tmp_path):
+        p = tmp_path / "frame_00000.pgm"
+        p.write_bytes(b"P5\n" + b"1" * 5000 + b" 4\n255\n")
+        with pytest.raises(FrameIOError, match="header field of 5000 digits") as info:
+            read_frame(p)
+        assert str(p) in str(info.value)
+
 
 class TestManifest:
     def entry(self, vid="v1", **kw):

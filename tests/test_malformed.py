@@ -3,18 +3,25 @@
 Every row writes its artifacts into a fresh directory and runs one
 subcommand on them. The run must exit with code 1 and print a single
 stderr line that names the bad file (and the line, for a manifest) and
-holds no Python traceback.
+holds no Python traceback. A property at the end feeds the weight and frame
+loaders arbitrary and mutated bytes: each returns or raises a SignflowError.
 """
 
 import json
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signflow.backbone import NetSpec
+from signflow.dataset import read_frame, write_frame
+from signflow.errors import SignflowError
+from signflow.tensor import load_weights, save_weights
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
 LEXICON = str(DEMO / "lexicon.tsv")
@@ -26,11 +33,11 @@ def manifest_line(**changes) -> bytes:
     return (json.dumps({**entry, **changes}) + "\n").encode()
 
 
-def weights_with_huge_dims() -> bytes:
-    """A weight file whose one tensor has three dims of 2**32 - 1 and no values."""
+def weights_with_dims(*dims) -> bytes:
+    """A weight file whose one tensor has ``dims`` and no values."""
     name = b"stem.w"
     return (b"SGNF1" + struct.pack("<II", 1, len(name)) + name
-            + struct.pack("<4I", 3, *[2**32 - 1] * 3))
+            + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims))
 
 
 def rules(*objs) -> bytes:
@@ -79,9 +86,15 @@ ROWS = {
                         "{d}/rules.json"),
     "rule-index-float": ({"rules.json": rules(drop_rule(match={"index": 2.0}))}, RULES,
                          "{d}/rules.json"),
-    "weights-huge-dims": ({"clips.jsonl": manifest_line(), "w.sgnf": weights_with_huge_dims(),
+    "weights-huge-dims": ({"clips.jsonl": manifest_line(),
+                           "w.sgnf": weights_with_dims(*[2**32 - 1] * 3),
                            "netspec.json": json.dumps(NetSpec.micro(2).to_dict()).encode()},
                           EVAL, "{d}/w.sgnf"),
+    "weights-zero-and-huge-dims": ({"clips.jsonl": manifest_line(),
+                                    "w.sgnf": weights_with_dims(0, 2**32 - 1, 2**32 - 1),
+                                    "netspec.json": json.dumps(
+                                        NetSpec.micro(2).to_dict()).encode()},
+                                   EVAL, "{d}/w.sgnf"),
 }
 
 
@@ -97,3 +110,43 @@ def test_malformed_artifact_is_one_typed_error(tmp_path, row):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.startswith("error: ") and names.format(d=tmp_path) in proc.stderr, \
         proc.stderr
+
+
+def saved(write, *args) -> bytes:
+    """The bytes ``write(path, *args)`` puts in a file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f"
+        write(path, *args)
+        return path.read_bytes()
+
+
+FRAME = np.linspace(0, 1, 3 * 4 * 5).reshape(3, 4, 5)
+# loader, a valid file it reads, the file's suffix
+LOADERS = {
+    "weights": (load_weights, saved(save_weights, {"a.w": np.ones((2, 3)), "b": np.zeros(1)}),
+                ".sgnf"),
+    "pgm": (read_frame, saved(write_frame, FRAME[:1]), ".pgm"),
+    "ppm": (read_frame, saved(write_frame, FRAME), ".ppm"),
+}
+
+
+@pytest.mark.parametrize("loader", list(LOADERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loader_returns_or_raises_typed(loader, data):
+    """Arbitrary bytes after a prefix of a valid file, or the valid file with
+    one byte changed: the loader returns or raises a SignflowError."""
+    load, valid, suffix = LOADERS[loader]
+    if data.draw(st.booleans(), label="mutate"):
+        i = data.draw(st.integers(0, len(valid) - 1), label="at")
+        raw = valid[:i] + bytes([data.draw(st.integers(0, 255), label="byte")]) + valid[i + 1:]
+    else:
+        raw = (valid[:data.draw(st.integers(0, len(valid)), label="prefix")]
+               + data.draw(st.binary(max_size=48), label="tail"))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"f{suffix}"
+        path.write_bytes(raw)
+        try:
+            load(path)
+        except SignflowError:
+            pass

@@ -251,6 +251,36 @@ class TestConv2dBackward:
             assert not dx[~covered].any()
 
 
+def conv_order(x):
+    """The values of [N,C,H,W] x held in conv order, as [C,H,W,N] in memory."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+class TestConvOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_row_major_and_conv_order_inputs_give_identical_results(self, data):
+        n, c, co = (data.draw(st.integers(1, hi)) for hi in (3, 4, 4))
+        h, wd = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        k = data.draw(st.sampled_from([1, 2, 3]))
+        stride, pad = data.draw(st.integers(1, 2)), data.draw(st.integers(0, k - 1))
+        assume(h + 2 * pad >= k and wd + 2 * pad >= k)
+        case = TestConv2dBackward._case((n, c, h, wd), co, k, stride, pad)
+        for dtype, mode in ((np.float64, "exact"), (np.float32, "fast")):
+            x, w, b, g = (a.astype(dtype) for a in case)
+            results = []
+            for held in (x, conv_order(x)):
+                leaves = [Tensor(a, requires_grad=True) for a in (held, w, b)]
+                out = conv2d(*leaves, stride=stride, pad=pad, mode=mode)
+                assert out.numpy().transpose(1, 2, 3, 0).flags.c_contiguous
+                tsum(mul(out, Tensor(g))).backward()
+                results.append([out.numpy(), conv2d_array(held, w, b, stride, pad),
+                                *(leaf.grad for leaf in leaves)])
+            npt.assert_array_equal(results[0][0], results[0][1])
+            for got, want in zip(*results):
+                npt.assert_array_equal(got, want)
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         out = global_avg_pool(Tensor(np.full((2, 3, 4, 4), 0.25))).numpy()
