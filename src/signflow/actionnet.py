@@ -26,6 +26,7 @@ residual branch of a backbone block.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ class ActionConfig:
 class ActionBlock:
     """Parameter container + forward for one excitation block at C channels."""
 
+    _WEIGHTS = ("ste_w", "ste_b", "ce_squeeze", "ce_temporal", "ce_expand", "ce_bias",
+                "me_squeeze", "me_transform", "me_expand", "me_bias")
+
     def __init__(self, channels: int, cfg: ActionConfig, rng: np.random.Generator,
                  name: str, dtype=np.float32):
         self.channels = channels
@@ -83,8 +87,15 @@ class ActionBlock:
         self.me_bias = Parameter(np.zeros(channels, dtype=dtype), f"{name}.me_bias")
 
     def parameters(self) -> list[Parameter]:
-        return [self.ste_w, self.ste_b, self.ce_squeeze, self.ce_temporal, self.ce_expand,
-                self.ce_bias, self.me_squeeze, self.me_transform, self.me_expand, self.me_bias]
+        return [getattr(self, name) for name in self._WEIGHTS]
+
+    def constant(self) -> "ActionBlock":
+        """A copy whose weights are constant Tensors on new arrays: a snapshot
+        of the weights whose forward builds no graph."""
+        frozen = copy.copy(self)
+        for name in self._WEIGHTS:
+            setattr(frozen, name, Tensor(getattr(self, name).data.copy()))
+        return frozen
 
     # -- branches ---------------------------------------------------------------
 

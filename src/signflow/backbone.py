@@ -45,6 +45,11 @@ TEMPORAL_NONE = "none"
 TEMPORAL_SHIFT = "shift"
 TEMPORAL_ACTION = "action"
 
+# Frames per infer call in evaluate and recognize (see infer_chunk): at T = 8
+# two clips share one fold and one pass of per-op Python calls. Longer calls
+# gained nothing at the tiny preset and raised peak memory.
+_INFER_FRAMES = 16
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -343,8 +348,9 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def _temporal(self, x4: Tensor, block: _Block, n: int, t: int) -> Tensor:
-        """Apply the block's temporal module to [N*T,C,H,W] features."""
+    def _temporal(self, x4: Tensor, action: ActionBlock | None, n: int, t: int) -> Tensor:
+        """Apply a block's temporal module (``action``: its excitation block,
+        if any) to [N*T,C,H,W] features."""
         if self.spec.temporal == TEMPORAL_NONE:
             return x4
         _, c, h, w = x4.shape
@@ -352,7 +358,7 @@ class Model:
         if self.spec.temporal == TEMPORAL_SHIFT:
             out = shift(x5, self.shift_cfg)
         else:
-            out = block.action(x5)
+            out = action(x5)
         return reshape(out, n * t, c, h, w)
 
     def _clip(self, clip, check_t: bool) -> Tensor:
@@ -378,14 +384,17 @@ class Model:
         The same function as forward, on folded weights: the result agrees
         with forward to rounding, not bit for bit. The weights are folded
         on every call, so the result always follows the current parameters.
+        An excitation block runs as the plan's constant copy, so no call
+        builds a graph.
         """
         x = self._clip(clips, check_t=True).data
         n, t = x.shape[:2]
+        plan = InferencePlan(self)
 
         def branch(i: int, feats: Array) -> Array:
-            return self._temporal(Tensor(feats), self.blocks[i], n, t).data
+            return self._temporal(Tensor(feats), plan.actions[i], n, t).data
 
-        logits = InferencePlan(self).frame_logits(x.reshape(n * t, *x.shape[2:]), branch)
+        logits = plan.frame_logits(x.reshape(n * t, *x.shape[2:]), branch)
         return logits.reshape(n, t, -1).mean(axis=1)
 
     def per_frame_logits(self, clip) -> Tensor:
@@ -395,7 +404,7 @@ class Model:
         n, t = x.shape[0], x.shape[1]
         x = relu(self.stem(reshape(x, n * t, *x.shape[2:])))
         for block in self.blocks:
-            y = block.conv2(relu(block.conv1(self._temporal(x, block, n, t))))
+            y = block.conv2(relu(block.conv1(self._temporal(x, block.action, n, t))))
             x = relu(add(y, block.proj(x) if block.proj is not None else x))
         logits = add(matmul(global_avg_pool(x), self.head_w), self.head_b)
         return reshape(logits, n, t, self.spec.num_classes)
@@ -435,7 +444,8 @@ class InferencePlan:
     """A model's weights folded for graph-free inference.
 
     Every array is a new copy, so the plan is a snapshot: it keeps the
-    weights as they were when it was built.
+    weights as they were when it was built. ``actions[i]`` is block i's
+    excitation block as a copy on constant Tensors (None without one).
     """
 
     def __init__(self, model: Model):
@@ -443,6 +453,8 @@ class InferencePlan:
         self.blocks = [(_FoldedConv(block.conv1), _FoldedConv(block.conv2),
                         _FoldedConv(block.proj) if block.proj is not None else None)
                        for block in model.blocks]
+        self.actions = [block.action.constant() if block.action is not None else None
+                        for block in model.blocks]
         self.head_w = model.head_w.data.copy()
         self.head_b = model.head_b.data.copy()
 
@@ -523,25 +535,43 @@ def topk_hits(logits: Array, labels: Array, k: int) -> int:
     return int((order == labels[:, None]).any(axis=1).sum())
 
 
+def infer_chunk(t: int) -> int:
+    """Clips of T frames per ``infer`` call in ``evaluate`` and
+    ``videoplan.recognize``: _INFER_FRAMES frames' worth, at least one clip."""
+    return max(1, _INFER_FRAMES // max(t, 1))
+
+
+def stack_clips(clips: list, dtype=None) -> Array:
+    """[T,C,H,W] clips -> one [N,T,C,H,W] batch; mixed shapes are a DimensionError."""
+    shapes = [np.shape(clip) for clip in clips]
+    if any(len(shape) != 4 or shape != shapes[0] for shape in shapes):
+        raise DimensionError(f"clips to batch must share one [T,C,H,W] shape, got {shapes}")
+    return np.stack(clips, dtype=dtype)
+
+
 def evaluate(model: Model, dataset) -> Metrics:
     """Prec@1 / Prec@5 / mean loss over (clip, label) pairs.
 
-    Samples go through model.infer one at a time and per-sample losses are
-    combined with an exact sum, so the result does not depend on iteration
-    order.
+    Clips go through model.infer in dataset order, in fixed chunks of
+    infer_chunk(T) clips (stack_clips), and per-sample losses are combined
+    with an exact sum. The result is deterministic for a given order;
+    float32 logits can differ by rounding from one-at-a-time inference.
     """
     items = list(dataset)
     if not items:
         raise InputError("evaluate requires a nonempty dataset")
     hits1 = hits5 = 0
     losses: list[float] = []
-    for clip, label in items:
-        arr = np.asarray(clip, dtype=model.dtype)[None]
-        label_arr = np.array([label], dtype=np.int64)
-        logits = model.infer(arr)
-        hits1 += topk_hits(logits, label_arr, 1)
-        hits5 += topk_hits(logits, label_arr, 5)
-        losses.append(float(softmax_cross_entropy(Tensor(logits), label_arr).item()))
+    shape = np.shape(items[0][0])
+    chunk = infer_chunk(shape[0] if shape else 1)
+    for start in range(0, len(items), chunk):
+        part = items[start:start + chunk]
+        logits = model.infer(stack_clips([clip for clip, _ in part], model.dtype))
+        labels = np.array([label for _, label in part], dtype=np.int64)
+        hits1 += topk_hits(logits, labels, 1)
+        hits5 += topk_hits(logits, labels, 5)
+        losses += [float(softmax_cross_entropy(Tensor(logits[j:j + 1]), labels[j:j + 1]).item())
+                   for j in range(len(part))]
     n = len(items)
     return Metrics(prec1=100.0 * hits1 / n, prec5=100.0 * hits5 / n,
                    loss=math.fsum(losses) / n)

@@ -269,6 +269,55 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(build(tiny_spec(), seed=0), [])
 
+    @pytest.mark.parametrize("odd_at", [0, 1, 4, 8])
+    @pytest.mark.parametrize("odd_shape", [(5, 2, 8, 8), (4, 2, 8, 6), (4, 2, 8)])
+    def test_mixed_shapes_rejected(self, odd_at, odd_shape):
+        # tiny_spec has T = 4, so chunks of 4 clips; the odd clip lands in the
+        # first chunk, inside the second, or alone in the third
+        spec = tiny_spec()
+        ds = random_dataset(spec, 9, seed=1)
+        ds[odd_at] = (np.zeros(odd_shape, dtype=np.float32), ds[odd_at][1])
+        with pytest.raises(DimensionError):
+            evaluate(build(spec, seed=0), ds)
+
+    class CountingModel:
+        """Records each infer batch; logits from the first pixel of each clip."""
+
+        def __init__(self, k):
+            self.k = k
+            self.dtype = np.float32
+            self.batches = []
+
+        def infer(self, clips):
+            self.batches.append(np.array(clips))
+            logits = np.zeros((len(clips), self.k), dtype=np.float32)
+            logits[np.arange(len(clips)), clips[:, 0, 0, 0, 0].astype(int) % self.k] = 1.0
+            return logits
+
+    @pytest.mark.parametrize("t,chunk", [(1, 16), (4, 4), (8, 2), (16, 1), (32, 1)])
+    def test_chunks_in_dataset_order(self, t, chunk):
+        ds = [(np.full((t, 1, 2, 2), i, dtype=np.float32), i % 3) for i in range(5)]
+        model = self.CountingModel(3)
+        assert evaluate(model, ds).prec1 == 100.0
+        assert backbone.infer_chunk(t) == chunk
+        assert [len(b) for b in model.batches] == \
+            [min(chunk, 5 - s) for s in range(0, 5, chunk)]
+        npt.assert_array_equal(np.concatenate(model.batches), np.stack([c for c, _ in ds]))
+
+    @pytest.mark.parametrize("temporal", ["shift", "action", "none"])
+    def test_chunked_matches_one_at_a_time(self, temporal):
+        spec = NetSpec.micro(6, temporal=temporal)
+        model = perturbed(build(spec, seed=2), seed=3)
+        ds = random_dataset(spec, 5, seed=4)  # T = 8: chunks of 2, 2 and 1 clips
+        got = evaluate(model, ds)
+        logits = np.concatenate([model.infer(clip[None]) for clip, _ in ds])
+        labels = np.array([label for _, label in ds])
+        assert got.prec1 == 100.0 * topk_hits(logits, labels, 1) / len(ds)
+        assert got.prec5 == 100.0 * topk_hits(logits, labels, 5) / len(ds)
+        loss = math.fsum(softmax_cross_entropy(Tensor(logits[i:i + 1]), labels[i:i + 1]).item()
+                         for i in range(len(ds))) / len(ds)
+        assert got.loss == pytest.approx(loss, rel=1e-6)
+
 
 class TestTrain:
     def test_lr_zero_keeps_weights(self):
@@ -445,6 +494,33 @@ class TestInfer:
         clip = np.random.default_rng(4).uniform(0, 1, (1, *tiny_spec().clip_shape))
         model.load_state_dict(other.state_dict())
         npt.assert_array_equal(model.infer(clip), other.infer(clip))
+
+    def test_action_builds_no_graph_and_follows_weights(self, monkeypatch):
+        spec = tiny_spec(temporal="action")
+        model = perturbed(build(spec, seed=1), seed=2)
+        other = perturbed(build(spec, seed=3), seed=4)
+        clip = np.random.default_rng(5).uniform(0, 1, (2, *spec.clip_shape)).astype(np.float32)
+        outputs = []
+        forward = actionnet.ActionBlock.forward
+
+        def spy(block, x):
+            outputs.append(forward(block, x))
+            return outputs[-1]
+
+        monkeypatch.setattr(actionnet.ActionBlock, "__call__", spy)
+        first = model.infer(clip)
+        assert outputs and not any(out.requires_grad or out._parents for out in outputs)
+        assert all(p.grad is None for p in model.parameters())
+        plan = backbone.InferencePlan(model)
+        for block, frozen in zip(model.blocks, plan.actions):
+            for p, w in zip(block.action.parameters(), frozen.parameters()):
+                assert type(w) is Tensor and not w.requires_grad
+                assert w.data is not p.data
+                npt.assert_array_equal(w.data, p.data)
+        model.load_state_dict(other.state_dict())
+        second = model.infer(clip)
+        npt.assert_array_equal(second, other.infer(clip))
+        assert not np.array_equal(first, second)
 
     def test_wrong_shape_rejected(self):
         model = build(tiny_spec(), seed=0)

@@ -2,12 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from signflow.backbone import NetSpec, StageSpec
+from signflow.backbone import NetSpec, StageSpec, build
 from signflow.dataset import load_manifest, make_isolated_clips, read_clip
 from signflow.errors import ConfigError, GlossLookupError, InputError
 from signflow.gloss import (GlossSequence, LexEntry, Lexicon, ReorderRule, Token,
                             reorder, segment)
-from signflow.sampler import SampleSpec
+from signflow.sampler import SampleSpec, segment_sample
 from signflow.videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy,
                                 concat_frames, plan, recognize, _cut_windows)
 
@@ -216,3 +216,30 @@ class TestRecognize:
                         base=tmp_path, label_map=labels,
                         cfg=RecognizeConfig(window=5, stride=5))
         assert out["glosses"] == ["G_WO", "G_CHI", "G_PINGGUO", "G_BU"]
+
+    @pytest.mark.parametrize("temporal,seed", [("shift", 3), ("action", 0)])
+    def test_batched_matches_per_window(self, demo, tmp_path, temporal, seed):
+        # 20 frames, window 5, stride 2: 9 windows, the last one 4 frames long;
+        # T = 4, so infer sees chunks of 4, 4 and 1 windows
+        lex = demo["lex"]
+        manifest = plan(gseq("G_WO", "G_CHI", "G_PINGGUO", "G_BU", lex=lex), lex, demo["index"])
+        entry = concat_frames(manifest, demo["index"], tmp_path / "video", video_id="v")
+        _, labels = load_manifest(demo["manifest"])
+        model = build(NetSpec.micro(len(labels), temporal=temporal, t=4), seed=seed)
+        rng = np.random.default_rng(seed + 10)
+        for p in model.parameters():  # nonzero biases, so windows differ in class
+            p.data = p.data + rng.normal(0, 1.0, p.shape).astype(p.data.dtype)
+        spec = SampleSpec(num_segments=4, mode="eval-center")
+        cfg = RecognizeConfig(window=5, stride=2)
+        out = recognize(entry, model, lex, [], spec, base=tmp_path, label_map=labels, cfg=cfg)
+        inv = {cls: gid for gid, cls in labels.items()}
+        expected = []
+        for start, length in _cut_windows(entry.num_frames, cfg):
+            clip = read_clip(entry, [start + i for i in segment_sample(length, spec)],
+                             base=tmp_path)
+            cls = int(np.argmax(model.infer(clip[None])[0]))
+            expected.append({"start": start, "length": length, "class": cls,
+                             "gloss": inv[cls]})
+        assert len(expected) == 9 and expected[-1]["length"] == 4
+        assert len({w["class"] for w in expected}) > 1
+        assert out["windows"] == expected
