@@ -36,8 +36,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .sampler import consensus
-from .tensor import (Array, Parameter, Tensor, add, conv2d, conv2d_array, global_avg_pool,
-                     matmul, relu, reshape, softmax_cross_entropy, load_weights, save_weights)
+from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
+                     global_avg_pool, log_softmax, matmul, relu, reshape, softmax_cross_entropy,
+                     load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
 from .actionnet import ActionBlock, ActionConfig
 
@@ -188,17 +189,10 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
-    precision: str = "float32"
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
             raise ConfigError("epochs/batch_size/lr must be non-negative (batch >= 1)")
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"precision must be float32 or float64, got {self.precision!r}")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
 
 @dataclass
@@ -278,7 +272,9 @@ class Model:
 
     def __init__(self, spec: NetSpec, seed: int = 0, dtype=np.float32):
         self.spec = spec
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype).type
+        if self.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"model dtype must be float32 or float64, got {np.dtype(dtype)}")
         rng = np.random.default_rng(seed)
         self.shift_cfg = ShiftConfig(spec.fold_fraction, spec.direction) \
             if spec.temporal == TEMPORAL_SHIFT else None
@@ -553,9 +549,10 @@ def evaluate(model: Model, dataset) -> Metrics:
     """Prec@1 / Prec@5 / mean loss over (clip, label) pairs.
 
     Clips go through model.infer in dataset order, in fixed chunks of
-    infer_chunk(T) clips (stack_clips), and per-sample losses are combined
-    with an exact sum. The result is deterministic for a given order;
-    float32 logits can differ by rounding from one-at-a-time inference.
+    infer_chunk(T) clips (stack_clips). Each chunk's per-clip losses come
+    from one log_softmax over its logits, and they are combined with an
+    exact sum. The result is deterministic for a given order; float32
+    logits can differ by rounding from one-at-a-time inference.
     """
     items = list(dataset)
     if not items:
@@ -567,11 +564,10 @@ def evaluate(model: Model, dataset) -> Metrics:
     for start in range(0, len(items), chunk):
         part = items[start:start + chunk]
         logits = model.infer(stack_clips([clip for clip, _ in part], model.dtype))
-        labels = np.array([label for _, label in part], dtype=np.int64)
+        labels = class_labels([label for _, label in part], *logits.shape)
         hits1 += topk_hits(logits, labels, 1)
         hits5 += topk_hits(logits, labels, 5)
-        losses += [float(softmax_cross_entropy(Tensor(logits[j:j + 1]), labels[j:j + 1]).item())
-                   for j in range(len(part))]
+        losses += (-log_softmax(logits)[np.arange(len(part)), labels]).tolist()
     n = len(items)
     return Metrics(prec1=100.0 * hits1 / n, prec5=100.0 * hits5 / n,
                    loss=math.fsum(losses) / n)
@@ -590,9 +586,7 @@ def train(model: Model, dataset, cfg: TrainConfig, eval_dataset=None,
     items = list(dataset)
     if not items:
         raise InputError("train requires a nonempty dataset")
-    for _, label in items:
-        if not 0 <= label < model.spec.num_classes:
-            raise InputError(f"label {label} out of range for {model.spec.num_classes} classes")
+    class_labels([label for _, label in items], len(items), model.spec.num_classes)
 
     params = model.parameters()
     velocity = [np.zeros_like(p.data) for p in params]
@@ -605,7 +599,7 @@ def train(model: Model, dataset, cfg: TrainConfig, eval_dataset=None,
         loss_sum = 0.0
         for start in range(0, len(items), cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            clips = np.stack([np.asarray(c, dtype=cfg.dtype) for c, _ in batch])
+            clips = stack_clips([c for c, _ in batch], model.dtype)
             labels = np.array([l for _, l in batch], dtype=np.int64)
 
             logits = model.forward(Tensor(clips))

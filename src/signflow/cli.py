@@ -21,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbone import Model, NetSpec, TrainConfig, build, evaluate, parameter_count, train
+from .backbone import (Model, NetSpec, TrainConfig, build, evaluate, parameter_count,
+                       stack_clips, train)
 from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
                       load_manifest, make_isolated_clips, read_clip, synth_temporal)
 from .errors import SignflowError, UsageError
-from .gloss import load_lexicon, load_rules, reorder, segment
+from .gloss import Lexicon, ReorderRule, load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
 from .tensor import (Tensor, conv2d, global_avg_pool, grad_check, matmul, mul, relu, roll_time,
                      sigmoid, softmax_cross_entropy)
@@ -45,12 +46,14 @@ def _emit_line(obj: dict) -> None:
     sys.stdout.flush()
 
 
-def _require_file(path: str | None, flag: str) -> Path:
+def _require_file(path: str | Path | None, flag: str) -> Path:
     if path is None:
         raise UsageError(f"{flag} is required")
     p = Path(path)
     if not p.exists():
         raise UsageError(f"{flag}: {p} does not exist")
+    if not p.is_file():
+        raise UsageError(f"{flag}: {p} is not a file")
     return p
 
 
@@ -72,13 +75,21 @@ def _netspec_from_args(num_classes: int, *, preset: str, temporal: str, t: int |
 
 def _load_model(args) -> Model:
     weights = _require_file(args.weights, "--weights")
-    spec_path = Path(args.netspec) if args.netspec else weights.with_name("netspec.json")
-    if not spec_path.exists():
-        raise UsageError(f"--netspec: {spec_path} does not exist")
+    spec_path = _require_file(args.netspec or weights.with_name("netspec.json"), "--netspec")
     return Model.load(weights, spec_path)
 
 
-def _frames_entry(frames_dir: Path) -> ManifestEntry:
+def _lexicon_and_rules(args) -> tuple[Lexicon, list[ReorderRule]]:
+    lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
+    rules = load_rules(_require_file(args.rules, "--rules"), known_tags=lex.known_tags) \
+        if args.rules else []
+    return lex, rules
+
+
+def _frames_entry(frames: str) -> ManifestEntry:
+    frames_dir = Path(frames)
+    if not frames_dir.is_dir():
+        raise UsageError(f"--frames: {frames_dir} is not a directory")
     count = len(list(frames_dir.glob("frame_*.p?m")))
     if count == 0:
         raise UsageError(f"--frames: no frame_*.pgm/.ppm files in {frames_dir}")
@@ -125,9 +136,8 @@ def cmd_train(args) -> int:
     sample = SampleSpec(num_segments=spec.t, mode=mode, seed=args.seed)
     train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                      momentum=args.momentum, weight_decay=args.weight_decay,
-                      seed=args.seed, precision=args.precision)
-    model = build(spec, seed=args.seed, dtype=cfg.dtype)
+                      momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
+    model = build(spec, seed=args.seed, dtype=args.precision)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,11 +176,9 @@ def cmd_eval(args) -> int:
 
 def cmd_recognize(args) -> int:
     model = _load_model(args)
-    lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
-    rules = load_rules(_require_file(args.rules, "--rules"), known_tags=lex.known_tags) \
-        if args.rules else []
+    lex, rules = _lexicon_and_rules(args)
     if args.frames:
-        entry = _frames_entry(_require_file(args.frames, "--frames"))
+        entry = _frames_entry(args.frames)
         base = Path(".")
         label_map = None
     else:
@@ -193,9 +201,8 @@ def cmd_recognize(args) -> int:
 
 def cmd_stream(args) -> int:
     model = _load_model(args)
-    frames_dir = _require_file(args.frames, "--frames")
-    entry = _frames_entry(frames_dir)
-    stream = model.open_stream(stream_id=frames_dir.name)
+    entry = _frames_entry(args.frames)
+    stream = model.open_stream(stream_id=entry.video_id)
     for i in range(entry.num_frames):
         clip = read_clip(entry, [i], base=".", size=model.spec.frame_size)
         step = stream.step(clip[0][None].astype(model.dtype))
@@ -205,9 +212,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
-    rules = load_rules(_require_file(args.rules, "--rules"), known_tags=lex.known_tags) \
-        if args.rules else []
+    lex, rules = _lexicon_and_rules(args)
     tokens = segment(args.text, lex)
     seq = reorder(tokens, rules)
     result: dict = {"text": args.text, "segmented": [t.surface for t in tokens],
@@ -232,8 +237,9 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _median_ms(fn, reps: int, warmup: int = 3) -> float:
-    for _ in range(warmup):
+def _median_ms(fn, reps: int) -> float:
+    """Median ms of ``reps`` timed calls, after 3 untimed warm-up calls."""
+    for _ in range(3):
         fn()
     samples = []
     for _ in range(reps):
@@ -246,7 +252,7 @@ def _median_ms(fn, reps: int, warmup: int = 3) -> float:
 def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
     """Per-op backward ms and op-node count of one training step (no update)."""
     batch = dataset[:cfg.batch_size]
-    clips = np.stack([np.asarray(c, dtype=cfg.dtype) for c, _ in batch])
+    clips = stack_clips([c for c, _ in batch], model.dtype)
     labels = np.array([l for _, l in batch], dtype=np.int64)
     profile: dict[str, list] = {}
     softmax_cross_entropy(model.forward(Tensor(clips)), labels).backward(profile)

@@ -115,8 +115,8 @@ def read_frame(path: Path | str) -> np.ndarray:
     return out.astype(np.float64) / 255.0
 
 
-def frame_name(index: int, channels: int = 1) -> str:
-    return f"frame_{index:05d}." + ("pgm" if channels == 1 else "ppm")
+def frame_name(index: int) -> str:
+    return f"frame_{index:05d}.pgm"
 
 
 def frame_path(frame_dir: Path, index: int) -> Path:
@@ -210,6 +210,13 @@ def json_int(value, key: str) -> int:
     """A JSON integer; a float, a bool or a string is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_str(value, key: str) -> str:
+    """A JSON string; a number, a list or an object is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a JSON string, got {value!r}")
     return value
 
 
@@ -347,7 +354,7 @@ def synth_temporal(spec: SynthSpec, out_dir: Path | str) -> Path:
                     if spec.noise > 0:
                         frame = np.clip(
                             frame + rng.uniform(-spec.noise, spec.noise, size=frame.shape), 0, 1)
-                    write_frame(d / frame_name(t_idx, channels=1), frame)
+                    write_frame(d / frame_name(t_idx), frame)
                 entries.append(ManifestEntry(video_id, str(rel), spec.t, label, split))
 
     label_map = {f"ORDER{k}": k for k in range(spec.num_classes)}
@@ -383,7 +390,7 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
             frame[0, h // 4: 3 * h // 4, w // 4: 3 * w // 4] = level
             # tiny jitter outside the patch keeps clips non-constant
             frame[0, 0, :] = rng.uniform(0, 0.02, size=w)
-            write_frame(d / frame_name(t_idx, channels=1), frame)
+            write_frame(d / frame_name(t_idx), frame)
         entries.append(ManifestEntry(gloss_id, str(rel), num_frames, label, "train"))
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(manifest_path, entries, dict(sorted(glosses.items())))

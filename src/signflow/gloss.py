@@ -8,9 +8,10 @@ is recorded in a trace, so ordering can be undone exactly.
 
 Going back (sign order to natural text): with a trace, inversion replays
 the recorded permutations backwards and is exact for any drop-free rule
-set. Without a trace (e.g. glosses coming from a recognizer), structural
-inverses are applied instead: exact for index-matched rules, first/last
-match heuristics for tag-matched moves.
+set. Without a trace (e.g. glosses coming from a recognizer), the rules are
+undone one by one: an index-matched rule replays its own permutation (it
+depends only on the sequence length) and is undone exactly, the same way a
+trace step is; tag-matched moves use first/last match heuristics.
 
 The engine is deterministic by construction.
 """
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import json_int
+from .dataset import json_int, json_str
 from .errors import ConfigError, GlossLookupError, ParseError
 
 TAG_OOV = "OOV"
@@ -154,10 +155,12 @@ class ReorderRule:
         return position == self.index
 
 
-def load_rules(path: Path | str, known_tags: set[str] | None = None) -> list[ReorderRule]:
+def load_rules(path: Path | str, known_tags: set[str]) -> list[ReorderRule]:
     """JSON list of {id, priority, match: {tag|index}, action}.
 
-    Tag names are validated against known_tags (when given) at load time.
+    Tag names are validated against known_tags at load time. A field of the
+    wrong JSON type, or a rule ReorderRule rejects, is a ParseError that
+    names the file and the rule's number.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -172,14 +175,15 @@ def load_rules(path: Path | str, known_tags: set[str] | None = None) -> list[Reo
         if not isinstance(match, dict):
             raise ParseError(f"{path}: rule #{i}: a rule and its match must be JSON objects")
         try:
-            index = match.get("index")
-            rule = ReorderRule(rule_id=str(obj["id"]),
+            tag, index = match.get("tag"), match.get("index")
+            rule = ReorderRule(rule_id=json_str(obj["id"], "id"),
                                priority=json_int(obj["priority"], "priority"),
-                               action=str(obj["action"]), tag=match.get("tag"),
+                               action=json_str(obj["action"], "action"),
+                               tag=None if tag is None else json_str(tag, "tag"),
                                index=None if index is None else json_int(index, "index"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ParseError(f"{path}: rule #{i}: {exc}") from exc
-        if known_tags is not None and rule.tag is not None and rule.tag not in known_tags:
+        if rule.tag is not None and rule.tag not in known_tags:
             raise ConfigError(f"{path}: rule {rule.rule_id!r} references unknown tag {rule.tag!r}")
         rules.append(rule)
     ids = [r.rule_id for r in rules]
@@ -272,86 +276,68 @@ def reorder(tokens: list[Token], rules: list[ReorderRule]) -> GlossSequence:
     return GlossSequence(current, trace)
 
 
-def _invert_step(tokens: list[Token | None], step: TraceStep) -> list[Token | None]:
-    """Restore the pre-rule order. Dropped positions come back as None
-    placeholders so earlier steps keep their index space; placeholders are
-    stripped once the whole trace is unwound."""
-    restored: list[Token | None] = [None] * len(step.before)
-    for j, src in enumerate(step.source):
+def _invert_step(tokens: list[Token | None], source: tuple[int, ...], n: int
+                 ) -> list[Token | None]:
+    """Undo one rule's permutation: ``source`` maps each output position to
+    its position among the ``n`` tokens before the rule. Dropped positions
+    come back as None placeholders so earlier steps keep their index space;
+    placeholders are stripped once the whole trace is unwound."""
+    restored: list[Token | None] = [None] * n
+    for j, src in enumerate(source):
         restored[src] = tokens[j]
     return restored
 
 
 def _structural_inverse(tokens: list[Token], rule: ReorderRule) -> list[Token]:
-    """Trace-free inversion: exact for index matches, heuristic for tags."""
-    n = len(tokens)
-    if n == 0:
-        return tokens
+    """Trace-free inverse of a tag-matched move: first/last-match heuristics."""
     out = list(tokens)
     if rule.action == "swap-adjacent":
-        if rule.index is not None:
-            i = rule.index
-            if i + 1 < n:
-                out[i], out[i + 1] = out[i + 1], out[i]
-        else:
-            i = 1
-            while i < n:
-                if rule.matches(out[i], i):
-                    out[i - 1], out[i] = out[i], out[i - 1]
-                    i += 2
-                else:
-                    i += 1
+        i = 1
+        while i < len(out):
+            if rule.matches(out[i], i):
+                out[i - 1], out[i] = out[i], out[i - 1]
+                i += 2
+            else:
+                i += 1
         return out
     if rule.action == "move-to-end":
-        if rule.index is not None:
-            if rule.index < n:
-                tok = out.pop()
-                out.insert(rule.index, tok)
-        else:
-            tail = []
-            while out and rule.matches(out[-1], len(out) - 1):
-                tail.append(out.pop())
-            out = list(reversed(tail)) + out
-        return out
-    if rule.action == "move-to-front":
-        if rule.index is not None:
-            if rule.index < n:
-                tok = out.pop(0)
-                out.insert(rule.index, tok)
-        else:
-            head = []
-            while out and rule.matches(out[0], 0):
-                head.append(out.pop(0))
-            out = out + head
-        return out
-    raise ConfigError(f"rule {rule.rule_id!r}: drop rules cannot be inverted")
+        tail = []
+        while out and rule.matches(out[-1], len(out) - 1):
+            tail.append(out.pop())
+        return list(reversed(tail)) + out
+    head = []
+    while out and rule.matches(out[0], 0):
+        head.append(out.pop(0))
+    return out + head
 
 
 def inverse_reorder(glosses: GlossSequence, rules: list[ReorderRule]) -> list[Token]:
     """Undo reorder: exact trace replay when a trace is present, otherwise
-    structural inverses in reverse priority order.
+    the rules in reverse priority order. Without a trace, an index-matched
+    rule is undone exactly, by replaying its own permutation (which depends
+    only on the sequence length); a tag-matched move by _structural_inverse.
 
     Drop rules are excluded from the invertible subset: a drop triggers a
     partial-invertibility warning and its tokens are not resurrected, while
     the surviving tokens still return to their original relative order.
     """
-    if glosses.trace:
-        if any(step.dropped for step in glosses.trace):
-            warnings.warn("rule set contains drop actions; inversion is partial "
-                          "(dropped tokens are not resurrected)", stacklevel=2)
-        current: list[Token | None] = list(glosses.tokens)
-        for step in reversed(glosses.trace):
-            current = _invert_step(current, step)
-        return [t for t in current if t is not None]
-    if any(r.action == "drop" for r in rules):
+    if (any(step.dropped for step in glosses.trace) if glosses.trace
+            else any(r.action == "drop" for r in rules)):
         warnings.warn("rule set contains drop actions; inversion is partial "
                       "(dropped tokens are not resurrected)", stacklevel=2)
-    tokens = list(glosses.tokens)
+    current: list[Token | None] = list(glosses.tokens)
+    if glosses.trace:
+        for step in reversed(glosses.trace):
+            current = _invert_step(current, step.source, len(step.before))
+        return [t for t in current if t is not None]
     for rule in reversed(_sorted_rules(rules)):
         if rule.action == "drop":
             continue  # nothing to restore
-        tokens = _structural_inverse(tokens, rule)
-    return tokens
+        if rule.index is not None:
+            current = _invert_step(current, _apply_rule(current, rule)[1], len(current))
+        else:
+            current = _structural_inverse(current, rule)
+    return current
 
 
 def _is_cjk(ch: str) -> bool:

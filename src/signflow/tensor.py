@@ -507,18 +507,24 @@ def log_softmax(logits: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[label]; labels are class indices."""
-    logits = _wrap(logits)
-    if logits.data.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy expects [N,K] logits, got {logits.shape}")
+def class_labels(labels, n: int, k: int) -> Array:
+    """labels as an int64 [n] array of class indices in [0, k)."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match logits rows {n}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise InputError(f"label {bad} out of range [0, {k})")
+    return labels
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over rows of -log softmax(logits)[label]; labels are class indices."""
+    logits = _wrap(logits)
+    if logits.data.ndim != 2:
+        raise DimensionError(f"softmax_cross_entropy expects [N,K] logits, got {logits.shape}")
+    n, k = logits.shape
+    labels = class_labels(labels, n, k)
 
     logp = log_softmax(logits.data)
     out_data = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.data.dtype)

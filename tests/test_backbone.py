@@ -82,6 +82,11 @@ class TestBuild:
             # stem 6 channels not divisible by action ratio 4
             tiny_spec(temporal="action", stem_channels=6, stages=(StageSpec(1, 8),))
 
+    def test_dtype_other_than_float32_or_float64_rejected(self):
+        assert build(tiny_spec(), dtype="float64").dtype is np.float64
+        with pytest.raises(ConfigError, match="float16"):
+            Model(tiny_spec(), dtype=np.float16)
+
     def test_zero_blocks_and_no_stages_build(self):
         # sizes must be >= 1 (tests/test_cli.py), but a stage may have no blocks
         for stages in ((StageSpec(0, 8),), ()):
@@ -280,6 +285,13 @@ class TestEvaluate:
         with pytest.raises(DimensionError):
             evaluate(build(spec, seed=0), ds)
 
+    def test_label_out_of_range_rejected(self):
+        spec = tiny_spec()  # 3 classes
+        ds = random_dataset(spec, 5, seed=2)
+        ds[4] = (ds[4][0], 3)  # in the second chunk
+        with pytest.raises(InputError, match="label 3 out of range"):
+            evaluate(build(spec, seed=0), ds)
+
     class CountingModel:
         """Records each infer batch; logits from the first pixel of each clip."""
 
@@ -354,7 +366,7 @@ class TestTrain:
     def test_reproducible_history_at_float64(self):
         spec = tiny_spec()
         ds = random_dataset(spec, 6, seed=9)
-        cfg = TrainConfig(epochs=3, batch_size=2, lr=0.02, seed=4, precision="float64")
+        cfg = TrainConfig(epochs=3, batch_size=2, lr=0.02, seed=4)
         h1 = train(build(spec, seed=7, dtype=np.float64), ds, cfg)
         h2 = train(build(spec, seed=7, dtype=np.float64), ds, cfg)
         assert h1 == h2
@@ -391,6 +403,13 @@ class TestTrain:
         ds = [(np.zeros(spec.clip_shape, dtype=np.float32), 3)]
         with pytest.raises(InputError):
             train(build(spec, seed=0), ds, TrainConfig(epochs=1, batch_size=1))
+
+    def test_mixed_shapes_rejected(self):
+        spec = tiny_spec()
+        ds = random_dataset(spec, 4, seed=3)
+        ds[1] = (np.zeros((5, 2, 8, 8), dtype=np.float32), ds[1][1])
+        with pytest.raises(DimensionError):
+            train(build(spec, seed=0), ds, TrainConfig(epochs=1, batch_size=4))
 
 
 class TestSaveLoad:

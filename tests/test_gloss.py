@@ -228,6 +228,10 @@ class TestInverseReorder:
             seq = reorder(tokens, rules)
             restored = inverse_reorder(seq, rules)
             assert restored == tokens, f"trial {trial}"
+            if all(rule.index is not None for rule in rules):
+                # without a trace, index rules are undone exactly too
+                bare = GlossSequence(list(seq.tokens))
+                assert inverse_reorder(bare, rules) == tokens, f"trial {trial} (no trace)"
 
 
 class TestGlossesToText:

@@ -3,8 +3,10 @@
 Every row writes its artifacts into a fresh directory and runs one
 subcommand on them. The run must exit with code 1 and print a single
 stderr line that names the bad file (and the line, for a manifest) and
-holds no Python traceback. A property at the end feeds the weight and frame
-loaders arbitrary and mutated bytes: each returns or raises a SignflowError.
+holds no Python traceback. A directory given to a flag that takes a file is
+a usage error (exit code 2) that names the flag and the path. A property at
+the end feeds every artifact loader arbitrary and mutated bytes: each
+returns or raises a SignflowError.
 """
 
 import json
@@ -18,9 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signflow.backbone import NetSpec
-from signflow.dataset import read_frame, write_frame
+from signflow import cli
+from signflow.backbone import Model, NetSpec
+from signflow.dataset import load_labels, load_manifest, read_frame, write_frame
 from signflow.errors import SignflowError
+from signflow.gloss import load_lexicon, load_rules
 from signflow.tensor import load_weights, save_weights
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
@@ -86,6 +90,16 @@ ROWS = {
                         "{d}/rules.json"),
     "rule-index-float": ({"rules.json": rules(drop_rule(match={"index": 2.0}))}, RULES,
                          "{d}/rules.json"),
+    "rule-tag-list": ({"rules.json": rules(drop_rule(match={"tag": ["NEG"]}))}, RULES,
+                      "{d}/rules.json: rule #0"),
+    "rule-id-list": ({"rules.json": rules(drop_rule(), drop_rule(id=["x"]))}, RULES,
+                     "{d}/rules.json: rule #1"),
+    "rule-action-number": ({"rules.json": rules(drop_rule(action=3))}, RULES,
+                           "{d}/rules.json: rule #0"),
+    "rule-action-unknown": ({"rules.json": rules(drop_rule(action="teleport"))}, RULES,
+                            "{d}/rules.json: rule #0"),
+    "rule-index-negative": ({"rules.json": rules(drop_rule(match={"index": -1}))}, RULES,
+                            "{d}/rules.json: rule #0"),
     "weights-huge-dims": ({"clips.jsonl": manifest_line(),
                            "w.sgnf": weights_with_dims(*[2**32 - 1] * 3),
                            "netspec.json": json.dumps(NetSpec.micro(2).to_dict()).encode()},
@@ -112,6 +126,32 @@ def test_malformed_artifact_is_one_typed_error(tmp_path, row):
         proc.stderr
 
 
+# id: (artifacts, argv with {d} for their directory, the flag given the directory)
+DIRECTORY_ROWS = {
+    "lexicon": ({}, (*TRANSLATE, "{d}"), "--lexicon"),
+    "rules": ({}, (*TRANSLATE, LEXICON, "--rules", "{d}"), "--rules"),
+    "config": ({}, (*TRANSLATE, LEXICON, "--config", "{d}"), "--config"),
+    "manifest": ({}, ("eval", "--manifest", "{d}", "--weights", "{d}/w.sgnf"), "--manifest"),
+    "weights": ({"clips.jsonl": manifest_line()},
+                ("eval", "--manifest", "{d}/clips.jsonl", "--weights", "{d}"), "--weights"),
+    "netspec": ({"clips.jsonl": manifest_line(), "w.sgnf": b""}, (*EVAL[:5], "--netspec", "{d}"),
+                "--netspec"),
+}
+
+
+@pytest.mark.parametrize("row", list(DIRECTORY_ROWS))
+def test_directory_for_file_flag_is_usage_error(tmp_path, row):
+    artifacts, argv, flag = DIRECTORY_ROWS[row]
+    for name, content in artifacts.items():
+        (tmp_path / name).write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "signflow",
+                           *(arg.format(d=tmp_path) for arg in argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"usage error: {flag}: {tmp_path} "), proc.stderr
+
+
 def saved(write, *args) -> bytes:
     """The bytes ``write(path, *args)`` puts in a file."""
     with tempfile.TemporaryDirectory() as d:
@@ -120,13 +160,47 @@ def saved(write, *args) -> bytes:
         return path.read_bytes()
 
 
+def compact(obj) -> bytes:
+    """JSON without spaces: a one-byte change cannot add a digit to a number."""
+    return json.dumps(obj, separators=(",", ":")).encode()
+
+
 FRAME = np.linspace(0, 1, 3 * 4 * 5).reshape(3, 4, 5)
+MICRO = NetSpec.micro(2)
+MICRO_WEIGHTS = saved(Model(MICRO).save)
+KNOWN_TAGS = load_lexicon(LEXICON).known_tags
+
+
+def load_netspec(path: Path) -> None:
+    """Model.load on the netspec at ``path`` and valid micro weights beside it."""
+    weights = path.with_name("w.sgnf")
+    weights.write_bytes(MICRO_WEIGHTS)
+    Model.load(weights, path)
+
+
+def load_config(path: Path) -> None:
+    """translate with ``path`` as --config: main returns an exit code or raises."""
+    cli.main([*TRANSLATE, LEXICON, "--no-timestamp", "--config", str(path)])
+
+
 # loader, a valid file it reads, the file's suffix
 LOADERS = {
     "weights": (load_weights, saved(save_weights, {"a.w": np.ones((2, 3)), "b": np.zeros(1)}),
                 ".sgnf"),
     "pgm": (read_frame, saved(write_frame, FRAME[:1]), ".pgm"),
     "ppm": (read_frame, saved(write_frame, FRAME), ".ppm"),
+    "manifest": (load_manifest, manifest_line() + manifest_line(video_id="v1", label=1),
+                 ".jsonl"),
+    "labels": (load_labels, compact({"A": 0, "B": 1}), ".json"),
+    "lexicon": (load_lexicon, Path(LEXICON).read_bytes(), ".tsv"),
+    "rules": (lambda path: load_rules(path, known_tags=KNOWN_TAGS),
+              compact([{"id": "neg", "priority": 1, "match": {"tag": "NEG"},
+                        "action": "move-to-end"},
+                       {"id": "first", "priority": 0, "match": {"index": 1},
+                        "action": "swap-adjacent"}]), ".json"),
+    "netspec": (load_netspec, compact(MICRO.to_dict()), ".json"),
+    "config": (load_config, compact({"policy": "hold-last-frame:2", "fps": 25.0,
+                                     "fallback": "skip", "pretty": True, "seed": 3}), ".json"),
 }
 
 
