@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Parameter, Tensor, add, conv2d, global_avg_pool, matmul, mul, reshape,
-                     roll_time, sigmoid, tmean, tsum)
+from .tensor import (Parameter, Tensor, add, conv2d, matmul, mul, reshape, roll_time, sigmoid,
+                     tmean, tsum)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ActionBlock:
         the gate comes out in x's order.
         """
         n, t, c, h, w = x.shape
-        pooled = global_avg_pool(reshape(x, n * t, c, h, w))      # [N*T, C]
+        pooled = tmean(reshape(x, n * t, c, h, w), axis=(2, 3))   # [N*T, C]
         d, k = self.ce_temporal.shape
         squeeze_taps = reshape(mul(reshape(self.ce_squeeze, c, d, 1), self.ce_temporal), c, d * k)
         taps = reshape(matmul(pooled, squeeze_taps), n, t, d * k)  # [N, T, D*k]
@@ -140,7 +140,7 @@ class ActionBlock:
         # d[t] = transform(s[t]) - s[t-1], then m[t] = d[t+1], zero at t = T-1
         prev = roll_time(reshape(s, n, t, cr, h, w), (+1,), cr)
         motion = roll_time(moved - prev, (-1,), cr)
-        pooled = global_avg_pool(reshape(motion, n * t, cr, h, w))  # [N*T, C/r]
+        pooled = tmean(reshape(motion, n * t, cr, h, w), axis=(2, 3))  # [N*T, C/r]
         g = sigmoid(add(matmul(pooled, self.me_expand), self.me_bias))
         return reshape(g, n, t, c, 1, 1)
 

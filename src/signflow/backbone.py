@@ -4,7 +4,7 @@ The trunk is a per-frame 2D residual network (time folded into the batch
 axis). Each block may carry a temporal module on its residual branch:
 ``shift`` (see tsm), ``action`` (see actionnet), or ``none``. After the
 trunk: global spatial pooling and a linear classification head on each
-frame, then consensus: the mean of the T segments' class scores.
+frame, then consensus: the mean of the T segments' class scores (tmean).
 
 Normalization is part of each conv unit: a per-channel affine (gamma,
 beta; running statistics frozen to mean 0 / var 1, so outputs carry no
@@ -35,9 +35,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
-from .sampler import consensus
 from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
-                     global_avg_pool, log_softmax, matmul, relu, reshape, softmax_cross_entropy,
+                     log_softmax, matmul, relu, reshape, softmax_cross_entropy, tmean,
                      load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
 from .actionnet import ActionBlock, ActionConfig
@@ -239,6 +238,12 @@ class _ConvUnit:
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]
 
+    def folded(self) -> tuple[Array, Array, int, int]:
+        """(w, b, stride, pad) of conv2d_array on the folded weights (new arrays:
+        a snapshot)."""
+        return (*_fold(self.w.data, self.b.data, self.gamma.data, self.beta.data),
+                self.stride, self.pad)
+
 
 class _Block:
     """Residual block; temporal module feeds the conv branch, skip stays clean."""
@@ -372,7 +377,7 @@ class Model:
     def forward(self, clip) -> Tensor:
         """[N,T,C,H,W] clip -> [N,K] consensus logits: the mean over T of
         per_frame_logits."""
-        return consensus(self.per_frame_logits(self._clip(clip, check_t=True)))
+        return tmean(self.per_frame_logits(self._clip(clip, check_t=True)), axis=1)
 
     def infer(self, clips) -> Array:
         """[N,T,C,H,W] clips -> [N,K] consensus logits, without a graph.
@@ -402,7 +407,7 @@ class Model:
         for block in self.blocks:
             y = block.conv2(relu(block.conv1(self._temporal(x, block.action, n, t))))
             x = relu(add(y, block.proj(x) if block.proj is not None else x))
-        logits = add(matmul(global_avg_pool(x), self.head_w), self.head_b)
+        logits = add(matmul(tmean(x, axis=(2, 3)), self.head_w), self.head_b)
         return reshape(logits, n, t, self.spec.num_classes)
 
     # -- streaming ---------------------------------------------------------------
@@ -425,17 +430,6 @@ def _relu(x: Array) -> Array:
     return np.maximum(x, 0, out=x)
 
 
-class _FoldedConv:
-    """A conv unit as one conv on its folded weights (new arrays: a snapshot)."""
-
-    def __init__(self, unit: _ConvUnit):
-        self.w, self.b = _fold(unit.w.data, unit.b.data, unit.gamma.data, unit.beta.data)
-        self.stride, self.pad = unit.stride, unit.pad
-
-    def __call__(self, x: Array) -> Array:
-        return conv2d_array(x, self.w, self.b, self.stride, self.pad)
-
-
 class InferencePlan:
     """A model's weights folded for graph-free inference.
 
@@ -445,9 +439,9 @@ class InferencePlan:
     """
 
     def __init__(self, model: Model):
-        self.stem = _FoldedConv(model.stem)
-        self.blocks = [(_FoldedConv(block.conv1), _FoldedConv(block.conv2),
-                        _FoldedConv(block.proj) if block.proj is not None else None)
+        self.stem = model.stem.folded()
+        self.blocks = [(block.conv1.folded(), block.conv2.folded(),
+                        block.proj.folded() if block.proj is not None else None)
                        for block in model.blocks]
         self.actions = [block.action.constant() if block.action is not None else None
                         for block in model.blocks]
@@ -457,10 +451,10 @@ class InferencePlan:
     def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
         """[M,C,H,W] frames -> [M,K] logits of each frame. ``branch(i, x)``
         gives block i's branch input from its input x."""
-        x = _relu(self.stem(frames))
+        x = _relu(conv2d_array(frames, *self.stem))
         for i, (conv1, conv2, proj) in enumerate(self.blocks):
-            y = conv2(_relu(conv1(branch(i, x))))
-            y += proj(x) if proj is not None else x
+            y = conv2d_array(_relu(conv2d_array(branch(i, x), *conv1)), *conv2)
+            y += conv2d_array(x, *proj) if proj is not None else x
             x = _relu(y)
         return x.mean(axis=(2, 3)) @ self.head_w + self.head_b
 

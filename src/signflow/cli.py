@@ -28,8 +28,8 @@ from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
 from .errors import SignflowError, UsageError
 from .gloss import Lexicon, ReorderRule, load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
-from .tensor import (Tensor, conv2d, global_avg_pool, grad_check, matmul, mul, relu, roll_time,
-                     sigmoid, softmax_cross_entropy)
+from .tensor import (Tensor, conv2d, grad_check, matmul, mul, relu, roll_time, sigmoid,
+                     softmax_cross_entropy, tmean)
 from .tsm import UNIDIRECTIONAL
 from .videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy, concat_frames,
                         plan, recognize)
@@ -137,7 +137,7 @@ def cmd_train(args) -> int:
     train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
-    model = build(spec, seed=args.seed, dtype=args.precision)
+    model = build(spec, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,7 +322,7 @@ def cmd_gradcheck(args) -> int:
     xc = rng.uniform(-1, 1, (2, 3, 6, 6))
     wc = rng.uniform(-1, 1, (4, 3, 3, 3))
     record("conv2d", grad_check(lambda t: conv2d(t, Tensor(wc), stride=2, pad=1).sum(), xc))
-    record("global_avg_pool", grad_check(lambda t: global_avg_pool(t).sum(), xc))
+    record("mean", grad_check(lambda t: tmean(t, axis=(2, 3)).sum(), xc))
     # keep relu inputs away from the kink
     xr = rng.uniform(0.1, 1, (3, 5)) * rng.choice([-1.0, 1.0], size=(3, 5))
     record("relu", grad_check(lambda t: relu(t).sum(), xr))
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--precision", choices=["float32", "float64"], default="float32")
     p.add_argument("--sample-mode", choices=["random", "center"], default="center")
     common(p)
     p.set_defaults(fn=cmd_train)

@@ -171,9 +171,11 @@ def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int]
             continue
         try:
             obj = json.loads(line)
-            entry = ManifestEntry(str(obj["video_id"]), str(obj["frame_dir"]),
+            entry = ManifestEntry(json_str(obj["video_id"], "video_id"),
+                                  json_str(obj["frame_dir"], "frame_dir"),
                                   json_int(obj["num_frames"], "num_frames"),
-                                  json_int(obj["label"], "label"), str(obj["split"]))
+                                  json_int(obj["label"], "label"),
+                                  json_str(obj["split"], "split"))
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed manifest line: {exc}") from exc
         if entry.video_id in seen:

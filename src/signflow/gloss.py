@@ -68,8 +68,13 @@ class Lexicon:
 
 
 def load_lexicon(path: Path | str) -> Lexicon:
-    """TSV: word <tab> gloss_id <tab> clip_ref <tab> comma-separated tags."""
+    """TSV: word <tab> gloss_id <tab> clip_ref <tab> comma-separated tags.
+
+    A short line, an empty word, or a word or gloss id seen before is a
+    ParseError that names the file and the line.
+    """
     entries: dict[str, LexEntry] = {}
+    gloss_lines: dict[str, int] = {}  # gloss id -> the line that defines it
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -84,8 +89,14 @@ def load_lexicon(path: Path | str) -> Lexicon:
             raise ParseError(f"{path}:{lineno}: expected word\\tgloss_id\\tclip_ref[\\ttags]")
         word, gloss_id, clip_ref = parts[0], parts[1], parts[2]
         tags = tuple(t for t in parts[3].split(",") if t) if len(parts) > 3 else ()
+        if not word:
+            raise ParseError(f"{path}:{lineno}: empty word")
         if word in entries:
             raise ParseError(f"{path}:{lineno}: duplicate word {word!r}")
+        if gloss_id in gloss_lines:
+            raise ParseError(f"{path}:{lineno}: duplicate gloss id {gloss_id!r} "
+                             f"(first on line {gloss_lines[gloss_id]})")
+        gloss_lines[gloss_id] = lineno
         entries[word] = LexEntry(word, gloss_id, clip_ref, tags)
     return Lexicon(entries)
 
@@ -289,16 +300,28 @@ def _invert_step(tokens: list[Token | None], source: tuple[int, ...], n: int
 
 
 def _structural_inverse(tokens: list[Token], rule: ReorderRule) -> list[Token]:
-    """Trace-free inverse of a tag-matched move: first/last-match heuristics."""
+    """Trace-free inverse of a tag-matched move: first/last-match heuristics.
+
+    A swap's output is a run of units: a token the rule left alone (one that
+    does not match, or a matching last token) or a swapped pair whose second
+    token matches. ``parses[p]`` says whether tokens[p:] splits into such
+    units; pairs are taken left to right, but only where the rest still parses.
+    """
     out = list(tokens)
     if rule.action == "swap-adjacent":
-        i = 1
-        while i < len(out):
-            if rule.matches(out[i], i):
-                out[i - 1], out[i] = out[i], out[i - 1]
-                i += 2
+        n = len(out)
+        hit = [rule.matches(tok, i) for i, tok in enumerate(out)]
+        parses = [True] * (n + 1)
+        for p in range(n - 1, -1, -1):
+            parses[p] = ((not hit[p] or p == n - 1) and parses[p + 1]) or \
+                (p + 1 < n and hit[p + 1] and parses[p + 2])
+        p = 0
+        while p < n - 1:
+            if hit[p + 1] and parses[p + 2]:
+                out[p], out[p + 1] = out[p + 1], out[p]
+                p += 2
             else:
-                i += 1
+                p += 1
         return out
     if rule.action == "move-to-end":
         tail = []

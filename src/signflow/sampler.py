@@ -1,8 +1,9 @@
-"""Segment sampling and consensus averaging.
+"""Segment sampling.
 
 A variable-length video is divided into T near-equal segments; one frame is
 drawn per segment (random within the segment for training, segment center
-for evaluation) and the per-segment predictions are averaged.
+for evaluation). The model averages the T segments' predictions (see
+backbone.Model.forward).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .tensor import Tensor, tmean
 
 MODE_TRAIN_RANDOM = "train-random"
 MODE_EVAL_CENTER = "eval-center"
@@ -61,12 +61,3 @@ def segment_sample(num_frames: int, spec: SampleSpec) -> list[int]:
             indices.append(int(spec.rng.integers(lo, hi)))
     return indices
 
-
-def consensus(per_segment_logits: Tensor | np.ndarray) -> Tensor:
-    """Mean over the segment axis of [T,K] (or [N,T,K]) pre-softmax logits."""
-    x = per_segment_logits if isinstance(per_segment_logits, Tensor) else Tensor(per_segment_logits)
-    if x.data.ndim == 2:
-        return tmean(x, axis=0)
-    if x.data.ndim == 3:
-        return tmean(x, axis=1)
-    raise InputError(f"consensus expects [T,K] or [N,T,K], got {x.shape}")

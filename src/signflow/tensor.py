@@ -2,8 +2,8 @@
 
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
 video backbone needs: elementwise arithmetic, matmul, 2D convolution,
-pooling, reductions, moves along the time axis (roll_time), and
-softmax cross-entropy.
+reductions (``tmean`` also pools space and averages the segments), moves
+along the time axis (roll_time), and softmax cross-entropy.
 
 Layout conventions:
   * shapes are logical numpy shapes; video batches use [N, T, C, H, W],
@@ -15,24 +15,23 @@ Layout conventions:
     product its left operand's. Row-major inputs are read as they are,
   * float64 is the test/oracle precision, float32 is allowed for training.
 
-conv2d runs in one of two modes. The ``exact`` mode accumulates kernel taps
-in (c, kh, kw) order, which makes its output bit-identical to a naive
-six-loop evaluation. The ``fast`` mode lowers with the batch innermost: the
+conv2d's arithmetic follows the dtype. At float64 it accumulates kernel
+taps in (c, kh, kw) order, which makes its output bit-identical to a naive
+six-loop evaluation. At float32 it lowers with the batch innermost: the
 input is held zero-padded and channel-major as [C, Hp, Wp, N] (a view when
 pad is 0, and a contiguous one when the input is in conv order), its
 windows, viewed as (c, kh, kw, oh, ow, n), are copied to cols
 [C*kh*kw, oh*ow*N], and the output is one GEMM w[Co, C*kh*kw] @ cols,
 returned as a conv-order view. Every copy then runs N wide at stride 2
 and ow*N wide at stride 1, where a row-major window copy would run only ow
-wide. Mode ``auto`` picks exact for float64 and fast for float32.
-``conv2d_array`` is the same forward on plain arrays, without a graph node;
-graph-free inference calls it directly. At N = 1 conv order is the memory
-order of [1, C, H, W], so that path copies no more than a plain pad. The
-backward of both modes runs on the fast lowering: with g [Co, oh*ow*N] (a
-free reshape of a conv-order grad), dW = g @ cols^T (cols rebuilt from the
-unpadded input the node keeps), and dX scatters w^T @ g tap by tap into a
-[C, Hp, Wp, N] buffer whose interior is added to x's grad, contiguously
-when x is in conv order.
+wide. ``conv2d_array`` is that forward on plain arrays, without a graph
+node; conv2d and graph-free inference both call it. At N = 1 conv order is
+the memory order of [1, C, H, W], so that path copies no more than a plain
+pad. The backward runs on the GEMM lowering at either dtype: with g
+[Co, oh*ow*N] (a free reshape of a conv-order grad), dW = g @ cols^T (cols
+rebuilt from the unpadded input the node keeps), and dX scatters w^T @ g
+tap by tap into a [C, Hp, Wp, N] buffer whose interior is added to x's
+grad, contiguously when x is in conv order.
 """
 
 from __future__ import annotations
@@ -85,10 +84,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -116,32 +111,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other, like=self), -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, *shape)
 
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return tmean(self, axis)
 
     # -- backward --------------------------------------------------------------
 
@@ -180,16 +160,13 @@ class Tensor:
         for node in order:
             node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
-        if profile is None:
-            for node in reversed(order):
-                if node._backward is not None:
-                    node._backward(node.grad)
-            return
         clock = time.perf_counter
         for node in reversed(order):
-            if node._backward is not None:
-                t0 = clock()
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            t0 = clock() if profile is not None else 0.0
+            node._backward(node.grad)
+            if profile is not None:
                 entry = profile.setdefault(node._op, [0, 0.0])
                 entry[0] += 1
                 entry[1] += clock() - t0
@@ -283,8 +260,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     new = np.reshape(x.data, shape)
     if new.size != x.data.size:  # numpy would already have raised; keep explicit
         raise DimensionError(f"reshape {x.shape} -> {shape} changes element count")
@@ -412,10 +387,10 @@ def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     return np.ascontiguousarray(windows.reshape(c * kh * kw, oh * ow * n))
 
 
-def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
-                    mode: str) -> Array:
-    """Checked conv2d arithmetic: [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow],
-    a view of the [Co,oh,ow,N] array the GEMM or tap loop fills."""
+def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
+    """The forward of conv2d on plain arrays, with no graph node:
+    [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow], a view of the [Co,oh,ow,N]
+    array the tap loop (float64) or the GEMM (float32) fills."""
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -423,11 +398,9 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
     if cw != c:
         raise DimensionError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
     oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
-    if mode == "auto":
-        mode = "exact" if x.dtype == np.float64 else "fast"
     xp = _channel_major(x, pad)
 
-    if mode == "exact":
+    if x.dtype == np.float64:
         out = np.zeros((co, oh, ow, n), dtype=x.dtype)
         tmp = np.empty_like(out)
         for ci in range(c):
@@ -443,25 +416,19 @@ def _conv2d_forward(x: Array, w: Array, bias: Array | None, stride: int, pad: in
     return out.transpose(3, 0, 1, 2)
 
 
-def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
-    """The forward of conv2d (mode 'auto') on plain arrays, with no graph node."""
-    return _conv2d_forward(x, w, bias, stride, pad, "auto")
-
-
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
-           pad: int = 0, mode: str = "auto") -> Tensor:
+           pad: int = 0) -> Tensor:
     """Cross-correlation of [N,C,H,W] with [Co,C,kh,kw], zero padding.
 
-    mode: 'exact' accumulates taps in (c,kh,kw) order and is bit-identical to
-    the naive loop; 'fast' uses im2col+matmul; 'auto' picks exact for float64.
-    An array bias is wrapped as a constant in x's dtype.
+    At float64 the result is bit-identical to the naive loop (see the module
+    docstring). An array bias is wrapped as a constant in x's dtype.
     """
     x = _wrap(x)
     w = _wrap(w)
     if bias is not None:
         bias = _wrap(bias, like=x)
     xd = x.data
-    out_data = _conv2d_forward(xd, w.data, None if bias is None else bias.data, stride, pad, mode)
+    out_data = conv2d_array(xd, w.data, None if bias is None else bias.data, stride, pad)
     n, c, h, wd = xd.shape
     co, _, kh, kw = w.shape
     oh, ow = out_data.shape[2:]
@@ -483,20 +450,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
 
     parents = (x, w) if bias is None else (x, w, bias)
     return x._child(out_data, parents, backward, "conv2d")
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N,C], mean over the spatial axes."""
-    if x.data.ndim != 4:
-        raise DimensionError(f"global_avg_pool expects [N,C,H,W], got {x.shape}")
-    n, c, h, w = x.shape
-    out_data = x.data.mean(axis=(2, 3))
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad += grad[:, :, None, None] / (h * w)
-
-    return x._child(out_data, (x,), backward, "global_avg_pool")
 
 
 # -- loss -----------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from signflow.backbone import Model, NetSpec, StageSpec, TrainConfig, build, eva
 from signflow.dataset import SynthSpec, load_clip_dataset, load_manifest, synth_temporal
 from signflow.gloss import ReorderRule, Token, inverse_reorder, reorder, segment
 from signflow.sampler import MODE_EVAL_CENTER, SampleSpec, segment_sample
-from signflow.tensor import Tensor, conv2d, global_avg_pool, grad_check, \
-    load_weights, matmul, save_weights, sigmoid, softmax_cross_entropy, tsum
+from signflow.tensor import Tensor, conv2d, grad_check, load_weights, matmul, save_weights, \
+    sigmoid, softmax_cross_entropy, tmean, tsum
 from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, shift
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
@@ -68,7 +68,7 @@ def test_c01_gradient_suite():
             grad_check(lambda t: conv2d(t, Tensor(w4), Tensor(b), stride=2, pad=1).sum(), x4),
             grad_check(lambda t: conv2d(Tensor(x4), t, stride=2, pad=1).sum(), w4),
             grad_check(lambda t: tsum(gate.ste(t)), x5),
-            grad_check(lambda t: global_avg_pool(t).sum(), x4),
+            grad_check(lambda t: tmean(t, axis=(2, 3)).sum(), x4),
             grad_check(lambda t: matmul(t, wm).sum(), rng.uniform(-1, 1, (3, 4))),
             grad_check(lambda t: tsum(sigmoid(t)), xs),
             grad_check(lambda t: softmax_cross_entropy(t, [2, 0]),

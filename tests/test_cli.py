@@ -198,6 +198,22 @@ class TestTranslate:
                        check=False)
         assert proc.returncode == 2
 
+    def test_materialize_writes_the_planned_frames(self, tmp_path):
+        clips = tmp_path / "clips"
+        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+                "--out", str(clips), "--no-timestamp")
+        out_dir = tmp_path / "video"
+        proc = run_cli("translate", "--text", "我今天不吃苹果",
+                       "--lexicon", str(DEMO / "lexicon.tsv"),
+                       "--rules", str(DEMO / "rules.json"),
+                       "--clips", str(clips / "manifest.jsonl"), "--policy", "hold-last-frame:2",
+                       "--materialize", "--out", str(out_dir), "--no-timestamp")
+        out = json_lines(proc.stdout)[-1]
+        frames = sorted((out_dir / "frames").glob("frame_*.p?m"))
+        assert out["frames_dir"] == str(out_dir / "frames")
+        assert out["materialized_frames"] == out["manifest"]["total_frames"] == len(frames)
+        assert len(frames) == 5 * 8 + 4 * 2  # five 8-frame clips, four holds of 2
+
     def test_missing_clip_warning_on_stderr(self, tmp_path):
         clips = tmp_path / "clips"
         run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
@@ -328,6 +344,18 @@ class TestBench:
         proc = run_cli("bench", "--manifest", str(synth_dir / "manifest.jsonl"),
                        "--reps", reps, check=False)
         assert_one_line_error(proc, 2, "--reps")
+
+    def test_epochs_train_before_the_metrics(self, synth_dir, monkeypatch, capsys):
+        from signflow import cli
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        rows = []
+        for epochs in ("0", "2"):
+            assert cli.main(["bench", "--manifest", str(synth_dir / "manifest.jsonl"),
+                             "--variants", "none", "--epochs", epochs, "--reps", "1",
+                             "--no-timestamp"]) == 0
+            rows.append(json_lines(capsys.readouterr().out)[-1]["rows"][0])
+        untrained, trained = rows
+        assert trained["loss"] != untrained["loss"]
 
     def test_profile_goes_to_stderr_only(self, synth_dir, monkeypatch, capsys):
         from signflow import cli

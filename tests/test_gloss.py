@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -203,6 +204,20 @@ class TestInverseReorder:
         ordered = reorder(tokens, rules)
         bare = GlossSequence(list(ordered.tokens))  # trace stripped
         assert inverse_reorder(bare, rules) == tokens
+
+    @pytest.mark.parametrize("action", ["move-to-end", "move-to-front", "swap-adjacent"])
+    def test_traceless_tag_rule_reorders_back(self, action):
+        # every tag pattern up to 7 tokens: without a trace the inverse may
+        # differ from the input, but it must reorder to the same output (a
+        # swap of [w0, w1, w2, w3], w1 and w2 tagged, gives [w0, w2, w1, w3],
+        # and pairing w0 with w2 would leave the tagged w1 unpaired)
+        rule = ReorderRule("r", 0, action, tag="X")
+        for n in range(8):
+            for hits in itertools.product((False, True), repeat=n):
+                tokens = [tok(f"w{i}", "X" if hit else "Y") for i, hit in enumerate(hits)]
+                y = reorder(tokens, [rule]).tokens
+                back = inverse_reorder(GlossSequence(list(y)), [rule])
+                assert reorder(back, [rule]).tokens == y, hits
 
     def test_random_drop_free_roundtrip_1000(self):
         rng = random.Random(99)

@@ -67,6 +67,11 @@ EVAL = ("eval", "--manifest", "{d}/clips.jsonl", "--weights", "{d}/w.sgnf",
 ROWS = {
     "lexicon-not-utf8": ({"lex.tsv": b"\xff\tG\tclip\n"}, (*TRANSLATE, "{d}/lex.tsv"),
                          "{d}/lex.tsv"),
+    "lexicon-duplicate-gloss": ({"lex.tsv": b"a\tG\tc1\nb\tG\tc2\n"},
+                                (*TRANSLATE, "{d}/lex.tsv"),
+                                "{d}/lex.tsv:2: duplicate gloss id 'G' (first on line 1)"),
+    "lexicon-empty-word": ({"lex.tsv": b"a\tG1\tc1\n\tG2\tc2\n"}, (*TRANSLATE, "{d}/lex.tsv"),
+                           "{d}/lex.tsv:2: empty word"),
     "manifest-not-utf8": ({"clips.jsonl": b'{"video_id": "\xff"}\n'}, CLIPS,
                           "{d}/clips.jsonl"),
     "manifest-num-frames-float": ({"clips.jsonl": manifest_line(num_frames=2.9)}, CLIPS,
@@ -75,6 +80,10 @@ ROWS = {
                             "{d}/clips.jsonl:1"),
     "manifest-num-frames-zero": ({"clips.jsonl": manifest_line(num_frames=0)}, CLIPS,
                                  "{d}/clips.jsonl:1"),
+    "manifest-video-id-list": ({"clips.jsonl": manifest_line(video_id=["x"])}, CLIPS,
+                               "{d}/clips.jsonl:1"),
+    "manifest-frame-dir-number": ({"clips.jsonl": manifest_line(frame_dir=7)}, CLIPS,
+                                  "{d}/clips.jsonl:1"),
     "labels-float": (clips_with_labels({"A": 1.7}), CLIPS, "{d}/labels.json"),
     "labels-bool": (clips_with_labels({"B": True}), CLIPS, "{d}/labels.json"),
     "labels-string": (clips_with_labels({"C": "2"}), CLIPS, "{d}/labels.json"),

@@ -1,14 +1,20 @@
-"""The traced benchmark patches signflow names by string; these must exist.
+"""The benchmark's hooks into signflow, and its own checks.
 
 ``perfbench/spans.py`` wraps functions where signflow's callers look them
 up (``signflow.backbone.online_step`` and so on). A rename in signflow
-would only surface when a traced benchmark run dies, so this test installs
-the tracer, streams two frames through it and removes it again.
+would only surface when a traced benchmark run dies, so one test installs
+the tracer, streams two frames through it and removes it again. The other
+runs one round of each workload, whose output checks must all pass: seed 9
+gives the train check its thinnest margin (``none`` sits at chance).
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from signflow.backbone import NetSpec, StageSpec, build
 
@@ -37,3 +43,11 @@ def test_tracer_patch_points_exist_and_restore(monkeypatch):
     assert list(tracer.name).count(online) == 2 * len(model.blocks)
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+@pytest.mark.parametrize("workload", ["train", "stream", "roundtrip"])
+def test_one_round_passes_its_checks(workload):
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+                           "--seed", "9", "--seconds", "0"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["failed"] == 0, proc.stderr

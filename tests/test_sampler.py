@@ -3,9 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from signflow.errors import ConfigError, InputError
-from signflow.sampler import (MODE_EVAL_CENTER, MODE_TRAIN_RANDOM, SampleSpec,
-                              consensus, segment_sample)
-from signflow.tensor import Tensor
+from signflow.sampler import MODE_EVAL_CENTER, MODE_TRAIN_RANDOM, SampleSpec, segment_sample
+from signflow.tensor import Tensor, tmean
 
 
 def enumerate_center(num_frames, t):
@@ -91,28 +90,30 @@ class TestSegmentSample:
 
 
 class TestConsensus:
+    """Consensus is the mean over the segment axis: axis 0 of [T,K], 1 of [N,T,K]."""
+
     def test_single_row_identity(self):
         row = np.array([[0.3, -0.7, 1.2]])
-        npt.assert_array_equal(consensus(row).numpy(), row[0])
+        npt.assert_array_equal(tmean(Tensor(row), axis=0).numpy(), row[0])
 
     def test_two_rows_symmetric(self):
-        out = consensus(np.array([[1.0, 0.0], [0.0, 1.0]])).numpy()
+        out = tmean(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])), axis=0).numpy()
         npt.assert_array_equal(out, [0.5, 0.5])
 
     def test_repeated_rows_idempotent(self):
         r = np.array([0.2, -1.0, 0.5])
-        out = consensus(np.tile(r, (6, 1))).numpy()
+        out = tmean(Tensor(np.tile(r, (6, 1))), axis=0).numpy()
         npt.assert_allclose(out, r, rtol=1e-15)
 
     def test_argmax_invariant_under_constant_shift(self):
         rng = np.random.default_rng(5)
         logits = rng.uniform(-2, 2, (8, 5))
-        base = np.argmax(consensus(logits).numpy())
+        base = np.argmax(tmean(Tensor(logits), axis=0).numpy())
         shifted = logits + rng.uniform(-10, 10, (8, 1))
-        assert np.argmax(consensus(shifted).numpy()) == base
+        assert np.argmax(tmean(Tensor(shifted), axis=0).numpy()) == base
 
     def test_batched_form(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, (3, 4, 5))
-        out = consensus(Tensor(x)).numpy()
+        out = tmean(Tensor(x), axis=1).numpy()
         npt.assert_allclose(out, x.mean(axis=1), rtol=1e-15)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
-from signflow.tensor import (Parameter, Tensor, add, conv2d, conv2d_array,
-                             global_avg_pool, grad_check, load_weights, matmul, mul,
-                             relu, reshape, roll_time, save_weights, sigmoid,
-                             softmax_cross_entropy, tsum)
+from signflow.tensor import (Parameter, Tensor, add, conv2d, conv2d_array, grad_check,
+                             load_weights, matmul, mul, relu, reshape, roll_time,
+                             save_weights, sigmoid, softmax_cross_entropy, tmean, tsum)
 
 
 def naive_matmul(a, b):
@@ -103,16 +102,17 @@ class TestConv2d:
         x = rng.uniform(-1, 1, shape)
         w = rng.uniform(-1, 1, (co, shape[1], k, k))
         b = rng.uniform(-1, 1, co)
-        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad,
-                     mode="exact").numpy()
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).numpy()
         npt.assert_array_equal(got, naive_conv2d(x, w, stride, pad, b))
 
     def test_fast_mode_close_to_exact(self):
+        # float32 runs the GEMM, float64 the exact tap loop
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
         w = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32)
-        fast = conv2d(Tensor(x), Tensor(w), stride=1, pad=1, mode="fast").numpy()
-        exact = conv2d(Tensor(x), Tensor(w), stride=1, pad=1, mode="exact").numpy()
+        fast = conv2d(Tensor(x), Tensor(w), stride=1, pad=1).numpy()
+        exact = conv2d(Tensor(x.astype(np.float64)), Tensor(w.astype(np.float64)),
+                       stride=1, pad=1).numpy()
         npt.assert_allclose(fast, exact, atol=1e-5)
 
     def test_auto_mode_picks_exact_for_float64(self):
@@ -178,10 +178,10 @@ def naive_conv2d_backward(x, w, g, stride, pad):
     return dxp[inner], dw, db, covered[inner]
 
 
-def conv2d_grads(x, w, b, g, stride, pad, mode):
+def conv2d_grads(x, w, b, g, stride, pad):
     """(dX, dW, db) of sum(conv2d(x, w, b) * g) through the autodiff graph."""
     xt, wt, bt = Parameter(x), Parameter(w), Parameter(b)
-    tsum(mul(conv2d(xt, wt, bt, stride=stride, pad=pad, mode=mode), Tensor(g))).backward()
+    tsum(mul(conv2d(xt, wt, bt, stride=stride, pad=pad), Tensor(g))).backward()
     return xt.grad, wt.grad, bt.grad
 
 
@@ -210,11 +210,11 @@ class TestConv2dBackward:
         g = rng.uniform(-1, 1, (shape[0], co, oh, ow))
         return x, w, b, g
 
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("forward", ["exact"])  # the float64 forward is the tap loop
     @pytest.mark.parametrize("shape,co,k,stride,pad", CONV_BACKWARD_CASES)
-    def test_float64_matches_loop_oracle(self, shape, co, k, stride, pad, mode):
+    def test_float64_matches_loop_oracle(self, shape, co, k, stride, pad, forward):
         x, w, b, g = self._case(shape, co, k, stride, pad)
-        dx, dw, db = conv2d_grads(x, w, b, g, stride, pad, mode)
+        dx, dw, db = conv2d_grads(x, w, b, g, stride, pad)
         ex, ew, eb, covered = naive_conv2d_backward(x, w, g, stride, pad)
         npt.assert_allclose(dx, ex, rtol=0, atol=1e-12)
         npt.assert_allclose(dw, ew, rtol=0, atol=1e-12)
@@ -224,7 +224,7 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("shape,co,k,stride,pad", CONV_BACKWARD_CASES)
     def test_float32_fast_close_to_float64_oracle(self, shape, co, k, stride, pad):
         x, w, b, g = (a.astype(np.float32) for a in self._case(shape, co, k, stride, pad))
-        got = conv2d_grads(x, w, b, g, stride, pad, "fast")
+        got = conv2d_grads(x, w, b, g, stride, pad)
         ex, ew, eb, covered = naive_conv2d_backward(*(a.astype(np.float64) for a in (x, w, g)),
                                                     stride, pad)
         for grad, oracle in zip(got, (ex, ew, eb)):
@@ -243,12 +243,11 @@ class TestConv2dBackward:
         assume(h + 2 * pad >= k and wd + 2 * pad >= k)
         x, w, b, g = self._case((n, c, h, wd), co, k, stride, pad)
         ex, ew, eb, covered = naive_conv2d_backward(x, w, g, stride, pad)
-        for mode in ("exact", "fast"):
-            dx, dw, db = conv2d_grads(x, w, b, g, stride, pad, mode)
-            npt.assert_allclose(dx, ex, rtol=0, atol=1e-12)
-            npt.assert_allclose(dw, ew, rtol=0, atol=1e-12)
-            npt.assert_allclose(db, eb, rtol=0, atol=1e-12)
-            assert not dx[~covered].any()
+        dx, dw, db = conv2d_grads(x, w, b, g, stride, pad)
+        npt.assert_allclose(dx, ex, rtol=0, atol=1e-12)
+        npt.assert_allclose(dw, ew, rtol=0, atol=1e-12)
+        npt.assert_allclose(db, eb, rtol=0, atol=1e-12)
+        assert not dx[~covered].any()
 
 
 def conv_order(x):
@@ -266,12 +265,12 @@ class TestConvOrder:
         stride, pad = data.draw(st.integers(1, 2)), data.draw(st.integers(0, k - 1))
         assume(h + 2 * pad >= k and wd + 2 * pad >= k)
         case = TestConv2dBackward._case((n, c, h, wd), co, k, stride, pad)
-        for dtype, mode in ((np.float64, "exact"), (np.float32, "fast")):
+        for dtype in (np.float64, np.float32):
             x, w, b, g = (a.astype(dtype) for a in case)
             results = []
             for held in (x, conv_order(x)):
                 leaves = [Tensor(a, requires_grad=True) for a in (held, w, b)]
-                out = conv2d(*leaves, stride=stride, pad=pad, mode=mode)
+                out = conv2d(*leaves, stride=stride, pad=pad)
                 assert out.numpy().transpose(1, 2, 3, 0).flags.c_contiguous
                 tsum(mul(out, Tensor(g))).backward()
                 results.append([out.numpy(), conv2d_array(held, w, b, stride, pad),
@@ -282,18 +281,20 @@ class TestConvOrder:
 
 
 class TestGlobalAvgPool:
+    """Global average pooling is the mean over the spatial axes."""
+
     def test_constant(self):
-        out = global_avg_pool(Tensor(np.full((2, 3, 4, 4), 0.25))).numpy()
+        out = tmean(Tensor(np.full((2, 3, 4, 4), 0.25)), axis=(2, 3)).numpy()
         npt.assert_allclose(out, 0.25)
 
     def test_1x1_identity(self):
         x = np.random.default_rng(2).uniform(-1, 1, (3, 5, 1, 1))
-        npt.assert_array_equal(global_avg_pool(Tensor(x)).numpy(), x[:, :, 0, 0])
+        npt.assert_array_equal(tmean(Tensor(x), axis=(2, 3)).numpy(), x[:, :, 0, 0])
 
     def test_mean_oracle(self):
         x = np.zeros((1, 1, 2, 2))
         x[0, 0] = [[1, 2], [3, 4]]
-        assert global_avg_pool(Tensor(x)).numpy()[0, 0] == pytest.approx(2.5)
+        assert tmean(Tensor(x), axis=(2, 3)).numpy()[0, 0] == pytest.approx(2.5)
 
 
 class TestSoftmaxCrossEntropy:
@@ -414,7 +415,7 @@ class TestGradCheck:
         checks = [
             grad_check(lambda t: conv2d(t, Tensor(w), Tensor(b), stride=2, pad=1).sum(), x),
             grad_check(lambda t: conv2d(Tensor(x), t, stride=2, pad=1).sum(), w),
-            grad_check(lambda t: global_avg_pool(t).sum(), x),
+            grad_check(lambda t: tmean(t, axis=(2, 3)).sum(), x),
             grad_check(lambda t: sigmoid(t).sum(), rng.uniform(-1, 1, (3, 4))),
             grad_check(lambda t: matmul(t, wm).sum(), rng.uniform(-1, 1, (3, 4))),
             grad_check(lambda t: softmax_cross_entropy(t, [1, 0]),
