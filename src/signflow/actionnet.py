@@ -21,13 +21,13 @@ x * (ste + ce + me) is bounded by 3|x| elementwise (pure gating; the
 additive skip lives in the enclosing residual block). The branch internals
 are reconstructions consistent with the named components, not a replica of
 any published network. Like the shift module, the block sits on the
-residual branch of a backbone block.
+residual branch of a backbone block. ``squeezed`` checks the squeeze ratio
+and the temporal kernel, for the network spec and for the block alike.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +36,19 @@ from .tensor import (Parameter, Tensor, add, conv2d, matmul, mul, reshape, roll_
                      tmean, tsum)
 
 
-@dataclass(frozen=True)
-class ActionConfig:
-    """Channel squeeze ratio and kernel sizes for the gating branches."""
+def squeezed(channels: int, reduce_ratio: int, temporal_kernel: int) -> int:
+    """C / reduce_ratio, the squeezed width of the ce and me gates at C channels.
 
-    reduce_ratio: int = 4
-    temporal_kernel: int = 3
-
-    def __post_init__(self):
-        if self.reduce_ratio < 1:
-            raise ConfigError(f"reduce_ratio must be positive, got {self.reduce_ratio}")
-        if self.temporal_kernel % 2 != 1:
-            raise ConfigError(f"temporal_kernel must be odd, got {self.temporal_kernel}")
-
-    def squeezed(self, channels: int) -> int:
-        if channels % self.reduce_ratio != 0:
-            raise ConfigError(
-                f"channels {channels} not divisible by reduce_ratio {self.reduce_ratio}")
-        return channels // self.reduce_ratio
+    A ratio below 1 or one that does not divide C, or an even temporal
+    kernel, is a ConfigError.
+    """
+    if reduce_ratio < 1:
+        raise ConfigError(f"reduce_ratio must be positive, got {reduce_ratio}")
+    if temporal_kernel % 2 != 1:
+        raise ConfigError(f"temporal_kernel must be odd, got {temporal_kernel}")
+    if channels % reduce_ratio != 0:
+        raise ConfigError(f"channels {channels} not divisible by reduce_ratio {reduce_ratio}")
+    return channels // reduce_ratio
 
 
 class ActionBlock:
@@ -62,12 +57,10 @@ class ActionBlock:
     _WEIGHTS = ("ste_w", "ste_b", "ce_squeeze", "ce_temporal", "ce_expand", "ce_bias",
                 "me_squeeze", "me_transform", "me_expand", "me_bias")
 
-    def __init__(self, channels: int, cfg: ActionConfig, rng: np.random.Generator,
-                 name: str, dtype=np.float32):
-        self.channels = channels
-        self.cfg = cfg
-        cr = cfg.squeezed(channels)
-        k = cfg.temporal_kernel
+    def __init__(self, channels: int, reduce_ratio: int, temporal_kernel: int,
+                 rng: np.random.Generator, name: str, dtype=np.float32):
+        cr = squeezed(channels, reduce_ratio, temporal_kernel)
+        k = temporal_kernel
 
         def uniform(shape, fan_in):
             bound = np.sqrt(6.0 / fan_in)

@@ -19,16 +19,17 @@ consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
 plain numpy calls; its caller gives each block's branch input (``infer``
 the temporal module over the clip, ``StreamState.step`` the online shift).
 
-A stream runs one frame at a time. For each block it keeps the previous
-frame's block input, and ``tsm.online_step`` takes the shifted fold from
-it, which equals the offline unidirectional shift frame by frame.
+NetSpec is the one config of the temporal modules: ``block_layout`` sizes
+each block's shift fold once (``_Block.fold``), and every walk reads it
+there. A stream runs one frame at a time. For each block it keeps the
+previous frame's block input, and ``tsm.online_step`` takes the shifted
+fold from it, which equals the offline unidirectional shift frame by frame.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
@@ -38,8 +39,8 @@ from .errors import ConfigError, DimensionError, InputError, NumericError, Parse
 from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
                      log_softmax, matmul, relu, reshape, softmax_cross_entropy, tmean,
                      load_weights, save_weights)
-from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
-from .actionnet import ActionBlock, ActionConfig
+from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, fold_channels, online_step, shift
+from .actionnet import ActionBlock, squeezed
 
 TEMPORAL_NONE = "none"
 TEMPORAL_SHIFT = "shift"
@@ -95,26 +96,22 @@ class NetSpec:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.temporal not in (TEMPORAL_NONE, TEMPORAL_SHIFT, TEMPORAL_ACTION):
             raise ConfigError(f"unknown temporal module {self.temporal!r}")
-        if self.temporal == TEMPORAL_ACTION:
-            cfg = ActionConfig(self.action_ratio, self.action_temporal_kernel)
-            for channels in self._block_input_channels():
-                cfg.squeezed(channels)
-        if self.temporal == TEMPORAL_SHIFT:
-            # validates fraction/direction and the 2*c_f <= C constraint
-            sc = ShiftConfig(self.fold_fraction, self.direction)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for channels in self._block_input_channels():
-                    sc.fold_channels(channels)
+        self.block_layout()  # sizes every fold and squeeze: a bad one is a ConfigError
 
-    def _block_input_channels(self) -> list[int]:
-        chans = []
-        current = self.stem_channels
-        for stage in self.stages:
-            for _ in range(stage.blocks):
-                chans.append(current)
-                current = stage.channels
-        return chans
+    def block_layout(self) -> list[tuple[str, int, int, int, int]]:
+        """(name, cin, cout, stride, fold) of each residual block, in order: fold
+        is tsm.fold_channels of cin (0 without a shift). Checks each squeeze."""
+        layout, cin = [], self.stem_channels
+        for si, stage in enumerate(self.stages):
+            for bi in range(stage.blocks):
+                if self.temporal == TEMPORAL_ACTION:
+                    squeezed(cin, self.action_ratio, self.action_temporal_kernel)
+                fold = fold_channels(cin, self.fold_fraction, self.direction) \
+                    if self.temporal == TEMPORAL_SHIFT else 0
+                layout.append((f"stage{si}.block{bi}", cin, stage.channels,
+                               stage.stride if bi == 0 else 1, fold))
+                cin = stage.channels
+        return layout
 
     @property
     def clip_shape(self) -> tuple[int, int, int, int]:
@@ -149,7 +146,6 @@ class NetSpec:
     @classmethod
     def tiny(cls, num_classes: int, temporal: str = TEMPORAL_SHIFT, **kw) -> "NetSpec":
         """Default desk-scale net: stem 3->16, stages 2x16 / 2x32 / 2x64."""
-        kw.setdefault("t", 8)
         return cls(num_classes=num_classes, in_channels=3, frame_size=(32, 32),
                    stem_channels=16, stem_stride=1,
                    stages=(StageSpec(2, 16), StageSpec(2, 32, 2), StageSpec(2, 64, 2)),
@@ -162,7 +158,6 @@ class NetSpec:
         Downsamples to 4x4 maps so one 3x3 kernel spans the whole frame;
         cross-frame patch transitions then stay inside the receptive field.
         """
-        kw.setdefault("t", 8)
         return cls(num_classes=num_classes, in_channels=1, frame_size=(32, 32),
                    stem_channels=8, stem_stride=2,
                    stages=(StageSpec(1, 8, 2), StageSpec(1, 16, 2)),
@@ -248,9 +243,9 @@ class _ConvUnit:
 class _Block:
     """Residual block; temporal module feeds the conv branch, skip stays clean."""
 
-    def __init__(self, cin: int, cout: int, stride: int, spec: NetSpec, name: str,
-                 rng: np.random.Generator, dtype):
-        self.cin, self.cout, self.stride = cin, cout, stride
+    def __init__(self, name: str, cin: int, cout: int, stride: int, fold: int,
+                 spec: NetSpec, rng: np.random.Generator, dtype):
+        self.cout, self.fold = cout, fold
         self.conv1 = _ConvUnit(cin, cout, 3, stride, 1, f"{name}.conv1", f"{name}.norm1",
                                rng, dtype)
         self.conv2 = _ConvUnit(cout, cout, 3, 1, 1, f"{name}.conv2", f"{name}.norm2",
@@ -259,8 +254,7 @@ class _Block:
                               rng, dtype) if cin != cout or stride != 1 else None
         self.action: ActionBlock | None = None
         if spec.temporal == TEMPORAL_ACTION:
-            self.action = ActionBlock(cin, ActionConfig(spec.action_ratio,
-                                                        spec.action_temporal_kernel),
+            self.action = ActionBlock(cin, spec.action_ratio, spec.action_temporal_kernel,
                                       rng, f"{name}.action", dtype)
 
     def parameters(self):
@@ -281,22 +275,11 @@ class Model:
         if self.dtype not in (np.float32, np.float64):
             raise ConfigError(f"model dtype must be float32 or float64, got {np.dtype(dtype)}")
         rng = np.random.default_rng(seed)
-        self.shift_cfg = ShiftConfig(spec.fold_fraction, spec.direction) \
-            if spec.temporal == TEMPORAL_SHIFT else None
-
         self.stem = _ConvUnit(spec.in_channels, spec.stem_channels, 3, spec.stem_stride, 1,
                               "stem", "stem_norm", rng, dtype)
+        self.blocks = [_Block(*layout, spec, rng, dtype) for layout in spec.block_layout()]
 
-        self.blocks: list[_Block] = []
-        cin = spec.stem_channels
-        for si, stage in enumerate(spec.stages):
-            for bi in range(stage.blocks):
-                stride = stage.stride if bi == 0 else 1
-                self.blocks.append(_Block(cin, stage.channels, stride, spec,
-                                          f"stage{si}.block{bi}", rng, dtype))
-                cin = stage.channels
-
-        head_in = cin
+        head_in = self.blocks[-1].cout if self.blocks else spec.stem_channels
         bound = math.sqrt(6.0 / head_in)
         self.head_w = Parameter(
             rng.uniform(-bound, bound, size=(head_in, spec.num_classes)).astype(dtype), "head.w")
@@ -349,17 +332,14 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def _temporal(self, x4: Tensor, action: ActionBlock | None, n: int, t: int) -> Tensor:
-        """Apply a block's temporal module (``action``: its excitation block,
-        if any) to [N*T,C,H,W] features."""
-        if self.spec.temporal == TEMPORAL_NONE:
+    def _temporal(self, x4: Tensor, fold: int, action, n: int, t: int) -> Tensor:
+        """Apply a block's temporal module to [N*T,C,H,W] features: the shift
+        of its ``fold``, or its excitation block ``action``, or neither."""
+        if not fold and action is None:
             return x4
         _, c, h, w = x4.shape
         x5 = reshape(x4, n, t, c, h, w)
-        if self.spec.temporal == TEMPORAL_SHIFT:
-            out = shift(x5, self.shift_cfg)
-        else:
-            out = action(x5)
+        out = shift(x5, fold, self.spec.direction) if fold else action(x5)
         return reshape(out, n * t, c, h, w)
 
     def _clip(self, clip, check_t: bool) -> Tensor:
@@ -393,7 +373,7 @@ class Model:
         plan = InferencePlan(self)
 
         def branch(i: int, feats: Array) -> Array:
-            return self._temporal(Tensor(feats), plan.actions[i], n, t).data
+            return self._temporal(Tensor(feats), self.blocks[i].fold, plan.actions[i], n, t).data
 
         logits = plan.frame_logits(x.reshape(n * t, *x.shape[2:]), branch)
         return logits.reshape(n, t, -1).mean(axis=1)
@@ -405,7 +385,7 @@ class Model:
         n, t = x.shape[0], x.shape[1]
         x = relu(self.stem(reshape(x, n * t, *x.shape[2:])))
         for block in self.blocks:
-            y = block.conv2(relu(block.conv1(self._temporal(x, block.action, n, t))))
+            y = block.conv2(relu(block.conv1(self._temporal(x, block.fold, block.action, n, t))))
             x = relu(add(y, block.proj(x) if block.proj is not None else x))
         logits = add(matmul(tmean(x, axis=(2, 3)), self.head_w), self.head_b)
         return reshape(logits, n, t, self.spec.num_classes)
@@ -419,8 +399,7 @@ class Model:
             raise UsageError("streaming inference is only defined for shift or none")
         if self.spec.temporal == TEMPORAL_SHIFT and self.spec.direction != UNIDIRECTIONAL:
             raise UsageError("streaming requires a unidirectional shift model")
-        folds = [self.shift_cfg.fold_channels(block.cin) if self.shift_cfg else 0
-                 for block in self.blocks]
+        folds = [block.fold for block in self.blocks]
         frame_shape = (self.spec.in_channels, *self.spec.frame_size)
         return StreamState(InferencePlan(self), stream_id, folds, frame_shape)
 

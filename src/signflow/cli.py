@@ -267,20 +267,24 @@ def cmd_bench(args) -> int:
     entries, label_map = load_manifest(manifest)
     num_classes = len(label_map) if label_map else max(e.label for e in entries) + 1
     sample = SampleSpec(num_segments=args.t, mode=MODE_EVAL_CENTER)
+    specs = [_netspec_from_args(num_classes, preset=args.preset, temporal=variant, t=args.t,
+                                fold=args.fold,
+                                direction=UNIDIRECTIONAL if variant == "shift" else None)
+             for variant in map(str.strip, args.variants.split(","))]
+    # every variant of one preset reads frames of one size: load each split once
+    size = specs[0].frame_size
+    train_ds = load_clip_dataset(manifest, "train", sample, size=size)
+    eval_split = args.split if any(e.split == args.split for e in entries) else "train"
+    eval_ds = train_ds if eval_split == "train" else \
+        load_clip_dataset(manifest, eval_split, sample, size=size)
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+                      seed=args.seed)
     rows = []
-    for variant in args.variants.split(","):
-        variant = variant.strip()
-        spec = _netspec_from_args(num_classes, preset=args.preset, temporal=variant, t=args.t,
-                                  fold=args.fold,
-                                  direction=UNIDIRECTIONAL if variant == "shift" else None)
+    for spec in specs:
+        variant = spec.temporal
         model = build(spec, seed=args.seed)
-        train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size)
-        cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                          seed=args.seed)
         if args.epochs:
             train(model, train_ds, cfg)
-        eval_split = args.split if any(e.split == args.split for e in entries) else "train"
-        eval_ds = load_clip_dataset(manifest, eval_split, sample, size=spec.frame_size)
         metrics = evaluate(model, eval_ds)
         if args.profile:
             line = {"variant": variant, "batch_size": cfg.batch_size,
@@ -304,7 +308,7 @@ def cmd_bench(args) -> int:
                      "ms_per_clip": round(ms_clip, 4),
                      "ms_per_frame_online": round(ms_frame, 4) if ms_frame is not None else None,
                      "online_offline_ratio": round(ratio, 4) if ratio is not None else None})
-    _emit({"t": args.t, "reps": args.reps, "rows": rows}, args)
+    _emit({"t": args.t, "reps": args.reps, "split": eval_split, "rows": rows}, args)
     return 0
 
 
@@ -396,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["micro", "tiny"], default="micro")
     p.add_argument("--temporal", choices=["shift", "action", "none"], default="shift")
     p.add_argument("--direction", choices=["bidirectional", "unidirectional"])
-    p.add_argument("--fold", type=float, help="shift fold fraction (default 1/8)")
+    p.add_argument("--fold", type=float,
+                   help="shift fold fraction (default 1/8); a fold of 0 channels is an error")
     p.add_argument("--classes", type=int)
     p.add_argument("--t", type=int, help="segments per clip (default: preset value)")
     p.add_argument("--epochs", type=int, default=30)

@@ -541,7 +541,7 @@ def save_weights(path, tensors: dict[str, Array] | Iterable[tuple[str, Array]]) 
         fh.write(WEIGHT_MAGIC)
         fh.write(struct.pack("<I", len(items)))
         for name, arr in items:
-            arr = np.ascontiguousarray(arr, dtype="<f4")
+            arr = np.asarray(arr, dtype="<f4")  # keeps rank 0; ascontiguousarray makes it 1
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -183,7 +183,8 @@ def _copy_frame(src: Path, out_dir: Path, written: int) -> int:
 
 @dataclass(frozen=True)
 class RecognizeConfig:
-    """Window cutting for continuous videos; None = one window over all."""
+    """Window cutting for continuous videos; None = one window over all.
+    A stride of None is the window; a stride without a window is an error."""
 
     window: int | None = None
     stride: int | None = None
@@ -244,6 +245,8 @@ def _cut_windows(num_frames: int, cfg: RecognizeConfig) -> list[tuple[int, int]]
     if num_frames < 1:
         raise InputError("empty video: no frames to recognize")
     if cfg.window is None:
+        if cfg.stride is not None:
+            raise ConfigError(f"stride {cfg.stride} given without a window")
         return [(0, num_frames)]
     if cfg.window < 1:
         raise ConfigError(f"window must be >= 1, got {cfg.window}")

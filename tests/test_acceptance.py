@@ -15,14 +15,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from signflow.actionnet import ActionBlock, ActionConfig
+from signflow.actionnet import ActionBlock
 from signflow.backbone import Model, NetSpec, StageSpec, TrainConfig, build, evaluate, train
 from signflow.dataset import SynthSpec, load_clip_dataset, load_manifest, synth_temporal
 from signflow.gloss import ReorderRule, Token, inverse_reorder, reorder, segment
 from signflow.sampler import MODE_EVAL_CENTER, SampleSpec, segment_sample
 from signflow.tensor import Tensor, conv2d, grad_check, load_weights, matmul, save_weights, \
     sigmoid, softmax_cross_entropy, tmean, tsum
-from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, shift
+from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, fold_channels, shift
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
 
@@ -58,12 +58,12 @@ def test_c01_gradient_suite():
         w4 = rng.uniform(-1, 1, (3, 2, 3, 3))
         b = rng.uniform(-1, 1, 3)
         x5 = rng.uniform(-1, 1, (1, 3, 4, 4, 4))
-        gate = ActionBlock(4, ActionConfig(), rng, "act", dtype=np.float64)
+        gate = ActionBlock(4, 4, 3, rng, "act", dtype=np.float64)
         gate.ste_b.data = rng.uniform(-1, 1, 1)
         wm = Tensor(rng.uniform(-1, 1, (4, 2)))
         xs = rng.uniform(0.1, 1, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
         shift_w = Tensor(rng.uniform(-1, 1, (1, 4, 8, 2, 2)))
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
+        fold = fold_channels(8, 0.125, BIDIRECTIONAL)
         errs = [
             grad_check(lambda t: conv2d(t, Tensor(w4), Tensor(b), stride=2, pad=1).sum(), x4),
             grad_check(lambda t: conv2d(Tensor(x4), t, stride=2, pad=1).sum(), w4),
@@ -73,7 +73,7 @@ def test_c01_gradient_suite():
             grad_check(lambda t: tsum(sigmoid(t)), xs),
             grad_check(lambda t: softmax_cross_entropy(t, [2, 0]),
                        rng.uniform(-1, 1, (2, 4))),
-            grad_check(lambda t: tsum(shift(t, cfg) * shift_w),
+            grad_check(lambda t: tsum(shift(t, fold, BIDIRECTIONAL) * shift_w),
                        rng.uniform(-1, 1, (1, 4, 8, 2, 2))),
         ]
         worst = max(worst, max(errs))
@@ -145,8 +145,6 @@ def test_c01_gradient_suite():
 def test_c02_shift_oracles():
     """Both shift directions equal an index-arithmetic oracle exactly on all
     T in {1,2,3,8} x C in {4,8,16}."""
-    import warnings
-
     def oracle(x, cf, direction):
         n, t, c, h, w = x.shape
         out = np.zeros_like(x)
@@ -164,15 +162,12 @@ def test_c02_shift_oracles():
 
     cases = 0
     for direction in (BIDIRECTIONAL, UNIDIRECTIONAL):
-        cfg = ShiftConfig(0.125, direction)
         for t in (1, 2, 3, 8):
             for c in (4, 8, 16):
                 rng = np.random.default_rng(1000 + 10 * t + c)
                 x = rng.uniform(-1, 1, (2, t, c, 3, 2))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    cf = cfg.fold_channels(c)
-                    got = shift(Tensor(x), cfg).numpy()
+                cf = int(c * 0.125)
+                got = shift(Tensor(x), cf, direction).numpy()
                 npt.assert_array_equal(got, oracle(x, cf, direction))
                 cases += 1
     report(2, "shift-oracles", f"({cases} shape cases, exact)")
@@ -223,11 +218,10 @@ def test_c04_temporal_signal_reproduction(synth_dataset):
 def test_c05_action_block(synth_dataset):
     """Action block: shape preservation, gate bounds, gradients; the bench
     harness emits a comparison row per temporal variant."""
-    from signflow.actionnet import ActionBlock, ActionConfig
+    from signflow.actionnet import ActionBlock
 
     rng = np.random.default_rng(21)
-    block = ActionBlock(8, ActionConfig(), np.random.default_rng(2), "a",
-                        dtype=np.float64)
+    block = ActionBlock(8, 4, 3, np.random.default_rng(2), "a", dtype=np.float64)
     x = rng.uniform(-1, 1, (1, 4, 8, 4, 4))
     for branch in (block.ste, block.ce, block.me):
         out = x * branch(Tensor(x)).numpy()

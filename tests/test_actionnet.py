@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from signflow.actionnet import ActionBlock, ActionConfig
+from signflow.actionnet import ActionBlock, squeezed
 from signflow.errors import ConfigError
 from signflow.tensor import Tensor, grad_check, tsum
 
@@ -71,9 +71,9 @@ def me_oracle(block, x):
     return x * g[..., None, None]
 
 
-def make_block(channels=8, seed=0, dtype=np.float64, **cfg_kw):
-    cfg = ActionConfig(**cfg_kw) if cfg_kw else ActionConfig()
-    return ActionBlock(channels, cfg, np.random.default_rng(seed), "act", dtype=dtype)
+def make_block(channels=8, seed=0, dtype=np.float64, reduce_ratio=4, temporal_kernel=3):
+    return ActionBlock(channels, reduce_ratio, temporal_kernel, np.random.default_rng(seed),
+                       "act", dtype=dtype)
 
 
 def gated(block, branch, x):
@@ -84,12 +84,12 @@ def gated(block, branch, x):
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
-            ActionConfig(reduce_ratio=4).squeezed(6)
-        assert ActionConfig(reduce_ratio=4).squeezed(8) == 2
+            squeezed(6, reduce_ratio=4, temporal_kernel=3)
+        assert squeezed(8, reduce_ratio=4, temporal_kernel=3) == 2
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            ActionConfig(temporal_kernel=4)
+            make_block(temporal_kernel=4)
 
 
 class TestBranches:

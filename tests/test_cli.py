@@ -31,6 +31,14 @@ def assert_one_line_error(proc, code, *needles):
         assert needle in proc.stderr
 
 
+def run_main(capsys, *args):
+    """``cli.main`` in-process: an object with the exit code and stderr, as run_cli gives."""
+    from types import SimpleNamespace
+    from signflow import cli
+    code = cli.main([str(arg) for arg in args])
+    return SimpleNamespace(returncode=code, stderr=capsys.readouterr().err)
+
+
 def _with_stage(spec: dict, **changes) -> dict:
     """A netspec dict whose first stage has ``changes`` applied."""
     return {**spec, "stages": [{**spec["stages"][0], **changes}, *spec["stages"][1:]]}
@@ -122,6 +130,7 @@ class TestTrainEval:
         pytest.param(lambda spec: _with_stage(spec, channels=0), id="stage_channels_zero"),
         pytest.param(lambda spec: _with_stage(spec, stride=0), id="stage_stride_zero"),
         pytest.param(lambda spec: _with_stage(spec, blocks=-1), id="stage_blocks_negative"),
+        pytest.param(lambda spec: {**spec, "fold_fraction": 0.05}, id="fold_floors_to_zero"),
     ])
     def test_malformed_netspec_is_parse_error(self, synth_dir, trained, tmp_path, make):
         content = make(json.loads((trained / "netspec.json").read_text(encoding="utf-8")))
@@ -132,6 +141,13 @@ class TestTrainEval:
                        "--weights", str(trained / "model.sgnf"), "--netspec", str(netspec),
                        check=False)
         assert_one_line_error(proc, 1, str(netspec))
+
+    def test_fold_flooring_to_zero_channels_is_config_error(self, synth_dir, tmp_path):
+        # micro's first block has 8 channels: 8 * 0.05 floors to a fold of 0
+        proc = run_cli("train", "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--out", str(tmp_path / "m"), "--fold", "0.05", check=False)
+        assert_one_line_error(proc, 1, "fold_fraction 0.05 of 8 channels floors to a fold of 0")
+        assert not (tmp_path / "m").exists()
 
     def test_train_determinism_byte_identical(self, synth_dir, tmp_path):
         outs = []
@@ -188,6 +204,11 @@ class TestTranslate:
         out = json_lines(proc.stdout)[-1]
         assert out["segmented"] == ["我", "今天", "不", "吃", "苹果"]
         assert out["glosses"] == ["G_JINTIAN", "G_WO", "G_CHI", "G_PINGGUO", "G_BU"]
+
+    def test_materialize_without_clips_exit_2(self, capsys):
+        proc = run_main(capsys, "translate", "--text", "我", "--lexicon", DEMO / "lexicon.tsv",
+                        "--materialize")
+        assert_one_line_error(proc, 2, "--materialize requires --clips")
 
     def test_materialize_without_out_exit_2(self, tmp_path):
         clips = tmp_path / "clips"
@@ -283,6 +304,34 @@ class TestStream:
         assert "unidirectional" in proc.stderr
 
 
+# id: (labels.json content or None, recognize flags with {frames}, {labels}, {manifest}
+# and {d}, exit code, what stderr must hold)
+LABELS = {f"ORDER{k}": k for k in range(4)}
+RECOGNIZE_ERRORS = {
+    "no-label-map": (None, ("--frames", "{frames}"), 1, "recognize requires a label map"),
+    "label-class-out-of-range": ({**LABELS, "ORDER3": 7}, ("--frames", "{frames}"), 1,
+                                 "label map class 7 out of range for 4-way model"),
+    "label-two-glosses-one-class": ({**LABELS, "ORDER1": 0}, ("--frames", "{frames}"), 1,
+                                    "label map maps two glosses to class 0"),
+    "label-partial-coverage": ({"ORDER0": 0, "ORDER1": 1}, ("--frames", "{frames}"), 1,
+                               "label map covers 2 of 4 classes"),
+    "label-gloss-not-in-lexicon": ({"ORDER0": 0, "ORDER1": 1, "ORDER2": 2, "NOPE": 3},
+                                   ("--frames", "{frames}"), 1,
+                                   "label map glosses not in lexicon: ['NOPE']"),
+    "window-zero": (LABELS, ("--frames", "{frames}", "--window", "0"), 1,
+                    "window must be >= 1, got 0"),
+    "stride-zero": (LABELS, ("--frames", "{frames}", "--window", "4", "--stride", "0"), 1,
+                    "stride must be >= 1, got 0"),
+    "stride-without-window": (LABELS, ("--frames", "{frames}", "--stride", "4"), 1,
+                              "stride 4 given without a window"),
+    "unknown-video-id": (LABELS, ("--manifest", "{manifest}", "--video-id", "nope"), 2,
+                         "--video-id: 'nope' not in"),
+    "frames-not-a-directory": (LABELS, ("--frames", "{d}/lex.tsv"), 2,
+                               "--frames: {d}/lex.tsv is not a directory"),
+    "frames-empty": (LABELS, ("--frames", "{d}"), 2, "--frames: no frame_*.pgm/.ppm files in {d}"),
+}
+
+
 class TestRecognizeCommand:
     def test_recognize_trained_model(self, synth_dir, trained, tmp_path):
         # lexicon mapping the synthetic ORDER classes to fake words
@@ -323,6 +372,22 @@ class TestRecognizeCommand:
                        "--frames", str(frames), check=False)
         assert_one_line_error(proc, 1, str(frames / "frame_00000.pgm"))
 
+    @pytest.mark.parametrize("row", list(RECOGNIZE_ERRORS))
+    def test_typed_error(self, synth_dir, trained, tmp_path, capsys, row):
+        labels, flags, code, needle = RECOGNIZE_ERRORS[row]
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("".join(f"w{k}\tORDER{k}\tORDER{k}\t\n" for k in range(4)),
+                       encoding="utf-8")
+        entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+        paths = {"frames": synth_dir / entry["frame_dir"], "labels": tmp_path / "labels.json",
+                 "manifest": synth_dir / "manifest.jsonl", "d": tmp_path}
+        if labels is not None:
+            paths["labels"].write_text(json.dumps(labels), encoding="utf-8")
+            flags = (*flags, "--labels", "{labels}")
+        proc = run_main(capsys, "recognize", "--weights", trained / "model.sgnf",
+                        "--lexicon", lex, *(flag.format(**paths) for flag in flags))
+        assert_one_line_error(proc, code, needle.format(**paths))
+
 
 class TestBench:
     def test_report_schema_and_latency(self, synth_dir):
@@ -356,6 +421,27 @@ class TestBench:
             rows.append(json_lines(capsys.readouterr().out)[-1]["rows"][0])
         untrained, trained = rows
         assert trained["loss"] != untrained["loss"]
+
+    def test_reads_each_split_once_and_reports_the_split_it_scored(self, synth_dir,
+                                                                     monkeypatch, capsys):
+        from signflow import cli
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        loads, original = [], cli.load_clip_dataset
+
+        def load(manifest, split, *args, **kwargs):
+            loads.append(split)
+            return original(manifest, split, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_clip_dataset", load)
+        # the synthetic manifest has no val entries, so --split val scores train
+        for split, scored, read in (("test", "test", ["train", "test"]),
+                                    ("val", "train", ["train"])):
+            loads.clear()
+            assert cli.main(["bench", "--manifest", str(synth_dir / "manifest.jsonl"),
+                             "--variants", "shift,action,none", "--split", split,
+                             "--reps", "1", "--no-timestamp"]) == 0
+            assert json_lines(capsys.readouterr().out)[-1]["split"] == scored
+            assert loads == read
 
     def test_profile_goes_to_stderr_only(self, synth_dir, monkeypatch, capsys):
         from signflow import cli

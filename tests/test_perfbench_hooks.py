@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps functions where signflow's callers look them
 up (``signflow.backbone.online_step`` and so on). A rename in signflow
 would only surface when a traced benchmark run dies, so one test installs
-the tracer, streams two frames through it and removes it again. The other
+the tracer, streams two frames through it and removes it again. A layer that
+stopped calling a patched name would instead read 0 without any error, so
+another counts the ``tsm.shift`` spans of a forward and an infer. The last
 runs one round of each workload, whose output checks must all pass: seed 9
 gives the train check its thinnest margin (``none`` sits at chance).
 """
@@ -43,6 +45,27 @@ def test_tracer_patch_points_exist_and_restore(monkeypatch):
     assert list(tracer.name).count(online) == 2 * len(model.blocks)
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_shift_traced_once_per_block_per_call(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer, install
+
+    spec = NetSpec(num_classes=3, t=2, in_channels=1, frame_size=(8, 8), stem_channels=8,
+                   stem_stride=1, stages=(StageSpec(1, 8), StageSpec(1, 16, 2)),
+                   temporal="shift")
+    model = build(spec, seed=0)
+    clip = np.zeros((1, *spec.clip_shape), dtype=np.float32)
+    tracer = Tracer()
+    install(tracer)
+    counts = []
+    try:
+        for call in (model.forward, model.infer):
+            call(clip)
+            counts.append(list(tracer.name).count(tracer.names.index("tsm.shift")))
+    finally:
+        tracer.unpatch()
+    assert counts == [len(model.blocks), 2 * len(model.blocks)]
 
 
 @pytest.mark.parametrize("workload", ["train", "stream", "roundtrip"])

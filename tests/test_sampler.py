@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signflow.errors import ConfigError, InputError
 from signflow.sampler import MODE_EVAL_CENTER, MODE_TRAIN_RANDOM, SampleSpec, segment_sample
@@ -18,6 +19,17 @@ def enumerate_center(num_frames, t):
         else:
             out.append((lo + hi - 1) // 2)
     return out
+
+
+def assert_bounds(got, num_frames, t):
+    """T non-decreasing indices in [0, n), each inside its own segment, or on the
+    clamped index when that segment is empty."""
+    assert len(got) == t
+    assert all(0 <= i < num_frames for i in got)
+    assert all(a <= b for a, b in zip(got, got[1:]))
+    for i, idx in enumerate(got):
+        lo, hi = i * num_frames // t, (i + 1) * num_frames // t
+        assert lo <= idx < hi if hi > lo else idx == min(lo, num_frames - 1)
 
 
 class TestSegmentSample:
@@ -48,11 +60,16 @@ class TestSegmentSample:
     def test_exhaustive_invariants_both_modes(self, t):
         for mode in (MODE_EVAL_CENTER, MODE_TRAIN_RANDOM):
             spec = SampleSpec(num_segments=t, mode=mode, seed=3)
-            for num_frames in range(1, 65):
-                got = segment_sample(num_frames, spec)
-                assert len(got) == t
-                assert all(0 <= i < num_frames for i in got)
-                assert all(a <= b for a, b in zip(got, got[1:]))
+            for num_frames in range(1, 301):
+                assert_bounds(segment_sample(num_frames, spec), num_frames, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(num_frames=st.integers(1, 300), t=st.integers(1, 64),
+           mode=st.sampled_from([MODE_EVAL_CENTER, MODE_TRAIN_RANDOM]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bounds_hold_for_any_length_segments_and_seed(self, num_frames, t, mode, seed):
+        spec = SampleSpec(num_segments=t, mode=mode, seed=seed)
+        assert_bounds(segment_sample(num_frames, spec), num_frames, t)
 
     def test_center_deterministic(self):
         spec = SampleSpec(num_segments=8, mode=MODE_EVAL_CENTER)

@@ -1,9 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signflow.errors import DimensionError, InputError, ParseError, UsageError
 from signflow.tensor import (Parameter, Tensor, add, conv2d, conv2d_array, grad_check,
@@ -507,6 +510,24 @@ class TestWeightStore:
         path2 = tmp_path / "w2.sgnf"
         save_weights(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(st.characters(exclude_categories=("Cs",)), max_size=6),  # encodable as UTF-8
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False))),
+        max_size=4, unique_by=lambda item: item[0]))
+    def test_roundtrip_any_names_and_shapes(self, tensors):
+        """Rank 0-4, zero dims included: the same names in the same order, the
+        same shapes and the same bytes."""
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "w.sgnf"
+            save_weights(path, tensors)
+            loaded = load_weights(path)
+        assert list(loaded) == [name for name, _ in tensors]
+        for name, arr in tensors:
+            assert loaded[name].dtype == np.float32 and loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
 
     @pytest.mark.parametrize("case, match", [
         pytest.param("magic", "bad magic", id="magic"),

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from signflow.errors import ConfigError
 from signflow.tensor import Tensor, grad_check, tsum
-from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, ShiftConfig, online_step, shift
+from signflow.tsm import BIDIRECTIONAL, UNIDIRECTIONAL, fold_channels, online_step, shift
 
 
 def shift_oracle(x, cf, direction):
@@ -32,12 +31,6 @@ def shift_oracle(x, cf, direction):
     return out
 
 
-def fold_of(cfg, c):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return cfg.fold_channels(c)
-
-
 class TestShiftBidirectional:
     def test_channel_displacement_rule(self):
         # C=8 at fold 1/8 gives c_f=1: channel 0 reads the future, channel 1
@@ -47,47 +40,44 @@ class TestShiftBidirectional:
         x[0, :, 1, 0, 0] = [4.0, 5.0, 6.0]   # (d, e, f)
         for c in range(2, 8):
             x[0, :, c, 0, 0] = [7.0 + c, 8.0 + c, 9.0 + c]
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), fold_channels(8, 0.125, BIDIRECTIONAL), BIDIRECTIONAL).numpy()
         npt.assert_array_equal(out[0, :, 0, 0, 0], [2.0, 3.0, 0.0])
         npt.assert_array_equal(out[0, :, 1, 0, 0], [0.0, 4.0, 5.0])
         npt.assert_array_equal(out[0, :, 2:], x[0, :, 2:])
 
     def test_t_equals_one_zeroes_folds(self):
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 16, 2, 2))
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), fold_channels(16, 0.125, BIDIRECTIONAL), BIDIRECTIONAL).numpy()
         npt.assert_array_equal(out[:, :, :4], np.zeros((2, 1, 4, 2, 2)))
         npt.assert_array_equal(out[:, :, 4:], x[:, :, 4:])
 
     def test_degenerate_fold_is_identity(self):
         x = np.random.default_rng(1).uniform(-1, 1, (1, 3, 4, 2, 2))
-        with pytest.warns(UserWarning, match="floors to 0"):
-            out = shift(Tensor(x), ShiftConfig(0.125, BIDIRECTIONAL)).numpy()
+        out = shift(Tensor(x), int(4 * 0.125), BIDIRECTIONAL).numpy()
         npt.assert_array_equal(out, x)
+        with pytest.raises(ConfigError, match="floors to a fold of 0"):
+            fold_channels(4, 0.125, BIDIRECTIONAL)
 
     def test_fold_too_large_rejected(self):
         # fraction <= 1/2 keeps 2*c_f <= C; anything larger is refused up front
-        assert ShiftConfig(0.5, BIDIRECTIONAL).fold_channels(8) == 4
+        assert fold_channels(8, 0.5, BIDIRECTIONAL) == 4
         with pytest.raises(ConfigError):
-            ShiftConfig(0.6, BIDIRECTIONAL)
+            fold_channels(8, 0.6, BIDIRECTIONAL)
         with pytest.raises(ConfigError):
-            ShiftConfig(-0.1, BIDIRECTIONAL)
+            fold_channels(8, -0.1, BIDIRECTIONAL)
 
 
 class TestShiftUnidirectional:
     def test_channel_rule(self):
         x = np.zeros((1, 3, 8, 1, 1))
         x[0, :, 0, 0, 0] = [1.0, 2.0, 3.0]
-        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), fold_channels(8, 0.125, UNIDIRECTIONAL), UNIDIRECTIONAL).numpy()
         npt.assert_array_equal(out[0, :, 0, 0, 0], [0.0, 1.0, 2.0])
         npt.assert_array_equal(out[0, :, 1:], x[0, :, 1:])
 
     def test_first_timestep_fold_zero(self):
         x = np.random.default_rng(2).uniform(-1, 1, (2, 4, 8, 2, 2))
-        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), fold_channels(8, 0.125, UNIDIRECTIONAL), UNIDIRECTIONAL).numpy()
         npt.assert_array_equal(out[:, 0, :1], np.zeros((2, 1, 2, 2)))
 
 
@@ -96,13 +86,10 @@ class TestShiftUnidirectional:
 @pytest.mark.parametrize("c", [4, 8, 16])
 def test_shift_matches_index_oracle(direction, t, c):
     rng = np.random.default_rng(t * 100 + c)
-    cfg = ShiftConfig(0.125, direction)
-    cf = fold_of(cfg, c)
+    cf = int(c * 0.125)
     for n in (1, 2):
         x = rng.uniform(-1, 1, (n, t, c, 2, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), cf, direction).numpy()
         npt.assert_array_equal(out, shift_oracle(x, cf, direction))
 
 
@@ -112,8 +99,7 @@ class TestShiftProperties:
         # boundary drops; unshifted channels are untouched
         rng = np.random.default_rng(3)
         x = rng.uniform(0.5, 1.5, (1, 8, 16, 2, 2))  # strictly nonzero values
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        out = shift(Tensor(x), cfg).numpy()
+        out = shift(Tensor(x), fold_channels(16, 0.125, BIDIRECTIONAL), BIDIRECTIONAL).numpy()
         cf = 2
         for ci in range(16):
             vals_in = sorted(x[0, :, ci].ravel())
@@ -128,9 +114,9 @@ class TestShiftProperties:
     def test_double_unidirectional_shifts_fold_by_two(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0.5, 1.5, (1, 6, 16, 1, 1))
-        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        once = shift(Tensor(x), cfg)
-        twice = shift(once, cfg).numpy()
+        fold = fold_channels(16, 0.125, UNIDIRECTIONAL)
+        once = shift(Tensor(x), fold, UNIDIRECTIONAL)
+        twice = shift(once, fold, UNIDIRECTIONAL).numpy()
         cf = 2
         for ti in range(6):
             for ci in range(cf):
@@ -141,34 +127,32 @@ class TestShiftProperties:
     def test_shape_preserved(self):
         x = np.zeros((3, 5, 8, 4, 6))
         for direction in (BIDIRECTIONAL, UNIDIRECTIONAL):
-            assert shift(Tensor(x), ShiftConfig(0.125, direction)).shape == x.shape
+            assert shift(Tensor(x), fold_channels(8, 0.125, direction), direction).shape == x.shape
 
 
 class TestShiftBackward:
     def test_identity_channels_pass_through(self):
         x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, 3, 8, 2, 2)),
                    requires_grad=True)
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        tsum(shift(x, cfg)).backward()
+        tsum(shift(x, fold_channels(8, 0.125, BIDIRECTIONAL), BIDIRECTIONAL)).backward()
         npt.assert_array_equal(x.grad[:, :, 2:], np.ones((1, 3, 6, 2, 2)))
 
     def test_boundary_grad_zero(self):
         # forward-shifted fold never reads x[t=0], so x[t=0] fold grad is 0
         x = Tensor(np.random.default_rng(6).uniform(-1, 1, (1, 4, 8, 2, 2)),
                    requires_grad=True)
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
-        tsum(shift(x, cfg)).backward()
+        tsum(shift(x, fold_channels(8, 0.125, BIDIRECTIONAL), BIDIRECTIONAL)).backward()
         npt.assert_array_equal(x.grad[:, 0, 0], np.zeros((1, 2, 2)))      # fwd fold at t=0
         npt.assert_array_equal(x.grad[:, -1, 1], np.zeros((1, 2, 2)))     # bwd fold at t=T-1
 
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, (1, 4, 8, 2, 2))
-        cfg = ShiftConfig(0.125, BIDIRECTIONAL)
+        fold = fold_channels(8, 0.125, BIDIRECTIONAL)
         w = rng.uniform(-1, 1, x.shape)  # weighted sum makes the loss non-degenerate
 
         def loss(t):
-            return tsum(shift(t, cfg) * Tensor(w))
+            return tsum(shift(t, fold, BIDIRECTIONAL) * Tensor(w))
 
         assert grad_check(loss, x) <= 1e-6
 
@@ -202,9 +186,8 @@ class TestOnlineStep:
         rng = np.random.default_rng(10)
         t = 8
         x = rng.uniform(-1, 1, (1, t, 16, 3, 3)).astype(dtype)
-        cfg = ShiftConfig(0.125, UNIDIRECTIONAL)
-        offline = shift(Tensor(x), cfg).numpy()
-        fold, prev = fold_of(cfg, 16), None
+        fold, prev = fold_channels(16, 0.125, UNIDIRECTIONAL), None
+        offline = shift(Tensor(x), fold, UNIDIRECTIONAL).numpy()
         for ti in range(t):
             out = online_step(x[:, ti], prev, fold)
             assert np.abs(out - offline[:, ti]).max() <= tol
@@ -216,11 +199,8 @@ class TestOnlineStep:
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
     def test_stream_equals_offline_shift_any_shape(self, n, t, c, frac, dtype, seed):
         x = np.random.default_rng(seed).uniform(-1, 1, (n, t, c, 3, 2)).astype(dtype)
-        cfg = ShiftConfig(frac, UNIDIRECTIONAL)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            offline = shift(Tensor(x), cfg).numpy()
-        fold, prev = fold_of(cfg, c), None
+        fold, prev = int(c * frac), None
+        offline = shift(Tensor(x), fold, UNIDIRECTIONAL).numpy()
         for ti in range(t):
             npt.assert_array_equal(online_step(x[:, ti], prev, fold), offline[:, ti])
             prev = x[:, ti]
