@@ -46,9 +46,9 @@ TEMPORAL_NONE = "none"
 TEMPORAL_SHIFT = "shift"
 TEMPORAL_ACTION = "action"
 
-# Frames per infer call in evaluate and recognize (see infer_chunk): at T = 8
-# two clips share one fold and one pass of per-op Python calls. Longer calls
-# gained nothing at the tiny preset and raised peak memory.
+# Frames per chunk of an infer call: at T = 8 two clips share one pass of
+# per-op Python calls. Longer chunks gained nothing at the tiny preset and
+# raised peak memory.
 _INFER_FRAMES = 16
 
 
@@ -304,7 +304,7 @@ class Model:
         if missing or extra:
             raise ConfigError(f"weight mismatch: missing {missing}, unexpected {extra}")
         for name, p in params.items():
-            arr = np.asarray(state[name], dtype=self.dtype)
+            arr = np.array(state[name], dtype=self.dtype)  # a copy: the caller's stays theirs
             if arr.shape != p.data.shape:
                 raise DimensionError(
                     f"weight {name}: file shape {arr.shape} vs model shape {p.data.shape}")
@@ -312,6 +312,11 @@ class Model:
             p.grad = None
 
     def save(self, weights_path, spec_path=None) -> None:
+        """Write the weights (and the netspec); the weight file holds float32,
+        so saving a model of another dtype is a ConfigError."""
+        if self.dtype != np.float32:
+            raise ConfigError(f"{weights_path}: the weight file holds float32, and this "
+                              f"model is {np.dtype(self.dtype)}")
         save_weights(weights_path, self.state_dict())
         if spec_path is not None:
             with open(spec_path, "w", encoding="utf-8") as fh:
@@ -343,12 +348,21 @@ class Model:
         return reshape(out, n * t, c, h, w)
 
     def _clip(self, clip, check_t: bool) -> Tensor:
-        """Clip as an [N,T,C,H,W] tensor; C, H, W (and T if check_t) must match the spec."""
+        """Clip as an [N,T,C,H,W] tensor with N >= 1, in the model's dtype: a
+        list of [T,C,H,W] clips is stacked, and a [T,C,H,W] array is one clip.
+        C, H, W (and T if check_t) must match the spec."""
+        if isinstance(clip, list):
+            shapes = [np.shape(c) for c in clip]
+            if not clip or any(len(shape) != 4 or shape != shapes[0] for shape in shapes):
+                raise DimensionError(f"clips to batch must share one [T,C,H,W] shape, "
+                                     f"got {shapes}")
+            clip = np.stack(clip, dtype=self.dtype)
         x = clip if isinstance(clip, Tensor) else Tensor(np.asarray(clip, dtype=self.dtype))
         if x.data.ndim == 4:  # single clip without batch axis
             x = reshape(x, 1, *x.shape)
         frame = (self.spec.in_channels, *self.spec.frame_size)
-        if x.data.ndim != 5 or x.shape[2:] != frame or (check_t and x.shape[1] != self.spec.t):
+        if x.data.ndim != 5 or not x.shape[0] or x.shape[2:] != frame or \
+                (check_t and x.shape[1] != self.spec.t):
             t = self.spec.t if check_t else "T"
             raise DimensionError(f"clip shape {x.shape} does not match spec "
                                  f"[N,{t},{','.join(map(str, frame))}]")
@@ -360,23 +374,29 @@ class Model:
         return tmean(self.per_frame_logits(self._clip(clip, check_t=True)), axis=1)
 
     def infer(self, clips) -> Array:
-        """[N,T,C,H,W] clips -> [N,K] consensus logits, without a graph.
+        """[N,T,C,H,W] clips (or a list of N [T,C,H,W] clips) -> [N,K]
+        consensus logits, without a graph.
 
         The same function as forward, on folded weights: the result agrees
         with forward to rounding, not bit for bit. The weights are folded
-        on every call, so the result always follows the current parameters.
-        An excitation block runs as the plan's constant copy, so no call
-        builds a graph.
+        once per call, so the result always follows the current parameters.
+        The clips run in order, in chunks of _INFER_FRAMES frames' worth (at
+        least one clip), so float32 logits can differ by rounding from
+        one-clip calls. An excitation block runs as the plan's constant
+        copy, so no call builds a graph.
         """
         x = self._clip(clips, check_t=True).data
         n, t = x.shape[:2]
+        chunk = max(1, _INFER_FRAMES // t)
         plan = InferencePlan(self)
 
         def branch(i: int, feats: Array) -> Array:
-            return self._temporal(Tensor(feats), self.blocks[i].fold, plan.actions[i], n, t).data
+            return self._temporal(Tensor(feats), self.blocks[i].fold, plan.actions[i],
+                                  len(feats) // t, t).data
 
-        logits = plan.frame_logits(x.reshape(n * t, *x.shape[2:]), branch)
-        return logits.reshape(n, t, -1).mean(axis=1)
+        logits = [plan.frame_logits(x[s:s + chunk].reshape(-1, *x.shape[2:]), branch)
+                  for s in range(0, n, chunk)]
+        return np.concatenate(logits).reshape(n, t, -1).mean(axis=1)
 
     def per_frame_logits(self, clip) -> Tensor:
         """[N,T,C,H,W] (or [T,C,H,W]) -> [N,T,K] logits of each frame before
@@ -504,46 +524,23 @@ def topk_hits(logits: Array, labels: Array, k: int) -> int:
     return int((order == labels[:, None]).any(axis=1).sum())
 
 
-def infer_chunk(t: int) -> int:
-    """Clips of T frames per ``infer`` call in ``evaluate`` and
-    ``videoplan.recognize``: _INFER_FRAMES frames' worth, at least one clip."""
-    return max(1, _INFER_FRAMES // max(t, 1))
-
-
-def stack_clips(clips: list, dtype=None) -> Array:
-    """[T,C,H,W] clips -> one [N,T,C,H,W] batch; mixed shapes are a DimensionError."""
-    shapes = [np.shape(clip) for clip in clips]
-    if any(len(shape) != 4 or shape != shapes[0] for shape in shapes):
-        raise DimensionError(f"clips to batch must share one [T,C,H,W] shape, got {shapes}")
-    return np.stack(clips, dtype=dtype)
-
-
 def evaluate(model: Model, dataset) -> Metrics:
     """Prec@1 / Prec@5 / mean loss over (clip, label) pairs.
 
-    Clips go through model.infer in dataset order, in fixed chunks of
-    infer_chunk(T) clips (stack_clips). Each chunk's per-clip losses come
-    from one log_softmax over its logits, and they are combined with an
-    exact sum. The result is deterministic for a given order; float32
-    logits can differ by rounding from one-at-a-time inference.
+    The clips go to one model.infer call, in dataset order. The per-clip
+    losses come from one log_softmax over the logits, and they are combined
+    with an exact sum. The result is deterministic for a given order.
     """
     items = list(dataset)
     if not items:
         raise InputError("evaluate requires a nonempty dataset")
-    hits1 = hits5 = 0
-    losses: list[float] = []
-    shape = np.shape(items[0][0])
-    chunk = infer_chunk(shape[0] if shape else 1)
-    for start in range(0, len(items), chunk):
-        part = items[start:start + chunk]
-        logits = model.infer(stack_clips([clip for clip, _ in part], model.dtype))
-        labels = class_labels([label for _, label in part], *logits.shape)
-        hits1 += topk_hits(logits, labels, 1)
-        hits5 += topk_hits(logits, labels, 5)
-        losses += (-log_softmax(logits)[np.arange(len(part)), labels]).tolist()
+    logits = model.infer([clip for clip, _ in items])
     n = len(items)
-    return Metrics(prec1=100.0 * hits1 / n, prec5=100.0 * hits5 / n,
-                   loss=math.fsum(losses) / n)
+    labels = class_labels([label for _, label in items], *logits.shape)
+    losses = -log_softmax(logits)[np.arange(n), labels]
+    return Metrics(prec1=100.0 * topk_hits(logits, labels, 1) / n,
+                   prec5=100.0 * topk_hits(logits, labels, 5) / n,
+                   loss=math.fsum(losses.tolist()) / n)
 
 
 # -- training -----------------------------------------------------------------------
@@ -572,10 +569,8 @@ def train(model: Model, dataset, cfg: TrainConfig, eval_dataset=None,
         loss_sum = 0.0
         for start in range(0, len(items), cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            clips = stack_clips([c for c, _ in batch], model.dtype)
             labels = np.array([l for _, l in batch], dtype=np.int64)
-
-            logits = model.forward(Tensor(clips))
+            logits = model.forward([c for c, _ in batch])
             loss = softmax_cross_entropy(logits, labels)
             loss_value = loss.item()
             if not math.isfinite(loss_value):

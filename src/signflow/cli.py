@@ -21,18 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backbone import (Model, NetSpec, TrainConfig, build, evaluate, parameter_count,
-                       stack_clips, train)
+from .backbone import Model, NetSpec, TrainConfig, build, evaluate, parameter_count, train
 from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
                       load_manifest, make_isolated_clips, read_clip, synth_temporal)
-from .errors import SignflowError, UsageError
+from .errors import ConfigError, SignflowError, UsageError
 from .gloss import Lexicon, ReorderRule, load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
 from .tensor import (Tensor, conv2d, grad_check, matmul, mul, relu, roll_time, sigmoid,
                      softmax_cross_entropy, tmean)
 from .tsm import UNIDIRECTIONAL
-from .videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy, concat_frames,
-                        plan, recognize)
+from .videoplan import (ClipIndex, RecognizeConfig, TransitionPolicy, _gloss_by_class,
+                        concat_frames, plan, recognize)
 
 def _emit(obj: dict, args) -> None:
     if not args.no_timestamp:
@@ -175,12 +174,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    for flag, value in (("--manifest", args.manifest), ("--video-id", args.video_id)):
+        if args.frames and value is not None:
+            raise UsageError(f"--frames and {flag} exclude each other")
     model = _load_model(args)
     lex, rules = _lexicon_and_rules(args)
     if args.frames:
         entry = _frames_entry(args.frames)
         base = Path(".")
-        label_map = None
+        label_map = labels_path = None
     else:
         manifest = _require_file(args.manifest, "--manifest")
         entries, label_map = load_manifest(manifest)
@@ -189,8 +191,17 @@ def cmd_recognize(args) -> int:
             raise UsageError(f"--video-id: {args.video_id!r} not in {manifest}")
         entry = by_id[args.video_id]
         base = manifest.parent
+        labels_path = manifest.parent / "labels.json"
     if args.labels:
-        label_map = load_labels(_require_file(args.labels, "--labels"))
+        labels_path = _require_file(args.labels, "--labels")
+        label_map = load_labels(labels_path)
+    if label_map is None:
+        raise ConfigError("recognize requires a label map (gloss -> class index): "
+                          "pass --labels")
+    try:  # recognize checks the map again; this check names the file it came from
+        _gloss_by_class(model, lex, label_map)
+    except ConfigError as exc:
+        raise ConfigError(f"{labels_path}: {exc}") from None
     cfg = RecognizeConfig(window=args.window, stride=args.stride)
     sample = SampleSpec(num_segments=model.spec.t, mode=MODE_EVAL_CENTER)
     result = recognize(entry, model, lex, rules, sample, base=base,
@@ -204,8 +215,7 @@ def cmd_stream(args) -> int:
     entry = _frames_entry(args.frames)
     stream = model.open_stream(stream_id=entry.video_id)
     for i in range(entry.num_frames):
-        clip = read_clip(entry, [i], base=".", size=model.spec.frame_size)
-        step = stream.step(clip[0][None].astype(model.dtype))
+        step = stream.step(read_clip(entry, [i], base=".", size=model.spec.frame_size)[0])
         _emit_line({"frame": i, "prediction": step["prediction"],
                     "rolling_logits": [round(float(v), 6) for v in step["rolling_logits"][0]]})
     return 0
@@ -252,10 +262,9 @@ def _median_ms(fn, reps: int) -> float:
 def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
     """Per-op backward ms and op-node count of one training step (no update)."""
     batch = dataset[:cfg.batch_size]
-    clips = stack_clips([c for c, _ in batch], model.dtype)
     labels = np.array([l for _, l in batch], dtype=np.int64)
     profile: dict[str, list] = {}
-    softmax_cross_entropy(model.forward(Tensor(clips)), labels).backward(profile)
+    softmax_cross_entropy(model.forward([c for c, _ in batch]), labels).backward(profile)
     return {"op_nodes": sum(calls for calls, _ in profile.values()),
             "backward_ms": {op: round(sec * 1e3, 4) for op, (_, sec) in sorted(profile.items())}}
 
@@ -293,10 +302,10 @@ def cmd_bench(args) -> int:
 
         # every latency goes through _median_ms: one timed evaluate pass after its warm-up
         ms_eval = _median_ms(lambda: evaluate(model, eval_ds), 1) / len(eval_ds)
-        clip = np.asarray(eval_ds[0][0], dtype=model.dtype)[None]
+        clip = eval_ds[0][0]  # as read: infer and the stream type it
         ms_clip = _median_ms(lambda: model.infer(clip), args.reps)
         if variant in ("shift", "none"):
-            frame = clip[:, 0]
+            frame = clip[0]
             stream = model.open_stream()
             ms_frame = _median_ms(lambda: stream.step(frame), args.reps)
             ratio = ms_frame / ms_clip

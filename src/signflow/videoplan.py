@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import infer_chunk, stack_clips
 from .dataset import ManifestEntry, frame_path, load_manifest, read_clip, save_manifest
 from .errors import ConfigError, FrameIOError, GlossLookupError, InputError
 from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text, tokens_from_gloss_ids
@@ -198,23 +197,19 @@ def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule
     """Video -> {text, glosses, windows}: the two-phase path made observable.
 
     Phase one treats the classifier as a tokenizer emitting gloss ids per
-    window (windows go through model.infer in order, infer_chunk(T) at a
-    time); phase two maps the gloss sequence to natural-order text.
+    window (the windows go to one model.infer call, in order); phase two
+    maps the gloss sequence to natural-order text.
     """
     inv_labels = _gloss_by_class(model, lex, label_map)
     windows = _cut_windows(entry.num_frames, cfg)
-    chunk = infer_chunk(sample_spec.num_segments)
-    gloss_ids: list[str] = []
+    clips = [read_clip(entry, [w_start + i for i in segment_sample(w_len, sample_spec)],
+                       base=base, size=size) for w_start, w_len in windows]
     details: list[dict] = []
-    for first in range(0, len(windows), chunk):
-        part = windows[first:first + chunk]
-        clips = [read_clip(entry, [w_start + i for i in segment_sample(w_len, sample_spec)],
-                           base=base, size=size) for w_start, w_len in part]
-        for (w_start, w_len), logits in zip(part, model.infer(stack_clips(clips))):
-            cls = int(np.argmax(logits))
-            gloss_ids.append(inv_labels[cls])
-            details.append({"start": w_start, "length": w_len, "class": cls,
-                            "gloss": inv_labels[cls]})
+    for (w_start, w_len), logits in zip(windows, model.infer(clips)):
+        cls = int(np.argmax(logits))
+        details.append({"start": w_start, "length": w_len, "class": cls,
+                        "gloss": inv_labels[cls]})
+    gloss_ids = [d["gloss"] for d in details]
     collapsed = [g for i, g in enumerate(gloss_ids) if i == 0 or g != gloss_ids[i - 1]]
     text = glosses_to_text(tokens_from_gloss_ids(collapsed, lex), lex, rules)
     return {"text": text, "glosses": collapsed, "windows": details}

@@ -292,29 +292,23 @@ class TestEvaluate:
         with pytest.raises(InputError, match="label 3 out of range"):
             evaluate(build(spec, seed=0), ds)
 
-    class CountingModel:
-        """Records each infer batch; logits from the first pixel of each clip."""
-
-        def __init__(self, k):
-            self.k = k
-            self.dtype = np.float32
-            self.batches = []
-
-        def infer(self, clips):
-            self.batches.append(np.array(clips))
-            logits = np.zeros((len(clips), self.k), dtype=np.float32)
-            logits[np.arange(len(clips)), clips[:, 0, 0, 0, 0].astype(int) % self.k] = 1.0
-            return logits
-
     @pytest.mark.parametrize("t,chunk", [(1, 16), (4, 4), (8, 2), (16, 1), (32, 1)])
-    def test_chunks_in_dataset_order(self, t, chunk):
-        ds = [(np.full((t, 1, 2, 2), i, dtype=np.float32), i % 3) for i in range(5)]
-        model = self.CountingModel(3)
-        assert evaluate(model, ds).prec1 == 100.0
-        assert backbone.infer_chunk(t) == chunk
-        assert [len(b) for b in model.batches] == \
-            [min(chunk, 5 - s) for s in range(0, 5, chunk)]
-        npt.assert_array_equal(np.concatenate(model.batches), np.stack([c for c, _ in ds]))
+    def test_chunks_in_dataset_order(self, monkeypatch, t, chunk):
+        spec = tiny_spec(t=t)
+        ds = random_dataset(spec, 5, seed=t)
+        plans, frames = [], []
+        frame_logits = backbone.InferencePlan.frame_logits
+
+        def spy(plan, x, branch):
+            plans.append(plan)
+            frames.append(x.copy())
+            return frame_logits(plan, x, branch)
+
+        monkeypatch.setattr(backbone.InferencePlan, "frame_logits", spy)
+        evaluate(build(spec, seed=0), ds)
+        assert len({id(plan) for plan in plans}) == 1  # the weights are folded once
+        assert [len(x) for x in frames] == [min(chunk, 5 - s) * t for s in range(0, 5, chunk)]
+        npt.assert_array_equal(np.concatenate(frames), np.concatenate([c for c, _ in ds]))
 
     @pytest.mark.parametrize("temporal", ["shift", "action", "none"])
     def test_chunked_matches_one_at_a_time(self, temporal):
@@ -447,6 +441,21 @@ class TestSaveLoad:
         loaded.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_float64_model_save_rejected(self, tmp_path):
+        model = build(tiny_spec(), seed=0, dtype=np.float64)
+        weights = tmp_path / "m.sgnf"
+        with pytest.raises(ConfigError, match="float32") as exc:
+            model.save(weights, tmp_path / "netspec.json")
+        assert str(weights) in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_state_dict_copies(self):
+        model = build(tiny_spec(), seed=0)
+        state = build(tiny_spec(), seed=1).state_dict()
+        model.load_state_dict(state)
+        state["head.b"][:] = 5
+        assert not (model.head_b.data == 5).any()
+
     def test_mismatched_weights_rejected(self, tmp_path):
         model = build(tiny_spec(), seed=0)
         model.save(tmp_path / "m.sgnf", tmp_path / "netspec.json")
@@ -546,6 +555,25 @@ class TestInfer:
         for shape in [(1, 5, 2, 8, 8), (1, 4, 3, 8, 8)]:
             with pytest.raises(DimensionError):
                 model.infer(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_list_equals_stacked_array(self, dtype):
+        spec = NetSpec.micro(5, temporal="action")
+        model = perturbed(build(spec, seed=1, dtype=dtype), seed=2)
+        clips = [c for c, _ in random_dataset(spec, 5, seed=3)]  # T = 8: chunks of 2, 2, 1
+        npt.assert_array_equal(model.infer(clips), model.infer(np.stack(clips)))
+
+    def test_mixed_clip_shapes_rejected(self):
+        model = build(tiny_spec(), seed=0)
+        clips = [np.zeros((4, 2, 8, 8)), np.zeros((4, 2, 8, 6))]
+        with pytest.raises(DimensionError, match="share one"):
+            model.infer(clips)
+
+    @pytest.mark.parametrize("clips", [[], np.zeros((0, 4, 2, 8, 8), dtype=np.float32)],
+                             ids=["list", "array"])
+    def test_empty_batch_rejected(self, clips):
+        with pytest.raises(DimensionError):
+            build(tiny_spec(), seed=0).infer(clips)
 
 
 class TestStream:

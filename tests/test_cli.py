@@ -304,20 +304,27 @@ class TestStream:
         assert "unidirectional" in proc.stderr
 
 
-# id: (labels.json content or None, recognize flags with {frames}, {labels}, {manifest}
-# and {d}, exit code, what stderr must hold)
+# id: (labels.json content or None, recognize flags with {frames}, {labels}, {manifest},
+# {sibling}, {video_id} and {d}, exit code, what stderr must hold). The labels.json goes to
+# --labels, except in a row that reads {sibling}: a manifest whose sibling labels.json it is.
 LABELS = {f"ORDER{k}": k for k in range(4)}
 RECOGNIZE_ERRORS = {
-    "no-label-map": (None, ("--frames", "{frames}"), 1, "recognize requires a label map"),
+    "no-label-map": (None, ("--frames", "{frames}"), 1,
+                     "recognize requires a label map (gloss -> class index): pass --labels"),
     "label-class-out-of-range": ({**LABELS, "ORDER3": 7}, ("--frames", "{frames}"), 1,
-                                 "label map class 7 out of range for 4-way model"),
+                                 "{labels}: label map class 7 out of range for 4-way model"),
     "label-two-glosses-one-class": ({**LABELS, "ORDER1": 0}, ("--frames", "{frames}"), 1,
-                                    "label map maps two glosses to class 0"),
+                                    "{labels}: label map maps two glosses to class 0"),
     "label-partial-coverage": ({"ORDER0": 0, "ORDER1": 1}, ("--frames", "{frames}"), 1,
-                               "label map covers 2 of 4 classes"),
+                               "{labels}: label map covers 2 of 4 classes"),
     "label-gloss-not-in-lexicon": ({"ORDER0": 0, "ORDER1": 1, "ORDER2": 2, "NOPE": 3},
                                    ("--frames", "{frames}"), 1,
-                                   "label map glosses not in lexicon: ['NOPE']"),
+                                   "{labels}: label map glosses not in lexicon: ['NOPE']"),
+    "sibling-labels-two-glosses-one-class": ({**LABELS, "ORDER1": 0},
+                                             ("--manifest", "{sibling}", "--video-id",
+                                              "{video_id}"), 1,
+                                             "{d}/labels.json: label map maps two glosses "
+                                             "to class 0"),
     "window-zero": (LABELS, ("--frames", "{frames}", "--window", "0"), 1,
                     "window must be >= 1, got 0"),
     "stride-zero": (LABELS, ("--frames", "{frames}", "--window", "4", "--stride", "0"), 1,
@@ -329,6 +336,10 @@ RECOGNIZE_ERRORS = {
     "frames-not-a-directory": (LABELS, ("--frames", "{d}/lex.tsv"), 2,
                                "--frames: {d}/lex.tsv is not a directory"),
     "frames-empty": (LABELS, ("--frames", "{d}"), 2, "--frames: no frame_*.pgm/.ppm files in {d}"),
+    "frames-with-manifest": (LABELS, ("--frames", "{frames}", "--manifest", "{manifest}"), 2,
+                             "--frames and --manifest exclude each other"),
+    "frames-with-video-id": (LABELS, ("--frames", "{frames}", "--video-id", "{video_id}"), 2,
+                             "--frames and --video-id exclude each other"),
 }
 
 
@@ -380,10 +391,13 @@ class TestRecognizeCommand:
                        encoding="utf-8")
         entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
         paths = {"frames": synth_dir / entry["frame_dir"], "labels": tmp_path / "labels.json",
-                 "manifest": synth_dir / "manifest.jsonl", "d": tmp_path}
+                 "manifest": synth_dir / "manifest.jsonl", "d": tmp_path,
+                 "sibling": tmp_path / "manifest.jsonl", "video_id": entry["video_id"]}
+        paths["sibling"].write_bytes(paths["manifest"].read_bytes())
         if labels is not None:
             paths["labels"].write_text(json.dumps(labels), encoding="utf-8")
-            flags = (*flags, "--labels", "{labels}")
+            if "{sibling}" not in flags:
+                flags = (*flags, "--labels", "{labels}")
         proc = run_main(capsys, "recognize", "--weights", trained / "model.sgnf",
                         "--lexicon", lex, *(flag.format(**paths) for flag in flags))
         assert_one_line_error(proc, code, needle.format(**paths))
