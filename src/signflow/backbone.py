@@ -185,8 +185,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ConfigError("epochs/batch_size/lr must be non-negative (batch >= 1)")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -332,7 +333,11 @@ class Model:
         except (ValueError, ConfigError) as exc:  # invalid JSON, not UTF-8, or a bad value
             raise ParseError(f"{spec_path}: {exc}") from None
         model = cls(spec, seed=0)
-        model.load_state_dict(load_weights(weights_path))
+        state = load_weights(weights_path)
+        try:
+            model.load_state_dict(state)
+        except (ConfigError, DimensionError) as exc:  # name the file the weights came from
+            raise type(exc)(f"{weights_path}: {exc}") from None
         return model
 
     # -- forward -------------------------------------------------------------------

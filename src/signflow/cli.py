@@ -15,6 +15,7 @@ import resource
 import statistics
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +39,11 @@ def _emit(obj: dict, args) -> None:
         obj = {**obj, "timestamp": datetime.now(timezone.utc).isoformat()}
     indent = 2 if args.pretty else None
     sys.stdout.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent) + "\n")
+
+
+def _diagnose(record: dict) -> None:
+    """One diagnostics record: a JSON line on stderr."""
+    print(json.dumps(record, ensure_ascii=False, sort_keys=True), file=sys.stderr)
 
 
 def _emit_line(obj: dict) -> None:
@@ -204,8 +210,12 @@ def cmd_recognize(args) -> int:
         raise ConfigError(f"{labels_path}: {exc}") from None
     cfg = RecognizeConfig(window=args.window, stride=args.stride)
     sample = SampleSpec(num_segments=model.spec.t, mode=MODE_EVAL_CENTER)
-    result = recognize(entry, model, lex, rules, sample, base=base,
-                       label_map=label_map, cfg=cfg, size=model.spec.frame_size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = recognize(entry, model, lex, rules, sample, base=base,
+                           label_map=label_map, cfg=cfg, size=model.spec.frame_size)
+    for w in caught:
+        _diagnose({"kind": "warning", "category": w.category.__name__, "message": str(w.message)})
     _emit(result, args)
     return 0
 
@@ -231,8 +241,8 @@ def cmd_translate(args) -> int:
         index = ClipIndex(_require_file(args.clips, "--clips"), fps=args.fps)
         policy = TransitionPolicy.parse(args.policy)
         manifest = plan(seq, lex, index, policy=policy, fallback=args.fallback)
-        for record in manifest.warnings:  # diagnostics stream, one JSON line each
-            print(json.dumps(record, ensure_ascii=False, sort_keys=True), file=sys.stderr)
+        for record in manifest.warnings:
+            _diagnose(record)
         result["manifest"] = manifest.to_dict()
         if args.materialize:
             if not args.out:

@@ -242,6 +242,9 @@ def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
             frame = read_frame(frame_path(d, idx))
             if size is not None:
                 frame = _resize_nearest(frame, size)
+            if cache and frame.shape != frames[0].shape:
+                raise FrameIOError(f"{d}: frame {idx} has shape {frame.shape}, "
+                                   f"frame {indices[0]} has {frames[0].shape}")
             cache[idx] = frame
         frames.append(cache[idx])
     return np.stack(frames)

@@ -237,8 +237,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0)
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad += grad * (out_data > 0)
+        x.grad += grad * (out_data > 0)
 
     return x._child(out_data, (x,), backward, "relu")
 
@@ -250,8 +249,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(d.dtype)
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad += grad * out_data * (1.0 - out_data)
+        x.grad += grad * out_data * (1.0 - out_data)
 
     return x._child(out_data, (x,), backward, "sigmoid")
 
@@ -260,14 +258,14 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
-    new = np.reshape(x.data, shape)
-    if new.size != x.data.size:  # numpy would already have raised; keep explicit
-        raise DimensionError(f"reshape {x.shape} -> {shape} changes element count")
+    try:
+        new = np.reshape(x.data, shape)
+    except ValueError:
+        raise DimensionError(f"cannot reshape {x.shape} to {shape}") from None
     old_shape = x.shape
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad += grad.reshape(old_shape)
+        x.grad += grad.reshape(old_shape)
 
     return x._child(new, (x,), backward, "reshape")
 
@@ -296,10 +294,9 @@ def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
         out_data[:, dst, ch] = x.data[:, src, ch]
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad[:, :, end:] += grad[:, :, end:]
-            for dst, src, ch in moves:
-                x.grad[:, src, ch] += grad[:, dst, ch]
+        x.grad[:, :, end:] += grad[:, :, end:]
+        for dst, src, ch in moves:
+            x.grad[:, src, ch] += grad[:, dst, ch]
 
     return x._child(out_data, (x,), backward, "roll_time")
 
@@ -310,9 +307,8 @@ def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
 def tsum(x: Tensor, axis=None) -> Tensor:
     out_data = x.data.sum(axis=axis)
 
-    def backward(grad: Array) -> None:
-        if x.requires_grad:  # a full reduction's scalar grad broadcasts as it is
-            x.grad += grad if axis is None else np.expand_dims(grad, axis)
+    def backward(grad: Array) -> None:  # a full reduction's scalar grad broadcasts as it is
+        x.grad += grad if axis is None else np.expand_dims(grad, axis)
 
     return x._child(out_data, (x,), backward, "sum")
 
@@ -322,8 +318,7 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     count = x.data.size // max(out_data.size, 1)  # entries averaged into each output
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x.grad += (grad if axis is None else np.expand_dims(grad, axis)) / count
+        x.grad += (grad if axis is None else np.expand_dims(grad, axis)) / count
 
     return x._child(out_data, (x,), backward, "mean")
 
@@ -483,10 +478,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     out_data = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.data.dtype)
 
     def backward(grad: Array) -> None:
-        if logits.requires_grad:
-            g = np.exp(logp)
-            g[np.arange(n), labels] -= 1.0
-            logits.grad += grad * g / n
+        g = np.exp(logp)
+        g[np.arange(n), labels] -= 1.0
+        logits.grad += grad * g / n
 
     return logits._child(out_data, (logits,), backward, "softmax_cross_entropy")
 

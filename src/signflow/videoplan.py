@@ -73,10 +73,17 @@ class PlanEntry:
 
 @dataclass
 class AssemblyManifest:
+    """A planned video: its clip entries and, in order, the (clip, frame
+    index) of every frame it writes; a held frame repeats the tuple before it."""
+
     entries: list[PlanEntry]
     policy: TransitionPolicy
-    total_frames: int
+    frames: list[tuple[ManifestEntry, int]]
     warnings: list[dict] = field(default_factory=list)
+
+    @property
+    def total_frames(self) -> int:
+        return len(self.frames)
 
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.entries],
@@ -102,79 +109,56 @@ class ClipIndex:
 def plan(glosses: GlossSequence, lex: Lexicon, index: ClipIndex,
          policy: TransitionPolicy = TransitionPolicy(),
          fallback: str = FALLBACK_SKIP) -> AssemblyManifest:
-    """One plan entry per gloss, in order. OOV tokens map to per-character
-    clips when the lexicon has them; otherwise the fallback applies
-    (skip-with-warning or a single error naming all missing ids)."""
+    """One plan entry per gloss and every frame of the video, in order; a
+    hold repeats the previous frame between entries. OOV tokens map to
+    per-character clips when the lexicon has them; otherwise the fallback
+    applies (skip-with-warning or a single error naming all missing ids)."""
     if fallback not in (FALLBACK_SKIP, FALLBACK_ERROR):
         raise ConfigError(f"unknown fallback {fallback!r}")
     entries: list[PlanEntry] = []
+    frames: list[tuple[ManifestEntry, int]] = []
     warnings: list[dict] = []
     missing: list[str] = []
-    for token in glosses.tokens:
+    for token, gloss_name in zip(glosses.tokens, glosses.gloss_ids):
         if token.gloss_id is not None:
             lex_entry = lex.lookup_gloss(token.gloss_id)
         else:
             lex_entry = lex.entries.get(token.surface)  # per-character fingerspell clip
-        gloss_name = token.gloss_id if token.gloss_id is not None else f"#{token.surface}"
         clip = index.get(lex_entry.clip_ref) if lex_entry is not None else None
         if clip is None:
             missing.append(gloss_name)
             warnings.append({"kind": "missing-clip", "gloss": gloss_name,
                              "surface": token.surface})
             continue
+        frames += frames[-1:] * policy.hold_frames
         entries.append(PlanEntry(gloss_name, clip.video_id, clip.num_frames, index.fps))
+        frames += [(clip, i) for i in range(clip.num_frames)]
     if missing and fallback == FALLBACK_ERROR:
         raise GlossLookupError(f"no clips for glosses: {missing}")
-    total = sum(e.frame_count for e in entries)
-    if policy.kind == "hold-last-frame" and entries:
-        total += policy.hold_frames * (len(entries) - 1)
-    return AssemblyManifest(entries, policy, total, warnings)
+    return AssemblyManifest(entries, policy, frames, warnings)
 
 
 def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | str,
                   video_id: str = "assembled") -> ManifestEntry | None:
-    """Copy frames in plan order into out_dir; returns a dataset entry for
-    the assembled video (None when the plan is empty).
-
-    hold-last-frame(n) inserts n copies of each entry's final frame between
-    entries. Frame files are copied byte-identically.
-    """
+    """Copy the plan's frames, in order and byte-identically, into out_dir;
+    returns a dataset entry for the assembled video (None when the plan is
+    empty)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    last_src: Path | None = None
-    for pos, entry in enumerate(manifest.entries):
-        if pos > 0 and manifest.policy.kind == "hold-last-frame" and last_src is not None:
-            for _ in range(manifest.policy.hold_frames):
-                written = _copy_frame(last_src, out_dir, written)
-        clip = index.get(entry.clip_ref)
-        if clip is None:
-            raise GlossLookupError(f"clip {entry.clip_ref!r} vanished between plan and concat")
-        src_dir = index.base / clip.frame_dir
-        for i in range(clip.num_frames):
-            src = frame_path(src_dir, i)
-            written = _copy_frame(src, out_dir, written)
-            last_src = src
-    if written != manifest.total_frames:
-        raise InputError(
-            f"assembled {written} frames but manifest counted {manifest.total_frames}")
+    for k, (clip, i) in enumerate(manifest.frames):
+        src = frame_path(index.base / clip.frame_dir, i)
+        try:
+            shutil.copyfile(src, out_dir / f"frame_{k:05d}{src.suffix}")
+        except OSError as exc:
+            raise FrameIOError(f"{src}: {exc}") from exc
     with open(out_dir.parent / f"{video_id}.plan.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
-    if written == 0:
+    if not manifest.frames:
         return None
-    result = ManifestEntry(video_id, out_dir.name, written, 0, "test")
+    result = ManifestEntry(video_id, out_dir.name, manifest.total_frames, 0, "test")
     save_manifest(out_dir.parent / f"{video_id}.jsonl", [result])
     return result
-
-
-def _copy_frame(src: Path, out_dir: Path, written: int) -> int:
-    dst = out_dir / f"frame_{written:05d}{src.suffix}"
-    try:
-        shutil.copyfile(src, dst)
-    except OSError as exc:
-        raise FrameIOError(f"{src}: {exc}") from exc
-    return written + 1
 
 
 # -- recognition ------------------------------------------------------------------------

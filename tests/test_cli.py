@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from signflow.dataset import write_frame
 
 DEMO = Path(__file__).resolve().parent.parent / "src" / "signflow" / "demo"
 
@@ -37,6 +40,15 @@ def run_main(capsys, *args):
     from signflow import cli
     code = cli.main([str(arg) for arg in args])
     return SimpleNamespace(returncode=code, stderr=capsys.readouterr().err)
+
+
+def main_json(capsys, *args) -> dict:
+    """``cli.main`` in-process, which must succeed: its last stdout line as JSON."""
+    from signflow import cli
+    code = cli.main([str(arg) for arg in args])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json_lines(captured.out)[-1]
 
 
 def _with_stage(spec: dict, **changes) -> dict:
@@ -142,6 +154,17 @@ class TestTrainEval:
                        check=False)
         assert_one_line_error(proc, 1, str(netspec))
 
+    def test_train_without_labels_counts_classes_from_entries(self, synth_dir, tmp_path,
+                                                              capsys):
+        manifest = tmp_path / "manifest.jsonl"  # no labels.json beside it
+        manifest.write_text("".join(
+            json.dumps({**entry, "frame_dir": str(synth_dir / entry["frame_dir"])}) + "\n"
+            for entry in json_lines((synth_dir / "manifest.jsonl").read_text())))
+        out = main_json(capsys, "train", "--manifest", manifest, "--out", tmp_path / "m",
+                        "--epochs", "0", "--no-timestamp")
+        assert out["epochs"] == 0
+        assert json.loads((tmp_path / "m" / "netspec.json").read_text())["num_classes"] == 4
+
     def test_fold_flooring_to_zero_channels_is_config_error(self, synth_dir, tmp_path):
         # micro's first block has 8 channels: 8 * 0.05 floors to a fold of 0
         proc = run_cli("train", "--manifest", str(synth_dir / "manifest.jsonl"),
@@ -234,6 +257,19 @@ class TestTranslate:
         assert out["frames_dir"] == str(out_dir / "frames")
         assert out["materialized_frames"] == out["manifest"]["total_frames"] == len(frames)
         assert len(frames) == 5 * 8 + 4 * 2  # five 8-frame clips, four holds of 2
+
+    def test_materialize_with_no_clip_writes_no_video(self, tmp_path, capsys):
+        clips, out_dir = tmp_path / "clips", tmp_path / "video"
+        main_json(capsys, "synth", "--isolated", "--lexicon", DEMO / "lexicon.tsv",
+                  "--out", clips, "--no-timestamp")
+        out = main_json(capsys, "translate", "--text", "犬猫",  # neither is in the lexicon
+                        "--lexicon", DEMO / "lexicon.tsv", "--clips", clips / "manifest.jsonl",
+                        "--materialize", "--out", out_dir, "--no-timestamp")
+        assert out["frames_dir"] is None and out["materialized_frames"] == 0
+        assert out["manifest"]["entries"] == [] and out["manifest"]["total_frames"] == 0
+        assert list((out_dir / "frames").iterdir()) == []
+        assert json.loads((out_dir / "video.plan.json").read_text()) == out["manifest"]
+        assert not (out_dir / "video.jsonl").exists()
 
     def test_missing_clip_warning_on_stderr(self, tmp_path):
         clips = tmp_path / "clips"
@@ -340,6 +376,8 @@ RECOGNIZE_ERRORS = {
                              "--frames and --manifest exclude each other"),
     "frames-with-video-id": (LABELS, ("--frames", "{frames}", "--video-id", "{video_id}"), 2,
                              "--frames and --video-id exclude each other"),
+    "frames-differ-in-shape": (LABELS, ("--frames", "{mixed}"), 1,
+                               "{mixed}: frame 1 has shape (3, 32, 32), frame 0 has (1, 32, 32)"),
 }
 
 
@@ -383,6 +421,24 @@ class TestRecognizeCommand:
                        "--frames", str(frames), check=False)
         assert_one_line_error(proc, 1, str(frames / "frame_00000.pgm"))
 
+    def test_drop_rule_warning_is_one_json_line(self, synth_dir, trained, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("".join(f"w{k}\tORDER{k}\tORDER{k}\t\n" for k in range(4)),
+                       encoding="utf-8")
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"id": "d", "priority": 0, "match": {"index": 1},
+                                      "action": "drop"}]), encoding="utf-8")
+        entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+        proc = run_main(capsys, "recognize", "--weights", trained / "model.sgnf",
+                        "--lexicon", lex, "--rules", rules,
+                        "--manifest", synth_dir / "manifest.jsonl",
+                        "--video-id", entry["video_id"], "--no-timestamp")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        record = json.loads(proc.stderr)
+        assert record["kind"] == "warning" and record["category"] == "UserWarning"
+        assert record["message"].startswith("rule set contains drop actions")
+
     @pytest.mark.parametrize("row", list(RECOGNIZE_ERRORS))
     def test_typed_error(self, synth_dir, trained, tmp_path, capsys, row):
         labels, flags, code, needle = RECOGNIZE_ERRORS[row]
@@ -392,8 +448,12 @@ class TestRecognizeCommand:
         entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
         paths = {"frames": synth_dir / entry["frame_dir"], "labels": tmp_path / "labels.json",
                  "manifest": synth_dir / "manifest.jsonl", "d": tmp_path,
-                 "sibling": tmp_path / "manifest.jsonl", "video_id": entry["video_id"]}
+                 "sibling": tmp_path / "manifest.jsonl", "video_id": entry["video_id"],
+                 "mixed": tmp_path / "mixed"}
         paths["sibling"].write_bytes(paths["manifest"].read_bytes())
+        paths["mixed"].mkdir()  # a gray frame, then an RGB one
+        write_frame(paths["mixed"] / "frame_00000.pgm", np.zeros((1, 4, 4)))
+        write_frame(paths["mixed"] / "frame_00001.ppm", np.zeros((3, 4, 4)))
         if labels is not None:
             paths["labels"].write_text(json.dumps(labels), encoding="utf-8")
             if "{sibling}" not in flags:
@@ -401,6 +461,84 @@ class TestRecognizeCommand:
         proc = run_main(capsys, "recognize", "--weights", trained / "model.sgnf",
                         "--lexicon", lex, *(flag.format(**paths) for flag in flags))
         assert_one_line_error(proc, code, needle.format(**paths))
+
+
+def _netspec(**changes):
+    """netspec.json bytes: the trained model's netspec with ``changes``."""
+    return lambda spec: json.dumps({**spec, **changes}).encode()
+
+
+def _action_weights(spec: dict) -> bytes:
+    """Weight-file bytes of an untrained action model shaped like the trained one."""
+    from signflow.backbone import Model, NetSpec
+    with tempfile.TemporaryDirectory() as d:
+        Model(NetSpec.from_dict({**spec, "temporal": "action"})).save(Path(d) / "w.sgnf")
+        return (Path(d) / "w.sgnf").read_bytes()
+
+
+GRAY_2X2 = b"P5\n2 2\n255\n\0\0\0\0"
+TRAIN = ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m")
+EVAL_NETSPEC = ("eval", "--manifest", "{synth}/manifest.jsonl", "--weights",
+                "{model}/model.sgnf", "--netspec", "{d}/netspec.json")
+TRANSLATE_RULES = ("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
+                   "--rules", "{d}/rules.json")
+# id: (files written into {d}: name -> bytes, or a function of the trained model's netspec
+# dict; argv with {d}, {synth}, {model} and {frames}; exit code; what stderr must hold)
+CLI_ERRORS = {
+    "train-epochs-negative": ({}, (*TRAIN, "--epochs", "-1"), 1, "epochs must be >= 0, got -1"),
+    "train-batch-size-zero": ({}, (*TRAIN, "--batch-size", "0"), 1,
+                              "batch_size must be >= 1, got 0"),
+    "eval-action-netspec-on-shift-weights": ({"netspec.json": _netspec(temporal="action")},
+                                             EVAL_NETSPEC, 1,
+                                             "{model}/model.sgnf: weight mismatch: missing "
+                                             "['stage0.block0.action."),
+    "eval-weight-of-another-shape": ({"netspec.json": _netspec(num_classes=5)}, EVAL_NETSPEC,
+                                     1, "{model}/model.sgnf: weight head.w: file shape"),
+    "eval-netspec-t-zero": ({"netspec.json": _netspec(t=0)}, EVAL_NETSPEC, 1,
+                            "{d}/netspec.json: t must be >= 1, got 0"),
+    "eval-netspec-action-ratio-zero": ({"netspec.json": _netspec(temporal="action",
+                                                                 action_ratio=0)},
+                                       EVAL_NETSPEC, 1,
+                                       "{d}/netspec.json: reduce_ratio must be positive, got 0"),
+    "eval-entry-claims-more-frames": ({"clips.jsonl": json.dumps(
+                                          {"video_id": "v0", "frame_dir": "v0", "num_frames": 9,
+                                           "label": 0, "split": "test"}).encode() + b"\n",
+                                       "v0/frame_00000.pgm": GRAY_2X2,
+                                       "v0/frame_00001.pgm": GRAY_2X2},
+                                      ("eval", "--manifest", "{d}/clips.jsonl",
+                                       "--weights", "{model}/model.sgnf"), 1,
+                                      "{d}/v0: no frame_"),
+    "stream-action-model": ({"model.sgnf": _action_weights,
+                             "netspec.json": _netspec(temporal="action")},
+                            ("stream", "--weights", "{d}/model.sgnf", "--frames", "{frames}"), 2,
+                            "streaming inference is only defined for shift or none"),
+    "synth-t-one": ({}, ("synth", "--out", "{d}/s", "--t", "1"), 1,
+                    "synthetic clips need t >= 2"),
+    "synth-one-class": ({}, ("synth", "--out", "{d}/s", "--classes", "1"), 1,
+                        "need at least 2 classes"),
+    "synth-isolated-without-lexicon": ({}, ("synth", "--out", "{d}/s", "--isolated"), 2,
+                                       "--lexicon is required"),
+    "translate-rules-object": ({"rules.json": b"{}"}, TRANSLATE_RULES, 1,
+                               "{d}/rules.json: rules file must be a JSON list"),
+    "translate-rules-one-id-twice": ({"rules.json": json.dumps(
+                                         [{"id": "r", "priority": p, "match": {"index": 0},
+                                           "action": "drop"} for p in (0, 1)]).encode()},
+                                     TRANSLATE_RULES, 1, "{d}/rules.json: duplicate rule ids"),
+}
+
+
+@pytest.mark.parametrize("row", list(CLI_ERRORS))
+def test_typed_error_row(synth_dir, trained, tmp_path, capsys, row):
+    files, argv, code, needle = CLI_ERRORS[row]
+    spec = json.loads((trained / "netspec.json").read_text(encoding="utf-8"))
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(content(spec) if callable(content) else content)
+    entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+    paths = {"d": tmp_path, "synth": synth_dir, "model": trained,
+             "frames": synth_dir / entry["frame_dir"]}
+    proc = run_main(capsys, *(arg.format(**paths) for arg in argv))
+    assert_one_line_error(proc, code, needle.format(**paths))
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +67,11 @@ class TestFrameIO:
         with pytest.raises(FrameIOError, match=match) as info:
             read_frame(p)
         assert str(p) in str(info.value)
+
+    def test_header_comment_line_is_skipped(self, tmp_path):
+        p = tmp_path / "frame_00000.pgm"
+        p.write_bytes(b"P5\n# written by hand\n2 1\n255\n" + bytes([0, 255]))
+        npt.assert_array_equal(read_frame(p), [[[0.0, 1.0]]])
 
     def test_header_field_too_long_for_int(self, tmp_path):
         p = tmp_path / "frame_00000.pgm"
@@ -157,6 +163,23 @@ class TestReadClip:
         clip = read_clip(entry, [0], base=tmp_path, size=(8, 8))
         assert clip.shape == (1, 1, 8, 8)
         npt.assert_allclose(clip, 0.5, atol=1 / 255)
+
+
+    @pytest.mark.parametrize("second, size", [
+        ((3, 6, 6), (4, 4)),   # gray then RGB, resized to one size
+        ((1, 5, 6), None),     # two sizes, read as they are
+    ])
+    def test_frames_of_two_shapes_name_the_directory(self, tmp_path, second, size):
+        d = tmp_path / "v"
+        d.mkdir()
+        write_frame(d / frame_name(0), np.zeros((1, 6, 6)))
+        write_frame(d / f"frame_00001.{'ppm' if second[0] == 3 else 'pgm'}", np.zeros(second))
+        entry = ManifestEntry("v", "v", 2, 0, "train")
+        first = (1, *(size or (6, 6)))
+        other = (second[0], *(size or second[1:]))
+        with pytest.raises(FrameIOError, match=re.escape(
+                f"{d}: frame 1 has shape {other}, frame 0 has {first}")):
+            read_clip(entry, [0, 1], base=tmp_path, size=size)
 
 
 class TestSynthTemporal:

@@ -435,6 +435,10 @@ class TestShapeOps:
         with pytest.raises(Exception):
             reshape(x, 5, 5)
 
+    def test_reshape_to_another_count_is_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"cannot reshape \(6,\) to \(4,\)"):
+            reshape(Tensor(np.zeros(6)), 4)
+
     def test_broadcast_add_backward(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
