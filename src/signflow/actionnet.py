@@ -21,8 +21,9 @@ x * (ste + ce + me) is bounded by 3|x| elementwise (pure gating; the
 additive skip lives in the enclosing residual block). The branch internals
 are reconstructions consistent with the named components, not a replica of
 any published network. Like the shift module, the block sits on the
-residual branch of a backbone block. ``squeezed`` checks the squeeze ratio
-and the temporal kernel, for the network spec and for the block alike.
+residual branch of a backbone block. ``check_squeeze`` checks the squeeze
+ratio and the temporal kernel, for the network spec and for the block alike;
+``squeezed`` also checks that the ratio divides the block's channels.
 """
 
 from __future__ import annotations
@@ -36,16 +37,21 @@ from .tensor import (Parameter, Tensor, add, conv2d, matmul, mul, reshape, roll_
                      tmean, tsum)
 
 
-def squeezed(channels: int, reduce_ratio: int, temporal_kernel: int) -> int:
-    """C / reduce_ratio, the squeezed width of the ce and me gates at C channels.
-
-    A ratio below 1 or one that does not divide C, or an even temporal
-    kernel, is a ConfigError.
-    """
+def check_squeeze(reduce_ratio: int, temporal_kernel: int) -> None:
+    """A ratio below 1 or an even temporal kernel is a ConfigError."""
     if reduce_ratio < 1:
         raise ConfigError(f"reduce_ratio must be positive, got {reduce_ratio}")
     if temporal_kernel % 2 != 1:
         raise ConfigError(f"temporal_kernel must be odd, got {temporal_kernel}")
+
+
+def squeezed(channels: int, reduce_ratio: int, temporal_kernel: int) -> int:
+    """C / reduce_ratio, the squeezed width of the ce and me gates at C channels.
+
+    A ratio or kernel that check_squeeze rejects, or a ratio that does not
+    divide C, is a ConfigError.
+    """
+    check_squeeze(reduce_ratio, temporal_kernel)
     if channels % reduce_ratio != 0:
         raise ConfigError(f"channels {channels} not divisible by reduce_ratio {reduce_ratio}")
     return channels // reduce_ratio

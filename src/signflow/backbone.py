@@ -39,8 +39,8 @@ from .errors import ConfigError, DimensionError, InputError, NumericError, Parse
 from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
                      log_softmax, matmul, relu, reshape, softmax_cross_entropy, tmean,
                      load_weights, save_weights)
-from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, fold_channels, online_step, shift
-from .actionnet import ActionBlock, squeezed
+from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
+from .actionnet import ActionBlock, check_squeeze, squeezed
 
 TEMPORAL_NONE = "none"
 TEMPORAL_SHIFT = "shift"
@@ -96,6 +96,10 @@ class NetSpec:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.temporal not in (TEMPORAL_NONE, TEMPORAL_SHIFT, TEMPORAL_ACTION):
             raise ConfigError(f"unknown temporal module {self.temporal!r}")
+        # both modules' fields are checked whatever the module; only the sizing
+        # by each block's channels is the module's own
+        check_fold(self.fold_fraction, self.direction)
+        check_squeeze(self.action_ratio, self.action_temporal_kernel)
         self.block_layout()  # sizes every fold and squeeze: a bad one is a ConfigError
 
     def block_layout(self) -> list[tuple[str, int, int, int, int]]:
@@ -185,9 +189,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, ok, rule in (("epochs", self.epochs >= 0, ">= 0"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("lr", 0 <= self.lr < math.inf, "finite and >= 0"),
+                               ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                               ("weight_decay", 0 <= self.weight_decay < math.inf,
+                                "finite and >= 0")):
+            if not ok:  # NaN fails every comparison
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

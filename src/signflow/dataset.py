@@ -72,6 +72,10 @@ def read_frame(path: Path | str) -> np.ndarray:
             raw = fh.read()
     except OSError as exc:
         raise FrameIOError(f"{path}: {exc}") from exc
+    return _decode_frame(raw, path)
+
+
+def _decode_frame(raw: bytes, path: Path | str) -> np.ndarray:
     magic = raw[:2]
     if magic not in (b"P5", b"P6"):
         raise FrameIOError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
@@ -119,12 +123,27 @@ def frame_name(index: int) -> str:
     return f"frame_{index:05d}.pgm"
 
 
-def frame_path(frame_dir: Path, index: int) -> Path:
-    for ext in ("pgm", "ppm"):
-        p = frame_dir / f"frame_{index:05d}.{ext}"
-        if p.exists():
-            return p
-    raise FrameIOError(f"{frame_dir}: no frame_{index:05d}.pgm/.ppm")
+FRAME_EXTS = ("pgm", "ppm")  # the extensions tried, in order, for each frame index
+
+
+def missing_frame(frame_dir: Path, index: int) -> FrameIOError:
+    return FrameIOError(f"{frame_dir}: no frame_{index:05d}.pgm/.ppm")
+
+
+def _read_indexed(stem: str, frame_dir: Path, index: int) -> np.ndarray:
+    """Frame ``index`` of frame_dir (``stem`` is ``frame_dir/frame_``): the
+    .pgm, else the .ppm, found by opening it, so a name costs no stat."""
+    for ext in FRAME_EXTS:
+        path = f"{stem}{index:05d}.{ext}"
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            raise FrameIOError(f"{path}: {exc}") from exc
+        return _decode_frame(raw, path)
+    raise missing_frame(frame_dir, index)
 
 
 def _resize_nearest(frame: np.ndarray, size: tuple[int, int]) -> np.ndarray:
@@ -235,11 +254,12 @@ def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
             raise InputError(f"{entry.video_id}: frame index {idx} outside "
                              f"[0, {entry.num_frames})")
     d = _resolve_dir(Path(base), entry.frame_dir)
+    stem = str(d / "frame_")
     cache: dict[int, np.ndarray] = {}
     frames = []
     for idx in indices:
         if idx not in cache:
-            frame = read_frame(frame_path(d, idx))
+            frame = _read_indexed(stem, d, idx)
             if size is not None:
                 frame = _resize_nearest(frame, size)
             if cache and frame.shape != frames[0].shape:

@@ -2,7 +2,8 @@
 
 The shifted slice ("fold", floor(C * fold_fraction) channels, default 1/8)
 carries neighboring-frame features into the current frame at zero FLOP cost.
-``fold_channels`` sizes a block's fold once, when the network is specified;
+``check_fold`` checks the fraction and the direction, and ``fold_channels``
+sizes a block's fold once, when the network is specified;
 ``shift`` is ``tensor.roll_time`` over the folds: a one-step move along time
 with zero fill. Two directions:
 
@@ -29,13 +30,18 @@ BIDIRECTIONAL = "bidirectional"
 UNIDIRECTIONAL = "unidirectional"
 
 
-def fold_channels(channels: int, fold_fraction: float, direction: str) -> int:
-    """floor(C * fold_fraction), the fold of a shift over C channels; a fraction
-    outside [0, 1/2], an unknown direction or a fold of 0 is a ConfigError."""
+def check_fold(fold_fraction: float, direction: str) -> None:
+    """A fraction outside [0, 1/2] or an unknown direction is a ConfigError."""
     if not 0.0 <= float(fold_fraction) <= 0.5:
         raise ConfigError(f"fold_fraction must be in [0, 1/2], got {fold_fraction}")
     if direction not in (BIDIRECTIONAL, UNIDIRECTIONAL):
         raise ConfigError(f"unknown shift direction {direction!r}")
+
+
+def fold_channels(channels: int, fold_fraction: float, direction: str) -> int:
+    """floor(C * fold_fraction), the fold of a shift over C channels; what
+    check_fold rejects, or a fold of 0, is a ConfigError."""
+    check_fold(fold_fraction, direction)
     fold = int(channels * float(fold_fraction))
     if fold == 0:
         raise ConfigError(f"fold_fraction {fold_fraction} of {channels} channels "

@@ -14,13 +14,15 @@ one vote per window (a baseline cutter; repeats collapse).
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ManifestEntry, frame_path, load_manifest, read_clip, save_manifest
+from .dataset import (FRAME_EXTS, ManifestEntry, load_manifest, missing_frame, read_clip,
+                      save_manifest)
 from .errors import ConfigError, FrameIOError, GlossLookupError, InputError
 from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text, tokens_from_gloss_ids
 from .sampler import SampleSpec, segment_sample
@@ -140,17 +142,45 @@ def plan(glosses: GlossSequence, lex: Lexicon, index: ClipIndex,
 
 def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | str,
                   video_id: str = "assembled") -> ManifestEntry | None:
-    """Copy the plan's frames, in order and byte-identically, into out_dir;
-    returns a dataset entry for the assembled video (None when the plan is
-    empty)."""
+    """Hard-link the plan's frames, in order, into out_dir, whose frame_* files
+    are replaced by exactly these; returns a dataset entry for the assembled
+    video (None when the plan is empty).
+
+    A frame is a byte copy where the link fails (across filesystems, or past
+    the link limit of an inode). No existing file is opened for writing, so
+    nothing is written through a link into the clip store.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    out_stat = os.stat(out_dir)
+    stems: dict[str, str] = {}  # frame_dir -> "<clip dir>/frame_"
+    for clip, _ in manifest.frames:
+        if clip.frame_dir not in stems:
+            src_dir = index.base / clip.frame_dir
+            if _same_dir(src_dir, out_stat):
+                raise FrameIOError(f"{out_dir}: is the frame directory of clip "
+                                   f"{clip.video_id!r}")
+            stems[clip.frame_dir] = str(src_dir / "frame_")
+    try:
+        with os.scandir(out_dir) as entries:
+            old = [e.path for e in entries if e.name.startswith("frame_")]
+        for path in old:
+            os.unlink(path)
+    except OSError as exc:
+        raise FrameIOError(f"{out_dir}: {exc}") from exc
+    dst_stem = str(out_dir / "frame_")
     for k, (clip, i) in enumerate(manifest.frames):
-        src = frame_path(index.base / clip.frame_dir, i)
-        try:
-            shutil.copyfile(src, out_dir / f"frame_{k:05d}{src.suffix}")
-        except OSError as exc:
-            raise FrameIOError(f"{src}: {exc}") from exc
+        src, dst = f"{stems[clip.frame_dir]}{i:05d}.", f"{dst_stem}{k:05d}."
+        for ext in FRAME_EXTS:
+            try:
+                os.link(src + ext, dst + ext)
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            except OSError:  # EXDEV, EPERM, EMLINK, ...
+                _copy_to_new(src + ext, dst + ext)
+            break
+        else:
+            raise missing_frame(index.base / clip.frame_dir, i)
     with open(out_dir.parent / f"{video_id}.plan.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
@@ -159,6 +189,21 @@ def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | 
     result = ManifestEntry(video_id, out_dir.name, manifest.total_frames, 0, "test")
     save_manifest(out_dir.parent / f"{video_id}.jsonl", [result])
     return result
+
+
+def _same_dir(path: Path, stat: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), stat)
+    except OSError:  # a missing clip directory is reported frame by frame
+        return False
+
+
+def _copy_to_new(src: str, dst: str) -> None:
+    try:
+        with open(src, "rb") as fin, open(dst, "xb") as fout:
+            shutil.copyfileobj(fin, fout)
+    except OSError as exc:
+        raise FrameIOError(f"{src}: {exc}") from exc
 
 
 # -- recognition ------------------------------------------------------------------------

@@ -143,6 +143,13 @@ class TestTrainEval:
         pytest.param(lambda spec: _with_stage(spec, stride=0), id="stage_stride_zero"),
         pytest.param(lambda spec: _with_stage(spec, blocks=-1), id="stage_blocks_negative"),
         pytest.param(lambda spec: {**spec, "fold_fraction": 0.05}, id="fold_floors_to_zero"),
+        pytest.param(lambda spec: {**spec, "action_ratio": 0}, id="shift_action_ratio_zero"),
+        pytest.param(lambda spec: {**spec, "action_temporal_kernel": 2},
+                     id="shift_action_kernel_even"),
+        pytest.param(lambda spec: {**spec, "temporal": "none", "fold_fraction": 0.9},
+                     id="none_fold_fraction_above_half"),
+        pytest.param(lambda spec: {**spec, "temporal": "none", "direction": "sideways"},
+                     id="none_direction_unknown"),
     ])
     def test_malformed_netspec_is_parse_error(self, synth_dir, trained, tmp_path, make):
         content = make(json.loads((trained / "netspec.json").read_text(encoding="utf-8")))
@@ -488,6 +495,19 @@ CLI_ERRORS = {
     "train-epochs-negative": ({}, (*TRAIN, "--epochs", "-1"), 1, "epochs must be >= 0, got -1"),
     "train-batch-size-zero": ({}, (*TRAIN, "--batch-size", "0"), 1,
                               "batch_size must be >= 1, got 0"),
+    "train-lr-nan": ({}, (*TRAIN, "--lr", "nan", "--epochs", "1"), 1,
+                     "lr must be finite and >= 0, got nan"),
+    "train-lr-inf": ({}, (*TRAIN, "--lr", "inf"), 1, "lr must be finite and >= 0, got inf"),
+    "train-momentum-negative": ({}, (*TRAIN, "--momentum", "-3"), 1,
+                                "momentum must be in [0, 1), got -3.0"),
+    "train-momentum-one": ({}, (*TRAIN, "--momentum", "1"), 1,
+                           "momentum must be in [0, 1), got 1.0"),
+    "train-momentum-nan": ({}, (*TRAIN, "--momentum", "nan"), 1,
+                           "momentum must be in [0, 1), got nan"),
+    "train-weight-decay-negative": ({}, (*TRAIN, "--weight-decay", "-0.1"), 1,
+                                    "weight_decay must be finite and >= 0, got -0.1"),
+    "train-weight-decay-inf": ({}, (*TRAIN, "--weight-decay", "inf"), 1,
+                               "weight_decay must be finite and >= 0, got inf"),
     "eval-action-netspec-on-shift-weights": ({"netspec.json": _netspec(temporal="action")},
                                              EVAL_NETSPEC, 1,
                                              "{model}/model.sgnf: weight mismatch: missing "

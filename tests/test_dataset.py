@@ -181,6 +181,35 @@ class TestReadClip:
                 f"{d}: frame 1 has shape {other}, frame 0 has {first}")):
             read_clip(entry, [0, 1], base=tmp_path, size=size)
 
+    def test_each_index_tries_pgm_then_ppm(self, tmp_path):
+        d = tmp_path / "v"
+        d.mkdir()
+        write_frame(d / "frame_00000.ppm", np.full((3, 4, 4), 0.2))
+        write_frame(d / "frame_00000.pgm", np.full((1, 4, 4), 0.4))  # wins over the .ppm
+        write_frame(d / "frame_00001.ppm", np.full((3, 4, 4), 0.6))
+        entry = ManifestEntry("v", "v", 2, 0, "train")
+        assert read_clip(entry, [0], base=tmp_path).shape == (1, 1, 4, 4)
+        npt.assert_allclose(read_clip(entry, [1], base=tmp_path), 0.6, atol=1 / 255)
+
+    @pytest.mark.parametrize("make_dir", [
+        pytest.param(lambda d: d.mkdir(), id="frame_missing"),
+        pytest.param(lambda d: None, id="dir_missing"),
+        pytest.param(lambda d: d.write_bytes(b""), id="dir_is_a_file"),
+    ])
+    def test_missing_frame_names_the_directory(self, tmp_path, make_dir):
+        d = tmp_path / "v"
+        make_dir(d)
+        entry = ManifestEntry("v", "v", 2, 0, "train")
+        with pytest.raises(FrameIOError, match=re.escape(f"{d}: no frame_00001.pgm/.ppm")):
+            read_clip(entry, [1], base=tmp_path)
+
+    def test_unreadable_frame_names_the_file(self, tmp_path):
+        d = tmp_path / "v"
+        (d / "frame_00000.pgm").mkdir(parents=True)  # found, but not a file
+        entry = ManifestEntry("v", "v", 1, 0, "train")
+        with pytest.raises(FrameIOError, match=re.escape(f"{d / 'frame_00000.pgm'}: ")):
+            read_clip(entry, [0], base=tmp_path)
+
 
 class TestSynthTemporal:
     def test_class_frame_multisets_match(self, tmp_path):

@@ -1,10 +1,17 @@
+import errno
+import hashlib
+import os
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from signflow import videoplan
 from signflow.backbone import NetSpec, StageSpec, build
-from signflow.dataset import load_manifest, make_isolated_clips, read_clip
-from signflow.errors import ConfigError, GlossLookupError, InputError
+from signflow.dataset import (ManifestEntry, load_manifest, make_isolated_clips, read_clip,
+                              save_manifest, write_frame)
+from signflow.errors import ConfigError, FrameIOError, GlossLookupError, InputError
 from signflow.gloss import (GlossSequence, LexEntry, Lexicon, ReorderRule, Token,
                             reorder, segment)
 from signflow.sampler import SampleSpec, segment_sample
@@ -131,6 +138,106 @@ class TestConcatFrames:
         entry = concat_frames(manifest, demo["index"], tmp_path / "out", video_id="v")
         clip = read_clip(entry, [0, 2, 4], base=tmp_path)
         assert clip.shape == (3, 1, 32, 32)
+
+    def test_frames_are_links_to_their_sources(self, demo, tmp_path):
+        seq = gseq("G_WO", "G_CHI", lex=demo["lex"])
+        manifest = plan(seq, demo["lex"], demo["index"],
+                        policy=TransitionPolicy("hold-last-frame", 2))
+        concat_frames(manifest, demo["index"], tmp_path / "out", video_id="v")
+        for k, (clip, i) in enumerate(manifest.frames):  # a held frame links its source too
+            assert os.path.samefile(tmp_path / "out" / f"frame_{k:05d}.pgm",
+                                    source_frame(demo["index"], clip, i))
+
+    def test_reassembly_writes_nothing_into_the_clip_store(self, demo, tmp_path):
+        before = store_digests(demo["index"])
+        manifest = plan(gseq("G_WO", "G_BU", "G_WO", lex=demo["lex"]), demo["lex"],
+                        demo["index"], policy=TransitionPolicy("hold-last-frame", 1))
+        for _ in range(2):
+            concat_frames(manifest, demo["index"], tmp_path / "out", video_id="v")
+        assert store_digests(demo["index"]) == before
+        for k, (clip, i) in enumerate(manifest.frames):
+            assert os.path.samefile(tmp_path / "out" / f"frame_{k:05d}.pgm",
+                                    source_frame(demo["index"], clip, i))
+
+    @pytest.mark.parametrize("code", [pytest.param(errno.EXDEV, id="EXDEV"),
+                                      pytest.param(errno.EMLINK, id="EMLINK")])
+    def test_frames_are_copies_where_links_fail(self, demo, tmp_path, monkeypatch, code):
+        def refuse(src, dst):
+            raise OSError(code, os.strerror(code), src)
+
+        monkeypatch.setattr(videoplan.os, "link", refuse)
+        manifest = plan(gseq("G_CHI", "G_CHI", lex=demo["lex"]), demo["lex"], demo["index"],
+                        policy=TransitionPolicy("hold-last-frame", 1))
+        for _ in range(2):  # the second run replaces copies, it does not write into them
+            entry = concat_frames(manifest, demo["index"], tmp_path / "out", video_id="v")
+        assert entry.num_frames == 11
+        for k, (clip, i) in enumerate(manifest.frames):
+            out = tmp_path / "out" / f"frame_{k:05d}.pgm"
+            src = source_frame(demo["index"], clip, i)
+            assert out.read_bytes() == src.read_bytes()
+            assert not os.path.samefile(out, src)
+
+    def test_missing_source_frame_names_the_clip_directory(self, demo, tmp_path):
+        clip = demo["index"].get("G_WO")
+        src_dir = demo["index"].base / clip.frame_dir
+        index = clip_index(tmp_path, [ManifestEntry("G_WO", str(src_dir), clip.num_frames + 1,
+                                                    0, "train")])
+        manifest = plan(gseq("G_WO", lex=demo["lex"]), demo["lex"], index)
+        with pytest.raises(FrameIOError, match=re.escape(f"{src_dir}: no frame_00005.pgm/.ppm")):
+            concat_frames(manifest, index, tmp_path / "out")
+
+    def test_longer_then_shorter_leaves_only_the_plan_frames(self, demo, tmp_path):
+        before = store_digests(demo["index"])
+        out = tmp_path / "v" / "frames"
+        (out / "notes.txt").parent.mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        for glosses, count in ((("G_BU", "G_WO", "G_CHI", "G_PINGGUO"), 20), (("G_WO",), 5)):
+            manifest = plan(gseq(*glosses, lex=demo["lex"]), demo["lex"], demo["index"])
+            entry = concat_frames(manifest, demo["index"], out, video_id="v")
+            assert entry.num_frames == count
+            assert sorted(p.name for p in out.glob("frame_*")) == \
+                [f"frame_{k:05d}.pgm" for k in range(count)]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert store_digests(demo["index"]) == before  # G_BU's frames were replaced, not written
+
+    def test_ppm_then_pgm_leaves_only_the_plan_frames(self, demo, tmp_path):
+        rgb = tmp_path / "rgb"
+        (rgb / "G_WO").mkdir(parents=True)
+        for i in range(3):
+            write_frame(rgb / "G_WO" / f"frame_{i:05d}.ppm", np.full((3, 4, 4), 0.5))
+        index = clip_index(rgb, [ManifestEntry("G_WO", "G_WO", 3, 0, "train")])
+        out = tmp_path / "v" / "frames"
+        ppm = concat_frames(plan(gseq("G_WO", lex=demo["lex"]), demo["lex"], index), index, out)
+        assert sorted(p.name for p in out.iterdir()) == [f"frame_{k:05d}.ppm" for k in range(3)]
+        assert read_clip(ppm, [0], base=out.parent).shape == (1, 3, 4, 4)
+        manifest = plan(gseq("G_BU", lex=demo["lex"]), demo["lex"], demo["index"])
+        pgm = concat_frames(manifest, demo["index"], out)
+        assert sorted(p.name for p in out.iterdir()) == [f"frame_{k:05d}.pgm" for k in range(5)]
+        assert read_clip(pgm, [0], base=out.parent).shape == (1, 1, 32, 32)
+
+    def test_assembly_into_a_clip_directory_is_refused(self, demo, tmp_path):
+        before = store_digests(demo["index"])
+        clip = demo["index"].get("G_BU")
+        manifest = plan(gseq("G_BU", lex=demo["lex"]), demo["lex"], demo["index"])
+        with pytest.raises(FrameIOError, match="is the frame directory of clip 'G_BU'"):
+            concat_frames(manifest, demo["index"], demo["index"].base / clip.frame_dir)
+        assert store_digests(demo["index"]) == before
+
+
+def source_frame(index, clip, i):
+    return index.base / clip.frame_dir / f"frame_{i:05d}.pgm"
+
+
+def store_digests(index) -> dict:
+    """sha256 of every file under the clip store, by path."""
+    return {p: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(index.base.rglob("*")) if p.is_file()}
+
+
+def clip_index(root, entries) -> ClipIndex:
+    root.mkdir(parents=True, exist_ok=True)
+    save_manifest(root / "clips.jsonl", entries)
+    return ClipIndex(root / "clips.jsonl")
 
 
 class OracleModel:
