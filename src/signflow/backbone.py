@@ -35,6 +35,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .dataset import read_json
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
                      log_softmax, matmul, relu, reshape, softmax_cross_entropy, tmean,
@@ -337,9 +338,8 @@ class Model:
     def load(cls, weights_path, spec_path) -> "Model":
         """Build from a netspec.json and load weights; a bad netspec is a ParseError."""
         try:
-            with open(spec_path, encoding="utf-8") as fh:
-                spec = NetSpec.from_dict(json.load(fh))
-        except (ValueError, ConfigError) as exc:  # invalid JSON, not UTF-8, or a bad value
+            spec = NetSpec.from_dict(read_json(spec_path))
+        except ConfigError as exc:
             raise ParseError(f"{spec_path}: {exc}") from None
         model = cls(spec, seed=0)
         state = load_weights(weights_path)
@@ -405,7 +405,7 @@ class Model:
         plan = InferencePlan(self)
 
         def branch(i: int, feats: Array) -> Array:
-            return self._temporal(Tensor(feats), self.blocks[i].fold, plan.actions[i],
+            return self._temporal(Tensor(feats), plan.folds[i], plan.actions[i],
                                   len(feats) // t, t).data
 
         logits = [plan.frame_logits(x[s:s + chunk].reshape(-1, *x.shape[2:]), branch)
@@ -433,9 +433,7 @@ class Model:
             raise UsageError("streaming inference is only defined for shift or none")
         if self.spec.temporal == TEMPORAL_SHIFT and self.spec.direction != UNIDIRECTIONAL:
             raise UsageError("streaming requires a unidirectional shift model")
-        folds = [block.fold for block in self.blocks]
-        frame_shape = (self.spec.in_channels, *self.spec.frame_size)
-        return StreamState(InferencePlan(self), stream_id, folds, frame_shape)
+        return StreamState(InferencePlan(self), stream_id)
 
 
 def _relu(x: Array) -> Array:
@@ -447,11 +445,14 @@ class InferencePlan:
     """A model's weights folded for graph-free inference.
 
     Every array is a new copy, so the plan is a snapshot: it keeps the
-    weights as they were when it was built. ``actions[i]`` is block i's
-    excitation block as a copy on constant Tensors (None without one).
+    weights as they were when it was built. ``folds[i]`` is block i's shift
+    fold (0 without a shift), ``actions[i]`` its excitation block as a copy on
+    constant Tensors (None without one), and ``frame_shape`` is (C, H, W).
     """
 
     def __init__(self, model: Model):
+        self.frame_shape = (model.spec.in_channels, *model.spec.frame_size)
+        self.folds = [block.fold for block in model.blocks]
         self.stem = model.stem.folded()
         self.blocks = [(block.conv1.folded(), block.conv2.folded(),
                         block.proj.folded() if block.proj is not None else None)
@@ -475,18 +476,15 @@ class InferencePlan:
 class StreamState:
     """Per-stream mutable state: each block's previous input plus a logit sum.
 
-    It holds the InferencePlan folded when the stream was opened, and each
-    block's fold (0 for a ``none`` model). The batch size N is the first
-    frame's; later frames must match it."""
+    It holds the InferencePlan folded when the stream was opened, which
+    gives each block's fold and the frame shape. The batch size N is the
+    first frame's; later frames must match it."""
 
-    def __init__(self, plan: InferencePlan, stream_id: str, folds: list[int],
-                 frame_shape: tuple[int, int, int]):
+    def __init__(self, plan: InferencePlan, stream_id: str):
         self.plan = plan
         self.dtype = plan.head_w.dtype
         self.stream_id = stream_id
-        self.folds = folds
-        self.frame_shape = frame_shape
-        self.prev: list[Array | None] = [None] * len(folds)
+        self.prev: list[Array | None] = [None] * len(plan.folds)
         self.frames_seen = 0
         self.logit_sum: Array | None = None
 
@@ -497,10 +495,10 @@ class StreamState:
         if frame.ndim == 3:
             frame = frame[None]
         rows = frame.shape[:1] if self.logit_sum is None else self.logit_sum.shape[:1]
-        if frame.shape != (*rows, *self.frame_shape) or not frame.size:
+        if frame.shape != (*rows, *self.plan.frame_shape) or not frame.size:
             n = "N" if self.logit_sum is None else rows[0]
             raise InputError(f"stream {self.stream_id!r}: frame shape {frame.shape} is not "
-                             f"[{n},{','.join(map(str, self.frame_shape))}]")
+                             f"[{n},{','.join(map(str, self.plan.frame_shape))}]")
         logits = self.plan.frame_logits(frame, self._branch)
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
@@ -511,7 +509,7 @@ class StreamState:
     def _branch(self, i: int, x: Array) -> Array:
         """Block i's branch input, keeping x as block i's previous input.
         Block inputs are new arrays that nothing writes to, so kept as is."""
-        branch = online_step(x, self.prev[i], self.folds[i])
+        branch = online_step(x, self.prev[i], self.plan.folds[i])
         self.prev[i] = x
         return branch
 

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Machine output is JSON on stdout (one object, or one object per line for
-streams); diagnostics go to stderr. Exit codes: 0 success, 1 domain error,
-2 usage error. SIGNFLOW_SEED overrides the default --seed; an optional
---config JSON file supplies flag defaults (explicit flags win).
+streams); diagnostics go to stderr. Exit codes: 0 success, 1 domain error
+or an OS error on a path, 2 usage error. SIGNFLOW_SEED overrides the
+default --seed; an optional --config JSON file supplies flag defaults
+(explicit flags win).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from . import __version__
 from .backbone import Model, NetSpec, TrainConfig, build, evaluate, parameter_count, train
 from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
-                      load_manifest, make_isolated_clips, read_clip, synth_temporal)
-from .errors import ConfigError, SignflowError, UsageError
+                      load_manifest, make_isolated_clips, read_clip, read_json, synth_temporal)
+from .errors import ConfigError, ParseError, SignflowError, UsageError
 from .gloss import Lexicon, ReorderRule, load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
 from .tensor import (Tensor, conv2d, grad_check, matmul, mul, relu, roll_time, sigmoid,
@@ -41,14 +42,11 @@ def _emit(obj: dict, args) -> None:
     sys.stdout.write(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=indent) + "\n")
 
 
-def _diagnose(record: dict) -> None:
-    """One diagnostics record: a JSON line on stderr."""
-    print(json.dumps(record, ensure_ascii=False, sort_keys=True), file=sys.stderr)
-
-
-def _emit_line(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-    sys.stdout.flush()
+def _emit_line(obj: dict, file) -> None:
+    """One JSON line, keys sorted, flushed: a stream record on stdout, or a
+    diagnostics record (a warning, a timing) on stderr."""
+    file.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+    file.flush()
 
 
 def _require_file(path: str | Path | None, flag: str) -> Path:
@@ -152,11 +150,10 @@ def cmd_train(args) -> int:
         # timing and page faults go to stderr: stdout stays byte-stable for a seed
         nonlocal epoch_start, faults_start
         seconds, faults = time.perf_counter() - epoch_start, _minor_faults() - faults_start
-        _emit_line(record)
-        print(json.dumps({"epoch": record["epoch"], "seconds": round(seconds, 6),
-                          "clips_per_s": round(len(train_ds) / seconds, 3),
-                          "minor_faults": faults}),
-              file=sys.stderr, flush=True)
+        _emit_line(record, sys.stdout)
+        _emit_line({"epoch": record["epoch"], "seconds": round(seconds, 6),
+                    "clips_per_s": round(len(train_ds) / seconds, 3),
+                    "minor_faults": faults}, sys.stderr)
         epoch_start, faults_start = time.perf_counter(), _minor_faults()
 
     history = train(model, train_ds, cfg, on_epoch=on_epoch)
@@ -215,7 +212,8 @@ def cmd_recognize(args) -> int:
         result = recognize(entry, model, lex, rules, sample, base=base,
                            label_map=label_map, cfg=cfg, size=model.spec.frame_size)
     for w in caught:
-        _diagnose({"kind": "warning", "category": w.category.__name__, "message": str(w.message)})
+        _emit_line({"kind": "warning", "category": w.category.__name__,
+                    "message": str(w.message)}, sys.stderr)
     _emit(result, args)
     return 0
 
@@ -227,7 +225,8 @@ def cmd_stream(args) -> int:
     for i in range(entry.num_frames):
         step = stream.step(read_clip(entry, [i], base=".", size=model.spec.frame_size)[0])
         _emit_line({"frame": i, "prediction": step["prediction"],
-                    "rolling_logits": [round(float(v), 6) for v in step["rolling_logits"][0]]})
+                    "rolling_logits": [round(float(v), 6) for v in step["rolling_logits"][0]]},
+                   sys.stdout)
     return 0
 
 
@@ -242,7 +241,7 @@ def cmd_translate(args) -> int:
         policy = TransitionPolicy.parse(args.policy)
         manifest = plan(seq, lex, index, policy=policy, fallback=args.fallback)
         for record in manifest.warnings:
-            _diagnose(record)
+            _emit_line(record, sys.stderr)
         result["manifest"] = manifest.to_dict()
         if args.materialize:
             if not args.out:
@@ -306,9 +305,8 @@ def cmd_bench(args) -> int:
             train(model, train_ds, cfg)
         metrics = evaluate(model, eval_ds)
         if args.profile:
-            line = {"variant": variant, "batch_size": cfg.batch_size,
-                    **_profile_step(model, train_ds, cfg)}
-            print(json.dumps(line, sort_keys=True), file=sys.stderr, flush=True)
+            _emit_line({"variant": variant, "batch_size": cfg.batch_size,
+                        **_profile_step(model, train_ds, cfg)}, sys.stderr)
 
         # every latency goes through _median_ms: one timed evaluate pass after its warm-up
         ms_eval = _median_ms(lambda: evaluate(model, eval_ds), 1) / len(eval_ds)
@@ -505,11 +503,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     if not getattr(args, "config", None):
         return args
     path = _require_file(args.config, "--config")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            defaults = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise UsageError(f"--config: {path} is not valid JSON ({exc})") from None
+    try:
+        defaults = read_json(path)
+    except ParseError as exc:  # invalid JSON or not UTF-8: a flag's file, so a usage error
+        raise UsageError(f"--config: {exc}") from None
     if not isinstance(defaults, dict):
         raise UsageError(f"--config: {path} must hold a JSON object")
     actions = {a.dest: a for a in args.config_parser._actions}
@@ -549,6 +546,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SignflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an output directory whose path is a file
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -179,12 +179,7 @@ def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int]
     path = Path(path)
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 ({exc})") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -215,16 +210,35 @@ def load_labels(path: Path | str) -> dict[str, int]:
     Invalid JSON or anything but an object of JSON integer values is a
     ParseError that names the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ParseError(f"{path}: {exc}") from None
+    raw = read_json(path)
     try:
         return {str(k): json_int(v, repr(k)) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError):
         raise ParseError(f"{path}: labels must be a JSON object of gloss -> class index") \
             from None
+
+
+def read_text(path: Path | str) -> str:
+    """The text of a UTF-8 file, with universal newlines. A path that cannot
+    be read (missing, a directory, ...) or bytes that are not UTF-8 are a
+    ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc})") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+
+
+def read_json(path: Path | str):
+    """The JSON value of a UTF-8 file (read_text); invalid JSON is a
+    ParseError that names the file, at the file's own line and column."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def json_int(value, key: str) -> int:
@@ -248,25 +262,23 @@ def _resolve_dir(base: Path, frame_dir: str) -> Path:
 
 def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
               size: tuple[int, int] | None = None) -> np.ndarray:
-    """Decode the given frame indices to a [T,C,H,W] array in [0,1]."""
+    """Decode each given frame index (a repeated index is decoded again) to a
+    [T,C,H,W] array in [0,1]."""
     for idx in indices:
         if not 0 <= idx < entry.num_frames:
             raise InputError(f"{entry.video_id}: frame index {idx} outside "
                              f"[0, {entry.num_frames})")
     d = _resolve_dir(Path(base), entry.frame_dir)
     stem = str(d / "frame_")
-    cache: dict[int, np.ndarray] = {}
     frames = []
     for idx in indices:
-        if idx not in cache:
-            frame = _read_indexed(stem, d, idx)
-            if size is not None:
-                frame = _resize_nearest(frame, size)
-            if cache and frame.shape != frames[0].shape:
-                raise FrameIOError(f"{d}: frame {idx} has shape {frame.shape}, "
-                                   f"frame {indices[0]} has {frames[0].shape}")
-            cache[idx] = frame
-        frames.append(cache[idx])
+        frame = _read_indexed(stem, d, idx)
+        if size is not None:
+            frame = _resize_nearest(frame, size)
+        if frames and frame.shape != frames[0].shape:
+            raise FrameIOError(f"{d}: frame {idx} has shape {frame.shape}, "
+                               f"frame {indices[0]} has {frames[0].shape}")
+        frames.append(frame)
     return np.stack(frames)
 
 

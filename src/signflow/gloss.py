@@ -18,13 +18,12 @@ The engine is deterministic by construction.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dataset import json_int, json_str
+from .dataset import json_int, json_str, read_json, read_text
 from .errors import ConfigError, GlossLookupError, ParseError
 
 TAG_OOV = "OOV"
@@ -75,13 +74,7 @@ def load_lexicon(path: Path | str) -> Lexicon:
     """
     entries: dict[str, LexEntry] = {}
     gloss_lines: dict[str, int] = {}  # gloss id -> the line that defines it
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 ({exc})") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -173,11 +166,7 @@ def load_rules(path: Path | str, known_tags: set[str]) -> list[ReorderRule]:
     wrong JSON type, or a rule ReorderRule rejects, is a ParseError that
     names the file and the rule's number.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ParseError(f"{path}: {exc}") from None
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: rules file must be a JSON list")
     rules = []
@@ -241,26 +230,23 @@ def _apply_rule(tokens: list[Token], rule: ReorderRule
     """Returns (new tokens, source permutation, dropped positions)."""
     n = len(tokens)
     matched = [i for i, tok in enumerate(tokens) if rule.matches(tok, i)]
-    identity = tuple(range(n))
     if not matched:
-        return tokens, identity, ()
+        return tokens, tuple(range(n)), ()
+    hit = set(matched)
+    keep = [i for i in range(n) if i not in hit]
 
     if rule.action == "drop":
-        keep = [i for i in range(n) if i not in matched]
         return [tokens[i] for i in keep], tuple(keep), tuple(matched)
 
     if rule.action == "move-to-end":
-        keep = [i for i in range(n) if i not in matched]
         order = keep + matched
     elif rule.action == "move-to-front":
-        keep = [i for i in range(n) if i not in matched]
         order = matched + keep
     else:  # swap-adjacent: left-to-right single pass, no double-swapping
         order = list(range(n))
         i = 0
-        matched_set = set(matched)
         while i < n - 1:
-            if order[i] in matched_set:
+            if order[i] in hit:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 i += 2
             else:
@@ -387,12 +373,8 @@ def glosses_to_text(glosses: GlossSequence, lex: Lexicon, rules: list[ReorderRul
 
     Every non-fingerspell gloss id must resolve in the lexicon.
     """
-    missing = [t.gloss_id for t in glosses.tokens
-               if t.gloss_id is not None and lex.lookup_gloss(t.gloss_id) is None]
-    if missing:
-        raise GlossLookupError(f"gloss ids not in lexicon: {sorted(set(missing))}")
-    natural = inverse_reorder(glosses, rules)
-    return join_surfaces(natural)
+    _check_known([t.gloss_id for t in glosses.tokens if t.gloss_id is not None], lex)
+    return join_surfaces(inverse_reorder(glosses, rules))
 
 
 def tokens_from_gloss_ids(gloss_ids: list[str], lex: Lexicon) -> GlossSequence:
@@ -400,17 +382,18 @@ def tokens_from_gloss_ids(gloss_ids: list[str], lex: Lexicon) -> GlossSequence:
 
     Ids prefixed '#' are fingerspell characters; others must resolve.
     """
+    _check_known([gid for gid in gloss_ids if not gid.startswith("#")], lex)
     tokens = []
-    missing = []
     for gid in gloss_ids:
-        if gid.startswith("#"):
-            tokens.append(Token(gid[1:], None, (TAG_OOV,)))
-            continue
-        entry = lex.lookup_gloss(gid)
-        if entry is None:
-            missing.append(gid)
-        else:
-            tokens.append(Token(entry.word, entry.gloss_id, entry.tags))
-    if missing:
-        raise GlossLookupError(f"gloss ids not in lexicon: {sorted(set(missing))}")
+        entry = None if gid.startswith("#") else lex.lookup_gloss(gid)
+        tokens.append(Token(gid[1:], None, (TAG_OOV,)) if entry is None
+                      else Token(entry.word, entry.gloss_id, entry.tags))
     return GlossSequence(tokens)
+
+
+def _check_known(gloss_ids: list[str], lex: Lexicon) -> None:
+    """Every id must resolve in the lexicon; the ones that do not are named,
+    sorted, in one GlossLookupError."""
+    missing = {gid for gid in gloss_ids if lex.lookup_gloss(gid) is None}
+    if missing:
+        raise GlossLookupError(f"gloss ids not in lexicon: {sorted(missing)}")

@@ -625,6 +625,19 @@ class TestStream:
         out = stream.step(np.zeros((first, 2, 8, 8), dtype=np.float32))
         assert out["rolling_logits"].shape == (first, 3)
 
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    def test_plan_gives_the_stream_its_folds_and_frame_shape(self, temporal):
+        model = perturbed(build(tiny_spec(temporal=temporal, direction="unidirectional"),
+                                seed=1, dtype=np.float64), seed=2)
+        plan = backbone.InferencePlan(model)
+        assert plan.folds == [block.fold for block in model.blocks]
+        assert plan.frame_shape == (2, 8, 8)
+        clip = np.random.default_rng(3).uniform(0, 1, (1, 4, 2, 8, 8))
+        stream, opened = backbone.StreamState(plan, "s"), model.open_stream()
+        for t in range(4):
+            npt.assert_array_equal(stream.step(clip[:, t])["frame_logits"],
+                                   opened.step(clip[:, t])["frame_logits"])
+
     def test_step_builds_no_tensor(self, monkeypatch):
         model = build(tiny_spec(direction="unidirectional"), seed=0)
         stream = model.open_stream()

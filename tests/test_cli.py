@@ -204,6 +204,14 @@ class TestTrainEval:
         for line in json_lines(proc.stdout):
             assert not {"seconds", "clips_per_s", "minor_faults"} & set(line)
 
+    def test_stderr_json_lines_have_sorted_keys(self, synth_dir, tmp_path):
+        proc = run_cli("train", "--manifest", str(synth_dir / "manifest.jsonl"),
+                       "--out", str(tmp_path / "m"), "--epochs", "2", "--no-timestamp")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True)
+
 
 class TestGradcheckCommand:
     def test_all_pass(self):
@@ -484,6 +492,9 @@ def _action_weights(spec: dict) -> bytes:
 
 
 GRAY_2X2 = b"P5\n2 2\n255\n\0\0\0\0"
+# one manifest line: the demo lexicon's clip for 我, one frame in G_WO/
+CLIP_LINE = json.dumps({"video_id": "G_WO", "frame_dir": "G_WO", "num_frames": 1, "label": 0,
+                        "split": "train"}).encode() + b"\n"
 TRAIN = ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m")
 EVAL_NETSPEC = ("eval", "--manifest", "{synth}/manifest.jsonl", "--weights",
                 "{model}/model.sgnf", "--netspec", "{d}/netspec.json")
@@ -544,6 +555,21 @@ CLI_ERRORS = {
                                          [{"id": "r", "priority": p, "match": {"index": 0},
                                            "action": "drop"} for p in (0, 1)]).encode()},
                                      TRANSLATE_RULES, 1, "{d}/rules.json: duplicate rule ids"),
+    "train-labels-json-is-a-directory": ({"clips.jsonl": CLIP_LINE, "labels.json/keep": b""},
+                                         ("train", "--manifest", "{d}/clips.jsonl", "--out",
+                                          "{d}/m"), 1, "{d}/labels.json: Is a directory"),
+    # an output path the OS refuses: one line that names it, not a traceback
+    "train-out-is-a-file": ({"F": b""}, (*TRAIN, "--out", "{d}/F"), 1, "{d}/F: File exists"),
+    "synth-isolated-out-is-a-file": ({"F": b""}, ("synth", "--isolated", "--lexicon",
+                                                  str(DEMO / "lexicon.tsv"), "--out", "{d}/F"),
+                                     1, "{d}/F: File exists"),
+    "translate-materialize-frames-is-a-file": ({"clips.jsonl": CLIP_LINE,
+                                                "G_WO/frame_00000.pgm": GRAY_2X2,
+                                                "v/frames": b""},
+                                               ("translate", "--text", "我", "--lexicon",
+                                                str(DEMO / "lexicon.tsv"), "--clips",
+                                                "{d}/clips.jsonl", "--materialize", "--out",
+                                                "{d}/v"), 1, "{d}/v/frames: File exists"),
 }
 
 

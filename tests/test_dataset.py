@@ -150,6 +150,21 @@ class TestReadClip:
         npt.assert_array_equal(clip[0], clip[1])
         npt.assert_array_equal(clip[0], clip[2])
 
+    def test_each_index_is_decoded(self, tmp_path, monkeypatch):
+        from signflow import dataset
+        d = tmp_path / "v"
+        d.mkdir()
+        for i in range(2):
+            write_frame(d / frame_name(i), np.full((1, 4, 4), 0.2 * (i + 1)))
+        decoded = []
+        read_indexed = dataset._read_indexed
+        monkeypatch.setattr(dataset, "_read_indexed",
+                            lambda stem, frame_dir, index: decoded.append(index) or
+                            read_indexed(stem, frame_dir, index))
+        clip = read_clip(ManifestEntry("v", "v", 2, 0, "train"), [1, 0, 1, 1], base=tmp_path)
+        assert decoded == [1, 0, 1, 1]
+        npt.assert_array_equal(clip[[0, 2, 3]], np.broadcast_to(clip[0], (3, 1, 4, 4)))
+
     def test_out_of_range_index(self, tmp_path):
         entry = ManifestEntry("v", "v", 4, 0, "train")
         with pytest.raises(InputError):

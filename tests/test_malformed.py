@@ -10,6 +10,7 @@ returns or raises a SignflowError.
 """
 
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from signflow import cli
 from signflow.backbone import Model, NetSpec
 from signflow.dataset import load_labels, load_manifest, read_frame, write_frame
-from signflow.errors import SignflowError
+from signflow.errors import ParseError, SignflowError
 from signflow.gloss import load_lexicon, load_rules
 from signflow.tensor import load_weights, save_weights
 
@@ -190,6 +191,38 @@ def load_netspec(path: Path) -> None:
 def load_config(path: Path) -> None:
     """translate with ``path`` as --config: main returns an exit code or raises."""
     cli.main([*TRANSLATE, LEXICON, "--no-timestamp", "--config", str(path)])
+
+
+def load_manifest_beside(path: Path) -> None:
+    """load_manifest of a valid manifest whose sibling labels.json is ``path``."""
+    manifest = path.with_name("clips.jsonl")
+    manifest.write_bytes(manifest_line())
+    load_manifest(manifest)
+
+
+# file name, loader of the text artifact at a path of that name
+TEXT_LOADERS = {
+    "manifest": ("labels.json", load_manifest_beside),
+    "labels": ("labels.json", load_labels),
+    "lexicon": ("lex.tsv", load_lexicon),
+    "rules": ("rules.json", lambda path: load_rules(path, known_tags=KNOWN_TAGS)),
+    "netspec": ("netspec.json", load_netspec),
+}
+
+
+@pytest.mark.parametrize("bad", ["directory", "not_utf8"])
+@pytest.mark.parametrize("loader", list(TEXT_LOADERS))
+def test_unreadable_text_artifact_is_parse_error(tmp_path, loader, bad):
+    """A text artifact that is a directory, or whose bytes are not UTF-8, is
+    a ParseError that names it."""
+    name, load = TEXT_LOADERS[loader]
+    path = tmp_path / name
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe[]\n")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        load(path)
 
 
 # loader, a valid file it reads, the file's suffix
