@@ -18,6 +18,11 @@ Parameters so gamma and beta get their gradients; ``forward`` is its
 consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
 plain numpy calls; its caller gives each block's branch input (``infer``
 the temporal module over the clip, ``StreamState.step`` the online shift).
+``infer`` runs each conv as conv2d_array; a stream runs it as a gather from
+a zero-bordered buffer of its own, through an index cached per geometry
+(``gather_index``), and one GEMM: at batch 1 a conv's cost is its numpy
+calls, and a copy, a gather, the GEMM and the bias take the place of
+conv2d_array's ten or so.
 
 NetSpec is the one config of the temporal modules: ``block_layout`` sizes
 each block's shift fold once (``_Block.fold``), and every walk reads it
@@ -28,6 +33,7 @@ fold from it, which equals the offline unidirectional shift frame by frame.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Callable
@@ -37,9 +43,9 @@ import numpy as np
 
 from .dataset import read_json
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
-from .tensor import (Array, Parameter, Tensor, add, class_labels, conv2d, conv2d_array,
-                     log_softmax, matmul, relu, reshape, softmax_cross_entropy, tmean,
-                     load_weights, save_weights)
+from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, class_labels, conv2d,
+                     conv2d_array, log_softmax, matmul, relu, reshape, softmax_cross_entropy,
+                     tmean, load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
 from .actionnet import ActionBlock, check_squeeze, squeezed
 
@@ -462,19 +468,81 @@ class InferencePlan:
         self.head_w = model.head_w.data.copy()
         self.head_b = model.head_b.data.copy()
 
-    def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
+    def convs(self, make: Callable[[Array, Array, int, int], Callable[[Array], Array]]) -> tuple:
+        """The walk's convs, each ``make(w, b, stride, pad)`` of a folded unit:
+        (stem, [(conv1, conv2, proj or None) of each block])."""
+        return make(*self.stem), [(make(*conv1), make(*conv2),
+                                   make(*proj) if proj is not None else None)
+                                  for conv1, conv2, proj in self.blocks]
+
+    def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array],
+                     convs: tuple | None = None) -> Array:
         """[M,C,H,W] frames -> [M,K] logits of each frame. ``branch(i, x)``
-        gives block i's branch input from its input x."""
-        x = _relu(conv2d_array(frames, *self.stem))
-        for i, (conv1, conv2, proj) in enumerate(self.blocks):
-            y = conv2d_array(_relu(conv2d_array(branch(i, x), *conv1)), *conv2)
-            y += conv2d_array(x, *proj) if proj is not None else x
+        gives block i's branch input from its input x. ``convs`` (made by
+        ``convs``) run the convs; by default conv2d_array on each folded unit."""
+        stem, blocks = convs if convs is not None else self.convs(_array_conv)
+        x = _relu(stem(frames))
+        for i, (conv1, conv2, proj) in enumerate(blocks):
+            y = conv2(_relu(conv1(branch(i, x))))
+            y += proj(x) if proj is not None else x
             x = _relu(y)
         return x.mean(axis=(2, 3)) @ self.head_w + self.head_b
 
 
+def _array_conv(w: Array, b: Array, stride: int, pad: int) -> Callable[[Array], Array]:
+    """conv2d_array on one folded unit: the convs of ``Model.infer``."""
+    return lambda x: conv2d_array(x, w, b, stride, pad)
+
+
+@functools.lru_cache(maxsize=64)
+def gather_index(c: int, h: int, w: int, n: int, kh: int, kw: int, stride: int,
+                 pad: int) -> Array:
+    """Where each element of a conv's cols lies in its zero-bordered input:
+    flat positions in an [N, C, H+2*pad, W+2*pad] buffer, shaped as the cols,
+    [C*kh*kw, oh*ow*N] with rows in _im2col's (c, kh, kw) order and columns
+    in (oh, ow, n) order. One read-only array per geometry, shared by every
+    stream."""
+    oh, ow = _conv2d_out_hw(h, w, kh, kw, stride, pad)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ci, i, j, y, x, b = np.ogrid[:c, :kh, :kw, :oh, :ow, :n]
+    index = (((b * c + ci) * hp + y * stride + i) * wp + x * stride + j)
+    index = index.reshape(c * kh * kw, oh * ow * n)
+    index.flags.writeable = False
+    return index
+
+
+class _StreamConv:
+    """One conv of a stream as a gather and one GEMM. Each call writes its
+    [N,C,H,W] input into the interior of a zero-bordered buffer of its own,
+    gathers the cols through gather_index (fancy indexing of the flat buffer,
+    which beat ``np.take`` here) and multiplies them by the weights. The cols
+    are _im2col's, so the result is conv2d_array's, at float32 bit for bit.
+    The buffer is made on the first call, when N is known."""
+
+    def __init__(self, w: Array, b: Array, stride: int, pad: int):
+        self.w2d, self.b = w.reshape(len(w), -1), b[:, None]
+        self.kernel, self.stride, self.pad = w.shape[2:], stride, pad
+        self.flat: Array | None = None
+
+    def __call__(self, x: Array) -> Array:
+        if self.flat is None:
+            self._build(*x.shape)
+        self.interior[...] = x
+        out = self.w2d @ self.flat[self.index]
+        out += self.b
+        return out.reshape(self.out_shape).transpose(3, 0, 1, 2)
+
+    def _build(self, n: int, c: int, h: int, w: int) -> None:
+        p = self.pad
+        self.index = gather_index(c, h, w, n, *self.kernel, self.stride, p)
+        buf = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=self.w2d.dtype)
+        self.flat, self.interior = buf.reshape(-1), buf[:, :, p:p + h, p:p + w]
+        self.out_shape = (len(self.w2d), *_conv2d_out_hw(h, w, *self.kernel, self.stride, p), n)
+
+
 class StreamState:
-    """Per-stream mutable state: each block's previous input plus a logit sum.
+    """Per-stream mutable state: each block's previous input, each conv's
+    input buffer (see _StreamConv) and a logit sum.
 
     It holds the InferencePlan folded when the stream was opened, which
     gives each block's fold and the frame shape. The batch size N is the
@@ -484,6 +552,7 @@ class StreamState:
         self.plan = plan
         self.dtype = plan.head_w.dtype
         self.stream_id = stream_id
+        self.convs = plan.convs(_StreamConv)
         self.prev: list[Array | None] = [None] * len(plan.folds)
         self.frames_seen = 0
         self.logit_sum: Array | None = None
@@ -499,7 +568,7 @@ class StreamState:
             n = "N" if self.logit_sum is None else rows[0]
             raise InputError(f"stream {self.stream_id!r}: frame shape {frame.shape} is not "
                              f"[{n},{','.join(map(str, self.plan.frame_shape))}]")
-        logits = self.plan.frame_logits(frame, self._branch)
+        logits = self.plan.frame_logits(frame, self._branch, self.convs)
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
         rolling = self.logit_sum / self.frames_seen

@@ -12,6 +12,7 @@ on it by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,7 +63,7 @@ def write_frame(path: Path | str, frame: np.ndarray) -> None:
             fh.write(magic + b"\n%d %d\n255\n" % (w, h))
             fh.write(body.tobytes())
     except OSError as exc:
-        raise FrameIOError(f"{path}: {exc}") from exc
+        raise FrameIOError.of(path, exc) from exc
 
 
 def read_frame(path: Path | str) -> np.ndarray:
@@ -71,7 +72,7 @@ def read_frame(path: Path | str) -> np.ndarray:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise FrameIOError(f"{path}: {exc}") from exc
+        raise FrameIOError.of(path, exc) from exc
     return _decode_frame(raw, path)
 
 
@@ -119,6 +120,14 @@ def _decode_frame(raw: bytes, path: Path | str) -> np.ndarray:
     return out.astype(np.float64) / 255.0
 
 
+def make_dir(path: Path) -> None:
+    """Make a frame directory and its parents; an OS fault is a FrameIOError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FrameIOError.of(path, exc) from exc
+
+
 def frame_name(index: int) -> str:
     return f"frame_{index:05d}.pgm"
 
@@ -141,7 +150,7 @@ def _read_indexed(stem: str, frame_dir: Path, index: int) -> np.ndarray:
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
-            raise FrameIOError(f"{path}: {exc}") from exc
+            raise FrameIOError.of(path, exc) from exc
         return _decode_frame(raw, path)
     raise missing_frame(frame_dir, index)
 
@@ -255,9 +264,14 @@ def json_str(value, key: str) -> str:
     return value
 
 
-def _resolve_dir(base: Path, frame_dir: str) -> Path:
+@functools.lru_cache(maxsize=1024)
+def _frame_dir(base: Path | str, frame_dir: str) -> tuple[Path, str]:
+    """A clip's frame directory (``frame_dir`` under ``base`` unless it is
+    absolute) and its ``<dir>/frame_`` stem. Cached: a stream reads its clip
+    one frame per call, and pathlib costs more than the frame's open."""
     p = Path(frame_dir)
-    return p if p.is_absolute() else base / p
+    d = p if p.is_absolute() else Path(base) / p
+    return d, str(d / "frame_")
 
 
 def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
@@ -268,8 +282,7 @@ def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
         if not 0 <= idx < entry.num_frames:
             raise InputError(f"{entry.video_id}: frame index {idx} outside "
                              f"[0, {entry.num_frames})")
-    d = _resolve_dir(Path(base), entry.frame_dir)
-    stem = str(d / "frame_")
+    d, stem = _frame_dir(base, entry.frame_dir)
     frames = []
     for idx in indices:
         frame = _read_indexed(stem, d, idx)
@@ -368,11 +381,7 @@ def synth_temporal(spec: SynthSpec, out_dir: Path | str) -> Path:
     frames in class_orders(spec)[k] order plus seeded uniform noise.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FrameIOError(f"{out_dir}: {exc}") from exc
-
+    make_dir(out_dir)
     orders = class_orders(spec)
     frames = base_frames(spec)
     rng = np.random.default_rng(spec.seed + 1)
@@ -384,7 +393,7 @@ def synth_temporal(spec: SynthSpec, out_dir: Path | str) -> Path:
                 video_id = f"{split}_c{label}_{i:04d}"
                 rel = Path(split) / video_id
                 d = out_dir / rel
-                d.mkdir(parents=True, exist_ok=True)
+                make_dir(d)
                 order = orders[label]
                 for t_idx in range(spec.t):
                     frame = frames[order[t_idx]]
@@ -412,7 +421,7 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
     if min(frame_size) < 1:
         raise ConfigError(f"frame size must be at least 1x1, got {frame_size}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     k_total = len(glosses)
     h, w = frame_size
     rng = np.random.default_rng(seed)
@@ -420,7 +429,7 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
     for gloss_id, label in sorted(glosses.items(), key=lambda kv: kv[1]):
         rel = Path("clips") / gloss_id
         d = out_dir / rel
-        d.mkdir(parents=True, exist_ok=True)
+        make_dir(d)
         level = (label + 1) / (k_total + 1)
         for t_idx in range(num_frames):
             frame = np.zeros((1, h, w))

@@ -37,6 +37,12 @@ class GlossLookupError(SignflowError):
 class FrameIOError(SignflowError):
     """Frame file unreadable or unwritable; message carries the path."""
 
+    @classmethod
+    def of(cls, path, exc: OSError) -> "FrameIOError":
+        """An OS fault on ``path``, read one way: the path, then the OS's
+        reason (``strerror``, which does not repeat the path)."""
+        return cls(f"{path}: {exc.strerror or exc}")
+
 
 class NumericError(SignflowError):
     """Non-finite value encountered where finite math is required."""

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (FRAME_EXTS, ManifestEntry, load_manifest, missing_frame, read_clip,
-                      save_manifest)
+from .dataset import (FRAME_EXTS, ManifestEntry, load_manifest, make_dir, missing_frame,
+                      read_clip, save_manifest)
 from .errors import ConfigError, FrameIOError, GlossLookupError, InputError
 from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text, tokens_from_gloss_ids
 from .sampler import SampleSpec, segment_sample
@@ -151,7 +151,7 @@ def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | 
     nothing is written through a link into the clip store.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     out_stat = os.stat(out_dir)
     stems: dict[str, str] = {}  # frame_dir -> "<clip dir>/frame_"
     for clip, _ in manifest.frames:
@@ -167,7 +167,7 @@ def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | 
         for path in old:
             os.unlink(path)
     except OSError as exc:
-        raise FrameIOError(f"{out_dir}: {exc}") from exc
+        raise FrameIOError.of(out_dir, exc) from exc
     dst_stem = str(out_dir / "frame_")
     for k, (clip, i) in enumerate(manifest.frames):
         src, dst = f"{stems[clip.frame_dir]}{i:05d}.", f"{dst_stem}{k:05d}."
@@ -203,7 +203,7 @@ def _copy_to_new(src: str, dst: str) -> None:
         with open(src, "rb") as fin, open(dst, "xb") as fout:
             shutil.copyfileobj(fin, fout)
     except OSError as exc:
-        raise FrameIOError(f"{src}: {exc}") from exc
+        raise FrameIOError.of(src, exc) from exc
 
 
 # -- recognition ------------------------------------------------------------------------

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from signflow import actionnet, backbone
 from signflow.backbone import (Metrics, Model, NetSpec, StageSpec, TrainConfig, build,
                                evaluate, parameter_count, topk_hits, train)
 from signflow.errors import ConfigError, DimensionError, InputError, NumericError
-from signflow.tensor import Tensor, conv2d, softmax_cross_entropy
+from signflow.tensor import (Tensor, _channel_major, _conv2d_out_hw, _im2col, conv2d,
+                             conv2d_array, softmax_cross_entropy)
 
 
 def tiny_spec(**kw):
@@ -666,3 +667,100 @@ class TestStream:
         clip = np.random.default_rng(seed).uniform(0, 1, (1, *spec.clip_shape))
         assert_agrees(stream_logits(model, clip), model.per_frame_logits(clip).numpy(),
                       np.float64)
+
+
+class TestStreamConv:
+    @settings(max_examples=80, deadline=None)
+    @given(c=st.integers(1, 4), h=st.integers(1, 7), w=st.integers(1, 7), n=st.integers(1, 3),
+           k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]), pad=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**16))
+    def test_gather_equals_im2col(self, c, h, w, n, k, stride, pad, seed):
+        assume(h + 2 * pad >= k and w + 2 * pad >= k)
+        x = np.random.default_rng(seed).uniform(-1, 1, (n, c, h, w)).astype(np.float32)
+        index = backbone.gather_index(c, h, w, n, k, k, stride, pad)
+        buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        buf[:, :, pad:pad + h, pad:pad + w] = x
+        oh, ow = _conv2d_out_hw(h, w, k, k, stride, pad)
+        cols = _im2col(_channel_major(x, pad), k, k, stride, oh, ow)
+        npt.assert_array_equal(buf.reshape(-1)[index], cols)
+        assert not index.flags.writeable
+        assert backbone.gather_index(c, h, w, n, k, k, stride, pad) is index  # one per geometry
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0), (1, 1, 0)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stream_conv_is_conv2d_array_bit_for_bit(self, k, stride, pad, n):
+        rng = np.random.default_rng(k + stride + n)
+        w = rng.uniform(-1, 1, (5, 3, k, k)).astype(np.float32)
+        b = rng.uniform(-1, 1, 5).astype(np.float32)
+        conv = backbone._StreamConv(w, b, stride, pad)
+        for _ in range(3):  # the buffer is reused from call to call
+            x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
+            npt.assert_array_equal(conv(x), conv2d_array(x, w, b, stride, pad))
+
+
+def stream_convs(stream):
+    stem, blocks = stream.convs
+    return [stem, *(conv for block in blocks for conv in block if conv is not None)]
+
+
+def stream_buffers(stream):
+    """Copies of every conv buffer of a stream (None before its first frame)."""
+    return [None if conv.flat is None else conv.flat.copy() for conv in stream_convs(stream)]
+
+
+class TestStreamBuffers:
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_alternated_streams_equal_streams_run_alone(self, temporal, n):
+        spec = NetSpec.micro(4, temporal=temporal, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        clips = [rng.uniform(0, 1, (n, 6, 1, 32, 32)).astype(np.float32) for _ in range(2)]
+        alone = [stream_logits(model, clip) for clip in clips]
+        streams = [model.open_stream(stream_id=f"s{i}") for i in range(2)]
+        got = [[], []]
+        for t in range(6):
+            for i, stream in enumerate(streams):
+                got[i].append(stream.step(clips[i][:, t])["frame_logits"])
+        for i in range(2):
+            npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
+
+    def test_kept_results_are_new_arrays_that_later_steps_leave_alone(self):
+        spec = NetSpec.micro(4, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        clip = np.random.default_rng(4).uniform(0, 1, (1, 6, 1, 32, 32)).astype(np.float32)
+        stream = model.open_stream()
+        kept, copies = [], []
+        for t in range(6):
+            kept.append(stream.step(clip[:, t]))
+            copies.append({key: np.copy(value) for key, value in kept[-1].items()})
+        for out, copy in zip(kept, copies):  # later steps ran after each was returned
+            for key, value in copy.items():
+                npt.assert_array_equal(out[key], value)
+        buffers = [conv.flat for conv in stream_convs(stream)]
+        arrays = [out[key] for out in kept for key in ("frame_logits", "rolling_logits")]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, buf) for buf in buffers)
+            assert not any(np.shares_memory(a, other) for other in arrays[i + 1:])
+
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    def test_rejected_frame_leaves_the_buffers_as_they_were(self, temporal):
+        spec = NetSpec.micro(4, temporal=temporal, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        clip = np.random.default_rng(5).uniform(0, 1, (1, 4, 1, 32, 32)).astype(np.float32)
+        stream = model.open_stream(stream_id="cam7")
+        assert stream_buffers(stream) == [None] * 7
+        with pytest.raises(InputError, match="cam7"):  # before any frame: nothing is made
+            stream.step(np.zeros((1, 1, 8, 8), dtype=np.float32))
+        assert stream_buffers(stream) == [None] * 7
+        for t in range(2):
+            stream.step(clip[:, t])
+        before = stream_buffers(stream)
+        for shape in ((2, 1, 32, 32), (1, 1, 16, 32), (1, 1, 1, 32)):
+            bad = np.full(shape, 7, dtype=np.float32)
+            with pytest.raises(InputError, match="cam7"):
+                stream.step(bad)
+            for got, want in zip(stream_buffers(stream), before):
+                npt.assert_array_equal(got, want)
+        rest = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(2, 4)], axis=1)
+        npt.assert_array_equal(rest, stream_logits(model, clip)[:, 2:])

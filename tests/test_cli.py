@@ -560,9 +560,12 @@ CLI_ERRORS = {
                                           "{d}/m"), 1, "{d}/labels.json: Is a directory"),
     # an output path the OS refuses: one line that names it, not a traceback
     "train-out-is-a-file": ({"F": b""}, (*TRAIN, "--out", "{d}/F"), 1, "{d}/F: File exists"),
+    # one OS fault reads one way: the path, then the OS's reason, once
+    "synth-out-is-a-file": ({"F": b""}, ("synth", "--out", "{d}/F"), 1,
+                            "error: {d}/F: File exists\n"),
     "synth-isolated-out-is-a-file": ({"F": b""}, ("synth", "--isolated", "--lexicon",
                                                   str(DEMO / "lexicon.tsv"), "--out", "{d}/F"),
-                                     1, "{d}/F: File exists"),
+                                     1, "error: {d}/F: File exists\n"),
     "translate-materialize-frames-is-a-file": ({"clips.jsonl": CLIP_LINE,
                                                 "G_WO/frame_00000.pgm": GRAY_2X2,
                                                 "v/frames": b""},

@@ -225,6 +225,27 @@ class TestReadClip:
         with pytest.raises(FrameIOError, match=re.escape(f"{d / 'frame_00000.pgm'}: ")):
             read_clip(entry, [0], base=tmp_path)
 
+    @pytest.mark.parametrize("base,frame_dir,named", [
+        (".", "v", "v"), (".", "./v/", "v"), ("./", "v//", "v"), ("", "v", "v"),
+        ("data", "./v", "data/v"), ("data/", "v", "data/v"), ("elsewhere", "{abs}", "{abs}"),
+    ])
+    def test_messages_name_the_directory_as_pathlib_does(self, tmp_path, monkeypatch, base,
+                                                         frame_dir, named):
+        monkeypatch.chdir(tmp_path)
+        for d in ("v", "data/v"):
+            (tmp_path / d).mkdir(parents=True)
+            (tmp_path / d / "frame_00000.pgm").write_bytes(b"xx")
+        frame_dir, named = (s.format(abs=tmp_path / "v") for s in (frame_dir, named))
+        entry = ManifestEntry("v", frame_dir, 2, 0, "train")
+        for _ in range(2):  # the second read reuses the first one's path
+            with pytest.raises(FrameIOError) as info:
+                read_clip(entry, [1], base=base)
+            assert str(info.value) == f"{named}: no frame_00001.pgm/.ppm"
+            with pytest.raises(FrameIOError) as info:
+                read_clip(entry, [0], base=base)
+            assert str(info.value) == (f"{named}/frame_00000.pgm: not a binary PGM/PPM file "
+                                       f"(magic b'xx')")
+
 
 class TestSynthTemporal:
     def test_class_frame_multisets_match(self, tmp_path):
