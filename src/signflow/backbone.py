@@ -511,38 +511,62 @@ def gather_index(c: int, h: int, w: int, n: int, kh: int, kw: int, stride: int,
     return index
 
 
+# The largest cols (C*kh*kw*oh*ow*N elements) a stream conv gathers. The
+# gather indexes element by element, so it beats conv2d_array's copies only
+# while the cols are small: every conv of the micro net, and the 1x1
+# projections of the tiny net, at N = 1 and 2.
+GATHER_MAX_COLS = 16_384
+
+
 class _StreamConv:
-    """One conv of a stream as a gather and one GEMM. Each call writes its
-    [N,C,H,W] input into the interior of a zero-bordered buffer of its own,
-    gathers the cols through gather_index (fancy indexing of the flat buffer,
-    which beat ``np.take`` here) and multiplies them by the weights. The cols
-    are _im2col's, so the result is conv2d_array's, at float32 bit for bit.
-    The buffer is made on the first call, when N is known."""
+    """One conv of a stream. On the first call, when N is known, it picks by
+    the size of its cols: up to GATHER_MAX_COLS a gather and one GEMM, above
+    it conv2d_array. The gather writes each [N,C,H,W] input into the interior
+    of a zero-bordered buffer of its own (``flat``, None until then and for a
+    conv2d_array conv), gathers the cols through gather_index (fancy indexing
+    of the flat buffer, which beat ``np.take`` here) and multiplies them by
+    the weights. The cols are _im2col's, so either way the result is
+    conv2d_array's, at float32 bit for bit."""
 
     def __init__(self, w: Array, b: Array, stride: int, pad: int):
-        self.w2d, self.b = w.reshape(len(w), -1), b[:, None]
-        self.kernel, self.stride, self.pad = w.shape[2:], stride, pad
+        self.w, self.b, self.stride, self.pad = w, b, stride, pad
         self.flat: Array | None = None
+        self.run: Callable[[Array], Array] | None = None
 
     def __call__(self, x: Array) -> Array:
-        if self.flat is None:
-            self._build(*x.shape)
-        self.interior[...] = x
-        out = self.w2d @ self.flat[self.index]
-        out += self.b
-        return out.reshape(self.out_shape).transpose(3, 0, 1, 2)
+        if self.run is None:
+            self.run = self._choose(*x.shape)
+        return self.run(x)
 
-    def _build(self, n: int, c: int, h: int, w: int) -> None:
+    def _choose(self, n: int, c: int, h: int, wd: int) -> Callable[[Array], Array]:
+        """The conv this unit runs for [n, c, h, wd] inputs. The gather is a
+        closure over its own state, not a bound method: stored in ``run``, a
+        method would tie the conv into a reference cycle that only the cyclic
+        collector frees, once for every stream opened."""
+        kh, kw = self.w.shape[2:]
         p = self.pad
-        self.index = gather_index(c, h, w, n, *self.kernel, self.stride, p)
-        buf = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=self.w2d.dtype)
-        self.flat, self.interior = buf.reshape(-1), buf[:, :, p:p + h, p:p + w]
-        self.out_shape = (len(self.w2d), *_conv2d_out_hw(h, w, *self.kernel, self.stride, p), n)
+        oh, ow = _conv2d_out_hw(h, wd, kh, kw, self.stride, p)
+        if c * kh * kw * oh * ow * n > GATHER_MAX_COLS:
+            return _array_conv(self.w, self.b, self.stride, p)
+        w2d, b2d = self.w.reshape(len(self.w), -1), self.b[:, None]
+        index = gather_index(c, h, wd, n, kh, kw, self.stride, p)
+        buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=self.w.dtype)
+        self.flat = flat = buf.reshape(-1)
+        interior = buf[:, :, p:p + h, p:p + wd]
+        out_shape = (len(w2d), oh, ow, n)
+
+        def gather(x: Array) -> Array:
+            interior[...] = x
+            out = w2d @ flat[index]
+            out += b2d
+            return out.reshape(out_shape).transpose(3, 0, 1, 2)
+
+        return gather
 
 
 class StreamState:
     """Per-stream mutable state: each block's previous input, each conv's
-    input buffer (see _StreamConv) and a logit sum.
+    choice and input buffer (see _StreamConv) and a logit sum.
 
     It holds the InferencePlan folded when the stream was opened, which
     gives each block's fold and the frame shape. The batch size N is the

@@ -17,6 +17,7 @@ import statistics
 import sys
 import time
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from . import __version__
 from .backbone import Model, NetSpec, TrainConfig, build, evaluate, parameter_count, train
 from .dataset import (ManifestEntry, SynthSpec, load_clip_dataset, load_labels,
                       load_manifest, make_isolated_clips, read_clip, read_json, synth_temporal)
-from .errors import ConfigError, ParseError, SignflowError, UsageError
+from .errors import ConfigError, DimensionError, ParseError, SignflowError, UsageError
 from .gloss import Lexicon, ReorderRule, load_lexicon, load_rules, reorder, segment
 from .sampler import SampleSpec, MODE_EVAL_CENTER, MODE_TRAIN_RANDOM
 from .tensor import (Tensor, conv2d, grad_check, matmul, mul, relu, roll_time, sigmoid,
@@ -74,6 +75,18 @@ def _netspec_from_args(num_classes: int, *, preset: str, temporal: str, t: int |
                                         ("t", t)) if value is not None}
     make = NetSpec.tiny if preset == "tiny" else NetSpec.micro
     return make(num_classes, temporal=temporal, **kw)
+
+
+def _data_channels(clips, manifest: Path, preset: str) -> int:
+    """The channel count of the first clip read, which either preset is built
+    with; a clip with another count is a DimensionError naming the manifest
+    and the preset."""
+    channels = clips[0][0].shape[1]
+    for clip, _ in clips:
+        if clip.shape[1] != channels:
+            raise DimensionError(f"{manifest}: a clip of {clip.shape[1]} channels after one of "
+                                 f"{channels}: --preset {preset} takes one channel count")
+    return channels
 
 
 def _load_model(args) -> Model:
@@ -138,6 +151,7 @@ def cmd_train(args) -> int:
     mode = MODE_TRAIN_RANDOM if args.sample_mode == "random" else MODE_EVAL_CENTER
     sample = SampleSpec(num_segments=spec.t, mode=mode, seed=args.seed)
     train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size)
+    spec = replace(spec, in_channels=_data_channels(train_ds, manifest, args.preset))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
     model = build(spec, seed=args.seed)
@@ -223,7 +237,8 @@ def cmd_stream(args) -> int:
     entry = _frames_entry(args.frames)
     stream = model.open_stream(stream_id=entry.video_id)
     for i in range(entry.num_frames):
-        step = stream.step(read_clip(entry, [i], base=".", size=model.spec.frame_size)[0])
+        step = stream.step(read_clip(entry, [i], base=".", size=model.spec.frame_size,
+                                     dtype=model.dtype)[0])
         _emit_line({"frame": i, "prediction": step["prediction"],
                     "rolling_logits": [round(float(v), 6) for v in step["rolling_logits"][0]]},
                    sys.stdout)
@@ -295,6 +310,8 @@ def cmd_bench(args) -> int:
     eval_split = args.split if any(e.split == args.split for e in entries) else "train"
     eval_ds = train_ds if eval_split == "train" else \
         load_clip_dataset(manifest, eval_split, sample, size=size)
+    channels = _data_channels([*train_ds, *eval_ds], manifest, args.preset)
+    specs = [replace(spec, in_channels=channels) for spec in specs]
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       seed=args.seed)
     rows = []

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,14 +71,59 @@ def write_frame(path: Path | str, frame: np.ndarray) -> None:
 def read_frame(path: Path | str) -> np.ndarray:
     """Read a binary PGM/PPM frame back to [C,H,W] floats in [0,1]."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        raw = _read_bytes(path)
     except OSError as exc:
         raise FrameIOError.of(path, exc) from exc
-    return _decode_frame(raw, path)
+    return np.take(_levels(np.float64), _raster(raw, path), mode="wrap")
 
 
-def _decode_frame(raw: bytes, path: Path | str) -> np.ndarray:
+_READ_CHUNK = 1 << 16  # under glibc's mmap threshold: a read's buffer comes from the heap
+
+
+def _read_bytes(path: Path | str) -> bytes:
+    """A file's bytes, by os.read until EOF: no file object, and the fd is
+    closed on every path. OSError propagates."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        parts = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            parts.append(chunk)
+        return b"".join(parts)
+    finally:
+        os.close(fd)
+
+
+# The header signflow writes: magic, one whitespace byte between fields, no
+# leading zeros, at most 9 digits, maxval 255, one whitespace byte. Anything
+# else goes through _parse_header, which gives every message.
+_PLAIN_HEADER = re.compile(rb"P([56])\s([1-9]\d{0,8})\s([1-9]\d{0,8})\s255\s")
+
+
+@functools.lru_cache(maxsize=8)
+def _levels(dtype) -> np.ndarray:
+    """The value of each 8-bit level in ``dtype``: level / 255 in float64,
+    then cast, so a lookup equals the float64 decode cast to ``dtype``."""
+    table = (np.arange(256) / 255.0).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
+def _raster(raw: bytes, path: Path | str) -> np.ndarray:
+    """The [C,H,W] uint8 pixels of a binary PGM/PPM file's bytes (a view)."""
+    m = _PLAIN_HEADER.match(raw)
+    if m is not None:
+        channels, w, h, pos = 1 if m[1] == b"5" else 3, int(m[2]), int(m[3]), m.end()
+    if m is None or len(raw) - pos < w * h * channels:
+        channels, w, h, pos = _parse_header(raw, path)
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * channels, offset=pos)
+    if channels == 1:
+        return pixels.reshape(1, h, w)
+    return np.moveaxis(pixels.reshape(h, w, 3), 2, 0)  # P6 interleaves RGB per pixel
+
+
+def _parse_header(raw: bytes, path: Path | str) -> tuple[int, int, int, int]:
+    """(channels, width, height, raster offset) of any binary PGM/PPM header;
+    a malformed header or a short raster is a FrameIOError naming the file."""
     magic = raw[:2]
     if magic not in (b"P5", b"P6"):
         raise FrameIOError(f"{path}: not a binary PGM/PPM file (magic {magic!r})")
@@ -112,12 +159,7 @@ def _decode_frame(raw: bytes, path: Path | str) -> np.ndarray:
     if len(raw) - pos < expected:
         raise FrameIOError(f"{path}: truncated raster ({max(len(raw) - pos, 0)} of "
                            f"{expected} bytes)")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=expected, offset=pos)
-    if channels == 1:
-        out = pixels.reshape(1, h, w)
-    else:
-        out = np.moveaxis(pixels.reshape(h, w, 3), 2, 0)
-    return out.astype(np.float64) / 255.0
+    return channels, w, h, pos
 
 
 def make_dir(path: Path) -> None:
@@ -139,19 +181,18 @@ def missing_frame(frame_dir: Path, index: int) -> FrameIOError:
     return FrameIOError(f"{frame_dir}: no frame_{index:05d}.pgm/.ppm")
 
 
-def _read_indexed(stem: str, frame_dir: Path, index: int) -> np.ndarray:
-    """Frame ``index`` of frame_dir (``stem`` is ``frame_dir/frame_``): the
-    .pgm, else the .ppm, found by opening it, so a name costs no stat."""
+def _read_indexed(stem: str, frame_dir: Path, index: int) -> tuple[bytes, str]:
+    """The bytes and path of frame ``index`` of frame_dir (``stem`` is
+    ``frame_dir/frame_``): the .pgm, else the .ppm, found by opening it, so a
+    name costs no stat."""
     for ext in FRAME_EXTS:
         path = f"{stem}{index:05d}.{ext}"
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            return _read_bytes(path), path
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
             raise FrameIOError.of(path, exc) from exc
-        return _decode_frame(raw, path)
     raise missing_frame(frame_dir, index)
 
 
@@ -275,24 +316,31 @@ def _frame_dir(base: Path | str, frame_dir: str) -> tuple[Path, str]:
 
 
 def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
-              size: tuple[int, int] | None = None) -> np.ndarray:
+              size: tuple[int, int] | None = None, dtype=np.float64) -> np.ndarray:
     """Decode each given frame index (a repeated index is decoded again) to a
-    [T,C,H,W] array in [0,1]."""
+    [T,C,H,W] array of ``dtype`` in [0,1]: each frame's levels go straight
+    into the clip's buffer, equal to the float64 decode cast to ``dtype``."""
+    if not indices:
+        raise InputError(f"{entry.video_id}: no frame indices to read")
     for idx in indices:
         if not 0 <= idx < entry.num_frames:
             raise InputError(f"{entry.video_id}: frame index {idx} outside "
                              f"[0, {entry.num_frames})")
     d, stem = _frame_dir(base, entry.frame_dir)
-    frames = []
-    for idx in indices:
-        frame = _read_indexed(stem, d, idx)
-        if size is not None:
-            frame = _resize_nearest(frame, size)
-        if frames and frame.shape != frames[0].shape:
-            raise FrameIOError(f"{d}: frame {idx} has shape {frame.shape}, "
-                               f"frame {indices[0]} has {frames[0].shape}")
-        frames.append(frame)
-    return np.stack(frames)
+    levels = _levels(dtype)
+    clip = None
+    for i, idx in enumerate(indices):
+        pixels = _raster(*_read_indexed(stem, d, idx))
+        if size is not None:  # nearest neighbour picks pixels, so it commutes with the lookup
+            pixels = _resize_nearest(pixels, size)
+        if clip is None:
+            clip = np.empty((len(indices), *pixels.shape), dtype=levels.dtype)
+        elif pixels.shape != clip.shape[1:]:
+            raise FrameIOError(f"{d}: frame {idx} has shape {pixels.shape}, "
+                               f"frame {indices[0]} has {clip.shape[1:]}")
+        # every uint8 level indexes the table; "wrap" skips np.take's buffered bounds check
+        np.take(levels, pixels, out=clip[i], mode="wrap")
+    return clip
 
 
 # -- synthetic order-permutation videos ---------------------------------------------------

@@ -28,7 +28,7 @@ wide. ``conv2d_array`` is that forward on plain arrays, without a graph
 node; conv2d and graph-free inference both call it. At N = 1 conv order is
 the memory order of [1, C, H, W], so that path copies no more than a plain
 pad. The backward runs on the GEMM lowering at either dtype: with g
-[Co, oh*ow*N] (a free reshape of a conv-order grad), dW = g @ cols^T (cols
+[Co, oh*ow*N] (a free reshape of a conv-order grad), dW = (cols @ g^T)^T (cols
 rebuilt from the unpadded input the node keeps), and dX scatters w^T @ g
 tap by tap into a [C, Hp, Wp, N] buffer whose interior is added to x's
 grad, contiguously when x is in conv order.
@@ -432,7 +432,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
         g_t = grad.transpose(1, 2, 3, 0).reshape(co, oh * ow * n)
         if w.requires_grad:
             cols = _im2col(_channel_major(xd, pad), kh, kw, stride, oh, ow)
-            w.grad += (g_t @ cols.T).reshape(w.shape)
+            # (cols @ g^T)^T is g @ cols^T; BLAS runs this orientation faster
+            # at every 3x3 shape of the presets
+            w.grad += (cols @ g_t.T).T.reshape(w.shape)
         if x.requires_grad:
             dcols = (w.data.reshape(co, -1).T @ g_t).reshape(c, kh, kw, oh, ow, n)
             dxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, n), dtype=grad.dtype)

@@ -232,7 +232,7 @@ def recognize(entry: ManifestEntry, model, lex: Lexicon, rules: list[ReorderRule
     inv_labels = _gloss_by_class(model, lex, label_map)
     windows = _cut_windows(entry.num_frames, cfg)
     clips = [read_clip(entry, [w_start + i for i in segment_sample(w_len, sample_spec)],
-                       base=base, size=size) for w_start, w_len in windows]
+                       base=base, size=size, dtype=model.dtype) for w_start, w_len in windows]
     details: list[dict] = []
     for (w_start, w_len), logits in zip(windows, model.infer(clips)):
         cls = int(np.argmax(logits))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -764,3 +766,37 @@ class TestStreamBuffers:
                 npt.assert_array_equal(got, want)
         rest = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(2, 4)], axis=1)
         npt.assert_array_equal(rest, stream_logits(model, clip)[:, 2:])
+
+
+class TestStreamConvChoice:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_micro_gathers_every_conv(self, n):
+        stream = build(NetSpec.micro(4, direction="unidirectional"), seed=0).open_stream()
+        stream.step(np.zeros((n, 1, 32, 32), dtype=np.float32))
+        assert all(conv.flat is not None for conv in stream_convs(stream))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_runs_its_stem_as_an_array_conv_and_gathers_its_projections(self, n):
+        model = perturbed(build(NetSpec.tiny(4, direction="unidirectional"), seed=1), seed=2)
+        clip = np.random.default_rng(3).uniform(0, 1, (n, 3, 3, 32, 32)).astype(np.float32)
+        got = stream_logits(model, clip)
+        stream = model.open_stream()
+        stream.step(clip[:, 0])
+        stem, blocks = stream.convs
+        projections = [proj for _, _, proj in blocks if proj is not None]
+        assert stem.flat is None and len(projections) == 2
+        assert [conv for conv in stream_convs(stream) if conv.flat is not None] == projections
+        assert_agrees(got, model.per_frame_logits(clip).numpy(), np.float32)
+
+    @pytest.mark.parametrize("preset,channels", [("micro", 1), ("tiny", 3)])
+    def test_a_stream_is_freed_without_the_cyclic_collector(self, preset, channels):
+        model = build(getattr(NetSpec, preset)(4, direction="unidirectional"), seed=0)
+        stream = model.open_stream()
+        stream.step(np.zeros((1, channels, 32, 32), dtype=np.float32))
+        refs = [weakref.ref(conv) for conv in stream_convs(stream)]
+        gc.disable()
+        try:
+            del stream
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

@@ -566,6 +566,18 @@ CLI_ERRORS = {
     "synth-isolated-out-is-a-file": ({"F": b""}, ("synth", "--isolated", "--lexicon",
                                                   str(DEMO / "lexicon.tsv"), "--out", "{d}/F"),
                                      1, "error: {d}/F: File exists\n"),
+    # a preset takes the first clip's channel count: a clip with another is one line
+    "train-tiny-gray-then-rgb-clip": ({"clips.jsonl": b"".join(
+                                          json.dumps({"video_id": v, "frame_dir": v,
+                                                      "num_frames": 1, "label": label,
+                                                      "split": "train"}).encode() + b"\n"
+                                          for label, v in enumerate(("g", "c"))),
+                                       "g/frame_00000.pgm": GRAY_2X2,
+                                       "c/frame_00000.ppm": b"P6\n2 2\n255\n" + bytes(12)},
+                                      ("train", "--manifest", "{d}/clips.jsonl", "--out",
+                                       "{d}/m", "--preset", "tiny"), 1,
+                                      "error: {d}/clips.jsonl: a clip of 3 channels after one "
+                                      "of 1: --preset tiny takes one channel count\n"),
     "translate-materialize-frames-is-a-file": ({"clips.jsonl": CLIP_LINE,
                                                 "G_WO/frame_00000.pgm": GRAY_2X2,
                                                 "v/frames": b""},
@@ -659,6 +671,27 @@ class TestBench:
         assert [r["variant"] for r in rows] == ["shift", "none"]
         for row in rows:
             assert row["backward_ms"]["conv2d"] >= 0 and row["op_nodes"] > 0
+
+
+class TestTinyPreset:
+    """--preset tiny on signflow's own grayscale data: the net takes the data's
+    channel count and keeps the preset's other fields."""
+
+    def test_train_one_epoch(self, synth_dir, tmp_path, capsys):
+        out = main_json(capsys, "train", "--manifest", synth_dir / "manifest.jsonl", "--out",
+                        tmp_path / "m", "--preset", "tiny", "--epochs", "1", "--t", "2",
+                        "--no-timestamp")
+        assert out["epochs"] == 1
+        spec = json.loads((tmp_path / "m" / "netspec.json").read_text(encoding="utf-8"))
+        assert (spec["in_channels"], spec["stem_channels"], spec["stem_stride"]) == (1, 16, 1)
+        assert [stage["channels"] for stage in spec["stages"]] == [16, 32, 64]
+
+    def test_bench(self, synth_dir, capsys):
+        out = main_json(capsys, "bench", "--manifest", synth_dir / "manifest.jsonl",
+                        "--preset", "tiny", "--variants", "shift", "--t", "2", "--reps", "1",
+                        "--no-timestamp")
+        [row] = out["rows"]
+        assert row["variant"] == "shift" and row["ms_per_frame_online"] > 0
 
 
 class TestConfigFile:

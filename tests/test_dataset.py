@@ -1,9 +1,11 @@
 import json
+import os
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signflow.dataset import (ManifestEntry, SynthSpec, base_frames, class_orders,
                               frame_name, load_clip_dataset, load_manifest,
@@ -79,6 +81,124 @@ class TestFrameIO:
         with pytest.raises(FrameIOError, match="header field of 5000 digits") as info:
             read_frame(p)
         assert str(p) in str(info.value)
+
+
+def parser_decode(raw: bytes, path) -> np.ndarray:
+    """The full header parser's decode: each level as float64, divided by 255."""
+    from signflow.dataset import _parse_header
+    channels, w, h, pos = _parse_header(raw, path)
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * channels, offset=pos)
+    if channels == 1:
+        return pixels.reshape(1, h, w).astype(np.float64) / 255.0
+    return np.moveaxis(pixels.reshape(h, w, 3), 2, 0).astype(np.float64) / 255.0
+
+
+def header_parses(monkeypatch) -> list:
+    """Record each call of the full header parser (the fallback of the plain one)."""
+    from signflow import dataset
+    calls, parse = [], dataset._parse_header
+    monkeypatch.setattr(dataset, "_parse_header",
+                        lambda raw, path: calls.append(path) or parse(raw, path))
+    return calls
+
+
+class TestPlainHeader:
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.sampled_from([1, 3]), h=st.integers(1, 12), w=st.integers(1, 12),
+           ws=st.lists(st.sampled_from([b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c"]),
+                       min_size=4, max_size=4),
+           tail=st.binary(max_size=3), seed=st.integers(0, 2**16))
+    def test_plain_header_decodes_as_the_parser_does(self, tmp_path_factory, channels, h, w,
+                                                      ws, tail, seed):
+        from signflow import dataset
+        pixels = np.random.default_rng(seed).integers(0, 256, w * h * channels, dtype=np.uint8)
+        raw = (b"P5" if channels == 1 else b"P6") + ws[0] + b"%d" % w + ws[1] + b"%d" % h + \
+            ws[2] + b"255" + ws[3] + pixels.tobytes() + tail
+        d = tmp_path_factory.mktemp("v")
+        path = d / f"frame_00000.{'pgm' if channels == 1 else 'ppm'}"
+        path.write_bytes(raw)
+        assert dataset._PLAIN_HEADER.match(raw)  # the fast path, not the fallback
+        want = parser_decode(raw, path)
+        got = read_frame(path)
+        assert got.dtype == np.float64 and got.shape == (channels, h, w)
+        npt.assert_array_equal(got, want)
+        entry = ManifestEntry("v", str(d), 1, 0, "train")
+        for dtype in (np.float64, np.float32):
+            clip = read_clip(entry, [0, 0], dtype=dtype)
+            assert clip.dtype == dtype and clip.shape == (2, channels, h, w)
+            npt.assert_array_equal(clip, np.stack([want, want]).astype(dtype))
+
+    def test_plain_header_does_not_reach_the_parser(self, tmp_path, monkeypatch):
+        p = tmp_path / "frame_00000.pgm"
+        write_frame(p, np.full((1, 3, 2), 0.5))
+        calls = header_parses(monkeypatch)
+        read_frame(p)
+        assert calls == []
+
+    @pytest.mark.parametrize("raw,match", [
+        (b"P5\n# by hand\n2 1\n255\n\x00\xff", None),
+        (b"P5  2 1\n255\n\x00\xff", None),
+        (b"P5 2 1 \n255\n\x00\xff", None),
+        (b"P5 02 1 255\n\x00\xff", None),
+        (b"P6 1 01 255\n\x01\x02\x03", None),
+        (b"P5 2 1 0255\n\x00\xff", None),
+        (b"P5 2 1 254\n\x00\xff", "only 8-bit rasters supported, maxval 254"),
+        (b"P5 2 1 65535\n\x00\xff\x00\xff", "only 8-bit rasters supported, maxval 65535"),
+        (b"P5 1234567890 1 255\n\x00", "truncated raster (1 of 1234567890 bytes)"),
+        (b"P5 1 0000000001 255\n\x07", None),
+        (b"P5 2 2 255\n\x00\x01\x02", "truncated raster (3 of 4 bytes)"),
+        (b"P6 2 1 255\n\x00\x01\x02", "truncated raster (3 of 6 bytes)"),
+        (b"P5 0 1 255\n", "empty raster (0x1)"),
+    ], ids=["comment", "two-spaces", "space-before-newline", "leading-zero", "leading-zero-p6",
+            "maxval-leading-zero", "maxval-254", "maxval-16-bit", "field-of-10-digits",
+            "ten-digit-one", "truncated-p5", "truncated-p6", "zero-width"])
+    def test_other_headers_reach_the_parser(self, tmp_path, monkeypatch, raw, match):
+        p = tmp_path / "frame_00000.pgm"
+        p.write_bytes(raw)
+        want = parser_decode(raw, p) if match is None else None
+        calls = header_parses(monkeypatch)
+        if match is None:
+            npt.assert_array_equal(read_frame(p), want)
+        else:
+            with pytest.raises(FrameIOError) as info:
+                read_frame(p)
+            assert str(info.value) == f"{p}: {match}"
+        assert calls == [p]
+
+    def test_a_directory_named_as_a_frame_is_a_directory(self, tmp_path):
+        d = tmp_path / "v"
+        (d / "frame_00000.pgm").mkdir(parents=True)
+        with pytest.raises(FrameIOError) as info:
+            read_frame(d / "frame_00000.pgm")
+        assert str(info.value) == f"{d / 'frame_00000.pgm'}: Is a directory"
+        with pytest.raises(FrameIOError) as info:
+            read_clip(ManifestEntry("v", "v", 1, 0, "train"), [0], base=tmp_path)
+        assert str(info.value) == f"{d / 'frame_00000.pgm'}: Is a directory"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failing_reads_leak_no_fd(self, tmp_path):
+        d = tmp_path / "v"
+        (d / "frame_00000.pgm").mkdir(parents=True)        # os.read fails
+        (d / "frame_00001.pgm").write_bytes(b"P5 2 2 255\n")  # read, then rejected
+        entry = ManifestEntry("v", "v", 3, 0, "train")       # frame 2 is missing
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            for index in range(3):
+                with pytest.raises(FrameIOError):
+                    read_clip(entry, [index], base=tmp_path)
+            with pytest.raises(FrameIOError):
+                read_frame(d / "frame_00000.pgm")
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_large_frame_is_read_to_the_end(self, tmp_path):
+        p = tmp_path / "frame_00000.ppm"
+        frame = np.random.default_rng(4).uniform(0, 1, (3, 200, 150))  # over one read chunk
+        write_frame(p, frame)
+        npt.assert_array_equal(read_frame(p), parser_decode(p.read_bytes(), p))
+
+    def test_empty_index_list_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="no frame indices"):
+            read_clip(ManifestEntry("v", "v", 1, 0, "train"), [], base=tmp_path)
 
 
 class TestManifest:
