@@ -582,8 +582,9 @@ class StreamState:
         self.logit_sum: Array | None = None
 
     def step(self, frame: Array) -> dict:
-        """Process one [N,C,H,W] frame (or [C,H,W]); returns per-frame and
-        rolling consensus logits."""
+        """Process one [N,C,H,W] frame (or [C,H,W]); returns the frame's
+        [N, classes] logits and the rolling consensus, their mean over the
+        frames seen, as ``frame_logits`` and ``rolling_logits``."""
         frame = np.asarray(frame, dtype=self.dtype)
         if frame.ndim == 3:
             frame = frame[None]
@@ -595,9 +596,7 @@ class StreamState:
         logits = self.plan.frame_logits(frame, self._branch, self.convs)
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
-        rolling = self.logit_sum / self.frames_seen
-        return {"frame_logits": logits, "rolling_logits": rolling,
-                "prediction": int(np.argmax(rolling[0]))}
+        return {"frame_logits": logits, "rolling_logits": self.logit_sum / self.frames_seen}
 
     def _branch(self, i: int, x: Array) -> Array:
         """Block i's branch input, keeping x as block i's previous input.

@@ -2,9 +2,11 @@
 
 Machine output is JSON on stdout (one object, or one object per line for
 streams); diagnostics go to stderr. Exit codes: 0 success, 1 domain error
-or an OS error on a path, 2 usage error. SIGNFLOW_SEED overrides the
-default --seed; an optional --config JSON file supplies flag defaults
-(explicit flags win).
+or an OS error on a path, 2 usage error. Each subcommand takes only the
+shared flags it reads: every one takes --config, a JSON file of flag
+defaults (explicit flags win); synth, train, bench and gradcheck take
+--seed, whose default SIGNFLOW_SEED overrides; all but stream, whose lines
+carry no timestamp, take --no-timestamp and --pretty.
 """
 
 from __future__ import annotations
@@ -237,11 +239,11 @@ def cmd_stream(args) -> int:
     entry = _frames_entry(args.frames)
     stream = model.open_stream(stream_id=entry.video_id)
     for i in range(entry.num_frames):
-        step = stream.step(read_clip(entry, [i], base=".", size=model.spec.frame_size,
-                                     dtype=model.dtype)[0])
-        _emit_line({"frame": i, "prediction": step["prediction"],
-                    "rolling_logits": [round(float(v), 6) for v in step["rolling_logits"][0]]},
-                   sys.stdout)
+        frame = read_clip(entry, [i], base=".", size=model.spec.frame_size,
+                          dtype=model.dtype)[0]
+        rolling = stream.step(frame)["rolling_logits"][0]
+        _emit_line({"frame": i, "prediction": int(np.argmax(rolling)),
+                    "rolling_logits": [round(float(v), 6) for v in rolling]}, sys.stdout)
     return 0
 
 
@@ -405,12 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed_default = _default_seed()
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=seed_default)
+    def common(p, *, seed: bool, emit: bool = True):
+        """The shared flags a subcommand reads: --seed where it draws random
+        numbers, --no-timestamp and --pretty where it prints through _emit."""
+        if seed:
+            p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--config", help="JSON file of flag defaults (flags win)")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp field (byte-stable output)")
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        if emit:
+            p.add_argument("--no-timestamp", action="store_true",
+                           help="omit the timestamp field (byte-stable output)")
+            p.add_argument("--pretty", action="store_true", help="indent JSON output")
         p.set_defaults(config_parser=p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isolated", action="store_true",
                    help="generate one clip per lexicon gloss instead")
     p.add_argument("--lexicon", help="lexicon TSV (with --isolated)")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a manifest")
@@ -444,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--sample-mode", choices=["random", "center"], default="center")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate weights on a manifest split")
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--netspec", help="defaults to netspec.json beside the weights")
     p.add_argument("--split", default="test")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("recognize", help="recognize a sign video to text")
@@ -466,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video-id")
     p.add_argument("--window", type=int, help="sliding window length in frames")
     p.add_argument("--stride", type=int)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(fn=cmd_recognize)
 
     p = sub.add_parser("stream", help="per-frame rolling prediction via the online shift")
     p.add_argument("--weights", required=True)
     p.add_argument("--netspec")
     p.add_argument("--frames", required=True)
-    common(p)
+    common(p, seed=False, emit=False)
     p.set_defaults(fn=cmd_stream)
 
     p = sub.add_parser("translate", help="text -> gloss order -> clip plan (-> frames)")
@@ -487,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--out", help="output directory (with --materialize)")
     p.add_argument("--materialize", action="store_true")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("bench", help="latency/accuracy comparison across temporal variants")
@@ -503,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--profile", action="store_true",
                    help="print per-op backward ms of one training step to stderr")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for every op")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

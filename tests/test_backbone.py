@@ -800,3 +800,18 @@ class TestStreamConvChoice:
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+
+# safety checks of the model's entry points: id -> (call, error type, what the message holds)
+BACKBONE_ERRORS = {
+    "train-empty-dataset": (lambda: train(build(tiny_spec(), seed=0), [], TrainConfig(epochs=1)),
+                            InputError, "train requires a nonempty dataset"),
+}
+
+
+@pytest.mark.parametrize("row", list(BACKBONE_ERRORS))
+def test_typed_error(row):
+    call, error, needle = BACKBONE_ERRORS[row]
+    with pytest.raises(error) as info:
+        call()
+    assert needle in str(info.value)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -326,7 +328,7 @@ class TestStream:
         test_entry = next(e for e in entries if e["split"] == "test")
         frames_dir = synth / test_entry["frame_dir"]
         proc = run_cli("stream", "--weights", str(model_dir / "model.sgnf"),
-                       "--frames", str(frames_dir), "--no-timestamp")
+                       "--frames", str(frames_dir))
         lines = json_lines(proc.stdout)
         assert len(lines) == 8
         assert [l["frame"] for l in lines] == list(range(8))
@@ -777,3 +779,166 @@ class TestTimestamps:
         b = run_cli("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
                     "--no-timestamp").stdout
         assert a == b
+
+
+# -- every flag is read ------------------------------------------------------------------
+
+LEXICON = str(DEMO / "lexicon.tsv")
+# mode: a valid argv of one subcommand, with {d} (the run's directory, emptied before each
+# run), {synth}, {model}, {frames} and {inputs} (the flag_inputs fixture)
+FLAG_MODES = {
+    # --lexicon is read only with --isolated, which this argv leaves out
+    "synth": ("synth", "--out", "{d}/s", "--lexicon", LEXICON, "--classes", "2", "--t", "4",
+              "--size", "8", "--train-per-class", "1", "--test-per-class", "0"),
+    "synth-isolated": ("synth", "--out", "{d}/s", "--isolated", "--lexicon", LEXICON,
+                       "--t", "2", "--size", "8"),
+    # two SGD steps: the first step's update does not depend on --momentum
+    "train": ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m",
+              "--epochs", "1", "--t", "2", "--batch-size", "8"),
+    "eval": ("eval", "--manifest", "{synth}/manifest.jsonl", "--weights", "{model}/model.sgnf"),
+    "recognize": ("recognize", "--weights", "{model}/model.sgnf", "--lexicon", "{inputs}/lex.tsv",
+                  "--labels", "{synth}/labels.json", "--frames", "{frames}", "--window", "4"),
+    "stream": ("stream", "--weights", "{model}/model.sgnf", "--netspec", "{inputs}/netspec.json",
+               "--frames", "{frames}"),
+    "translate": ("translate", "--text", "我今天不吃苹果", "--lexicon", LEXICON),
+    # 犬 is not in the demo lexicon, so --fallback decides; --out is read only with
+    # --materialize, which this argv leaves out
+    "translate-clips": ("translate", "--text", "我不吃犬", "--lexicon", LEXICON,
+                        "--clips", "{inputs}/clips/manifest.jsonl", "--out", "{d}/video"),
+    "bench": ("bench", "--manifest", "{synth}/manifest.jsonl", "--variants", "shift",
+              "--reps", "1"),
+    "gradcheck": ("gradcheck",),
+}
+# flag: a valid value unlike its default and unlike its value in any mode's argv
+FLAG_VALUES = {
+    "--seed": "1", "--classes": "3", "--t": "6", "--size": "12", "--train-per-class": "2",
+    "--val-per-class": "1", "--test-per-class": "1", "--noise": "0.5", "--preset": "tiny",
+    "--temporal": "action", "--direction": "unidirectional", "--fold": "0.25", "--epochs": "2",
+    "--batch-size": "4", "--lr": "0.1", "--momentum": "0.5", "--weight-decay": "0.01",
+    "--sample-mode": "random", "--split": "train", "--video-id": "test_c0_0000",
+    "--window": "6", "--stride": "2", "--text": "我", "--policy": "hold-last-frame:2",
+    "--fallback": "error", "--fps": "10", "--variants": "none",
+}
+PATH_FLAGS = ("--out", "--manifest", "--weights", "--netspec", "--lexicon", "--rules",
+              "--labels", "--frames", "--clips")
+# (mode, or None for every mode; flag): why the flag changes neither stdout nor a file
+FLAG_EXEMPT = {
+    **{(None, flag): "a path: what it changes is up to the file it names"
+       for flag in PATH_FLAGS},
+    (None, "--config"): "supplies other flags' defaults (TestConfigFile)",
+    **{("synth-isolated", flag): "temporal synth only: --isolated writes one clip per gloss"
+       for flag in ("--classes", "--train-per-class", "--val-per-class", "--test-per-class",
+                    "--noise")},
+    **{("translate", flag): "plans clips, so is read only with --clips"
+       for flag in ("--policy", "--fallback", "--fps")},
+    ("bench", "--profile"): "writes to stderr by design (test_profile_goes_to_stderr_only)",
+    ("bench", "--reps"): "changes timings only, besides echoing itself",
+    **{("bench", flag): "trains, so is read only at --epochs above 0"
+       for flag in ("--lr", "--batch-size")},
+}
+SHARED_FLAGS = ("--seed", "--config", "--no-timestamp", "--pretty")
+
+
+def subcommand_flags() -> dict[str, dict[str, argparse.Action]]:
+    """subcommand -> {long flag: its argparse action}, from the parser as built."""
+    from signflow import cli
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt: action for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def _flag_rows() -> list[tuple[str, str]]:
+    """(mode, flag) for every flag of the mode's subcommand and every shared flag, less
+    the exempt ones and a switch the mode's argv already gives."""
+    flags = subcommand_flags()
+    rows = []
+    for mode, argv in FLAG_MODES.items():
+        own = flags[argv[0]]
+        for flag in dict.fromkeys([*own, *SHARED_FLAGS]):
+            switch = flag in own and own[flag].nargs == 0
+            if not ({(None, flag), (mode, flag)} & FLAG_EXEMPT.keys()
+                    or switch and flag in argv):
+                rows.append((mode, flag))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory, trained):
+    """A lexicon of the synthetic glosses, the trained netspec made unidirectional (the
+    same weights, which stream accepts) and isolated clips of the demo lexicon."""
+    d = tmp_path_factory.mktemp("flag_inputs")
+    (d / "lex.tsv").write_text("".join(f"w{k}\tORDER{k}\tORDER{k}\t\n" for k in range(4)),
+                               encoding="utf-8")
+    spec = json.loads((trained / "netspec.json").read_text(encoding="utf-8"))
+    (d / "netspec.json").write_text(json.dumps({**spec, "direction": "unidirectional"}),
+                                    encoding="utf-8")
+    run_cli("synth", "--isolated", "--lexicon", LEXICON, "--out", str(d / "clips"),
+            "--t", "2", "--size", "8", "--no-timestamp")
+    return d
+
+
+@pytest.fixture(scope="module")
+def flag_baselines():
+    """mode -> the outcome of its argv alone, shared by the mode's rows."""
+    return {}
+
+
+def _flag_run(capsys, argv: list[str], d: Path) -> tuple[tuple, bool]:
+    """``cli.main`` in-process in an emptied ``d``: ((exit code, stdout, {file: bytes}
+    under d), whether argparse rejected the argv)."""
+    from signflow import cli
+    shutil.rmtree(d, ignore_errors=True)
+    d.mkdir(parents=True)
+    try:
+        code, rejected = cli.main(argv), False
+    except SystemExit as exc:
+        code, rejected = exc.code, True
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err, captured.err
+    files = {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+    return (code, captured.out, files), rejected
+
+
+@pytest.mark.parametrize("mode, flag", _flag_rows(), ids=lambda v: v.lstrip("-"))
+def test_every_flag_is_read(synth_dir, trained, flag_inputs, flag_baselines, tmp_path_factory,
+                            monkeypatch, capsys, mode, flag):
+    """A flag at a non-default value changes the exit code, stdout (under --no-timestamp
+    where the subcommand takes it) or the files written, or argparse rejects it."""
+    from signflow import cli
+    monkeypatch.delenv("SIGNFLOW_SEED", raising=False)
+    monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+    # one real gradcheck takes seconds: a stand-in that is a function of its inputs
+    monkeypatch.setattr(cli, "grad_check", lambda fn, x: 1e-9 * abs(float(np.sum(x))))
+    entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+    d = tmp_path_factory.getbasetemp() / "flag_runs" / mode
+    paths = {"d": d, "synth": synth_dir, "model": trained, "inputs": flag_inputs,
+             "frames": synth_dir / entry["frame_dir"]}
+    base = [arg.format(**paths) for arg in FLAG_MODES[mode]]
+    own = subcommand_flags()[base[0]]
+    action = own.get(flag)
+    if action is not None and action.nargs != 0:
+        assert flag in FLAG_VALUES, f"give {flag} a value in FLAG_VALUES"
+    given = [flag, FLAG_VALUES[flag]] if flag in FLAG_VALUES else [flag]
+    stamp = ["--no-timestamp"] if "--no-timestamp" in own else []
+    if flag == "--no-timestamp":
+        without, _ = _flag_run(capsys, base, d)
+    else:
+        if mode not in flag_baselines:
+            flag_baselines[mode], _ = _flag_run(capsys, [*base, *stamp], d)
+        without = flag_baselines[mode]
+        given = [*stamp, *given]
+    assert without[0] == 0, f"{mode}'s argv exits {without[0]}"
+    with_flag, rejected = _flag_run(capsys, [*base, *given], d)
+    if action is None:  # a shared flag this subcommand does not take
+        assert rejected and with_flag[0] == 2, f"{base[0]} accepts {flag}"
+    else:
+        assert not rejected, f"argparse rejects {given}: fix FLAG_VALUES"
+    assert with_flag != without, f"{' '.join(base)} {' '.join(given)} changes nothing"
+
+
+def test_flag_exemptions_name_flags_of_their_modes():
+    flags = subcommand_flags()
+    for (mode, flag), reason in FLAG_EXEMPT.items():
+        modes = FLAG_MODES if mode is None else [mode]
+        assert reason and any(flag in flags[FLAG_MODES[m][0]] for m in modes), (mode, flag)

@@ -45,6 +45,13 @@ class TestFrameIO:
         write_frame(tmp_path / "b.pgm", frame)
         assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
+    def test_hw_frame_is_written_as_one_channel(self, tmp_path):
+        frame = np.random.default_rng(3).uniform(0, 1, (4, 6))
+        write_frame(tmp_path / "hw.pgm", frame)
+        write_frame(tmp_path / "chw.pgm", frame[None])
+        assert (tmp_path / "hw.pgm").read_bytes() == (tmp_path / "chw.pgm").read_bytes()
+        assert read_frame(tmp_path / "hw.pgm").shape == (1, 4, 6)
+
     def test_unreadable_frame_carries_path(self, tmp_path):
         with pytest.raises(FrameIOError, match="nope"):
             read_frame(tmp_path / "nope.pgm")
@@ -459,3 +466,26 @@ class TestLoadClipDataset:
         manifest = synth_temporal(spec, tmp_path / "ds")
         with pytest.raises(InputError):
             load_clip_dataset(manifest, "val", SampleSpec(num_segments=4))
+
+
+# safety checks of frame writing and synthesis: id -> (call of a directory, error type, what
+# the message holds, with {d} for the directory)
+DATASET_ERRORS = {
+    "write-frame-4d": (lambda d: write_frame(d / "f.pgm", np.zeros((1, 1, 4, 4))), FrameIOError,
+                       "{d}/f.pgm: frame must be [H,W] or [C,H,W] with 1 or 3 channels"),
+    "write-frame-two-channels": (lambda d: write_frame(d / "f.pgm", np.zeros((2, 4, 4))),
+                                 FrameIOError, "{d}/f.pgm: frame must be [H,W] or [C,H,W]"),
+    "write-frame-unwritable": (lambda d: write_frame(d / "no" / "f.pgm", np.zeros((4, 4))),
+                               FrameIOError, "{d}/no/f.pgm: No such file or directory"),
+    "synth-unknown-split": (lambda d: SynthSpec(num_classes=2, t=4, frame_size=(8, 8),
+                                                clips_per_class={"dev": 1}),
+                            ConfigError, "unknown split 'dev'"),
+}
+
+
+@pytest.mark.parametrize("row", list(DATASET_ERRORS))
+def test_typed_error(tmp_path, row):
+    call, error, needle = DATASET_ERRORS[row]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert needle.format(d=tmp_path) in str(info.value)

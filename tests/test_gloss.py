@@ -289,3 +289,18 @@ class TestGlossesToText:
         assert seq.tokens[1].oov and seq.tokens[1].surface == "x"
         with pytest.raises(GlossLookupError):
             tokens_from_gloss_ids(["G_NOPE"], lex)
+
+
+# safety checks of the lexicon: id -> (call, error type, what the message holds)
+GLOSS_ERRORS = {
+    "lexicon-empty-word": (lambda: Lexicon({"": LexEntry("", "G0", "G0")}), ConfigError,
+                           "lexicon words must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("row", list(GLOSS_ERRORS))
+def test_typed_error(row):
+    call, error, needle = GLOSS_ERRORS[row]
+    with pytest.raises(error) as info:
+        call()
+    assert needle in str(info.value)

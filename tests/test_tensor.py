@@ -576,3 +576,30 @@ class TestParameter:
         p = Parameter(np.zeros((2, 2)), "w")
         assert p.requires_grad and p.name == "w"
         assert p.grad is None
+
+
+# safety checks of the ops: id -> (call, error type, what the message holds)
+TENSOR_ERRORS = {
+    "conv2d-x-not-4d": (lambda: conv2d_array(np.zeros((2, 4, 4)), np.zeros((1, 2, 3, 3)), None,
+                                             1, 0),
+                        DimensionError, "conv2d expects 4D x and w, got (2, 4, 4)"),
+    "conv2d-channels-differ": (lambda: conv2d_array(np.zeros((1, 2, 4, 4)),
+                                                    np.zeros((1, 3, 3, 3)), None, 1, 0),
+                               DimensionError, "conv2d channel mismatch"),
+    "matmul-not-2d": (lambda: matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2)))),
+                      DimensionError, "matmul expects 2D operands, got (2, 3, 4) and (4, 2)"),
+    "softmax-ce-logits-not-2d": (lambda: softmax_cross_entropy(Tensor(np.zeros((2, 3, 4))),
+                                                               [0, 1]),
+                                 DimensionError, "expects [N,K] logits, got (2, 3, 4)"),
+    "softmax-ce-labels-shape": (lambda: softmax_cross_entropy(Tensor(np.zeros((2, 3))),
+                                                              [0, 1, 2]),
+                                DimensionError, "labels shape (3,) does not match logits rows 2"),
+}
+
+
+@pytest.mark.parametrize("row", list(TENSOR_ERRORS))
+def test_typed_error(row):
+    call, error, needle = TENSOR_ERRORS[row]
+    with pytest.raises(error) as info:
+        call()
+    assert needle in str(info.value)

@@ -204,3 +204,18 @@ class TestOnlineStep:
         for ti in range(t):
             npt.assert_array_equal(online_step(x[:, ti], prev, fold), offline[:, ti])
             prev = x[:, ti]
+
+
+# safety checks of the shift: id -> (call, error type, what the message holds)
+TSM_ERRORS = {
+    "shift-not-5d": (lambda: shift(Tensor(np.zeros((2, 4, 3, 3))), 1, BIDIRECTIONAL),
+                     ConfigError, "shift expects [N,T,C,H,W], got shape (2, 4, 3, 3)"),
+}
+
+
+@pytest.mark.parametrize("row", list(TSM_ERRORS))
+def test_typed_error(row):
+    call, error, needle = TSM_ERRORS[row]
+    with pytest.raises(error) as info:
+        call()
+    assert needle in str(info.value)

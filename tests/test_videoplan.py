@@ -350,3 +350,30 @@ class TestRecognize:
         assert len(expected) == 9 and expected[-1]["length"] == 4
         assert len({w["class"] for w in expected}) > 1
         assert out["windows"] == expected
+
+
+LEX_WO = Lexicon({"我": LexEntry("我", "G_WO", "G_WO")})
+# safety checks of planning and assembly: id -> (call of a directory whose clips.jsonl lists
+# clip G_WO, whose frame directory is not there; error type; what the message holds, with
+# {d} for the directory)
+VIDEOPLAN_ERRORS = {
+    "policy-unknown-kind": (lambda d: TransitionPolicy("crossfade"), ConfigError,
+                            "unknown transition policy 'crossfade'"),
+    "plan-unknown-fallback": (lambda d: plan(gseq("G_WO", lex=LEX_WO), LEX_WO,
+                                             ClipIndex(d / "clips.jsonl"), fallback="guess"),
+                              ConfigError, "unknown fallback 'guess'"),
+    "concat-missing-clip-dir": (lambda d: concat_frames(
+                                    plan(gseq("G_WO", lex=LEX_WO), LEX_WO,
+                                         ClipIndex(d / "clips.jsonl")),
+                                    ClipIndex(d / "clips.jsonl"), d / "video"),
+                                FrameIOError, "{d}/G_WO: no frame_00000.pgm/.ppm"),
+}
+
+
+@pytest.mark.parametrize("row", list(VIDEOPLAN_ERRORS))
+def test_typed_error(tmp_path, row):
+    call, error, needle = VIDEOPLAN_ERRORS[row]
+    save_manifest(tmp_path / "clips.jsonl", [ManifestEntry("G_WO", "G_WO", 1, 0, "train")])
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert needle.format(d=tmp_path) in str(info.value)
