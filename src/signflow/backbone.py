@@ -43,9 +43,9 @@ import numpy as np
 
 from .dataset import read_json
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
-from .tensor import (Array, Parameter, Tensor, _conv2d_out_hw, add, class_labels, conv2d,
-                     conv2d_array, log_softmax, matmul, relu, reshape, softmax_cross_entropy,
-                     tmean, load_weights, save_weights)
+from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col, add,
+                     class_labels, conv2d, conv2d_array, log_softmax, matmul, relu, reshape,
+                     softmax_cross_entropy, tmean, load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
 from .actionnet import ActionBlock, check_squeeze, squeezed
 
@@ -498,15 +498,13 @@ def _array_conv(w: Array, b: Array, stride: int, pad: int) -> Callable[[Array], 
 def gather_index(c: int, h: int, w: int, n: int, kh: int, kw: int, stride: int,
                  pad: int) -> Array:
     """Where each element of a conv's cols lies in its zero-bordered input:
-    flat positions in an [N, C, H+2*pad, W+2*pad] buffer, shaped as the cols,
-    [C*kh*kw, oh*ow*N] with rows in _im2col's (c, kh, kw) order and columns
-    in (oh, ow, n) order. One read-only array per geometry, shared by every
+    the _im2col cols of an [N, C, H+2*pad, W+2*pad] buffer that holds its own
+    flat positions. One read-only array per geometry, shared by every
     stream."""
     oh, ow = _conv2d_out_hw(h, w, kh, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ci, i, j, y, x, b = np.ogrid[:c, :kh, :kw, :oh, :ow, :n]
-    index = (((b * c + ci) * hp + y * stride + i) * wp + x * stride + j)
-    index = index.reshape(c * kh * kw, oh * ow * n)
+    shape = (n, c, h + 2 * pad, w + 2 * pad)
+    positions = np.arange(math.prod(shape)).reshape(shape)
+    index = _im2col(_channel_major(positions, 0), kh, kw, stride, oh, ow)
     index.flags.writeable = False
     return index
 

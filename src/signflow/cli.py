@@ -2,11 +2,15 @@
 
 Machine output is JSON on stdout (one object, or one object per line for
 streams); diagnostics go to stderr. Exit codes: 0 success, 1 domain error
-or an OS error on a path, 2 usage error. Each subcommand takes only the
-shared flags it reads: every one takes --config, a JSON file of flag
-defaults (explicit flags win); synth, train, bench and gradcheck take
---seed, whose default SIGNFLOW_SEED overrides; all but stream, whose lines
-carry no timestamp, take --no-timestamp and --pretty.
+or an OS error on a path, 2 usage error, argparse's own included; every
+error is one stderr line. Each subcommand takes only the shared flags it
+reads: every one takes --config, a JSON file of flag defaults (explicit
+flags win; a key that names no flag of any subcommand is a usage error);
+synth, train, bench and gradcheck take --seed, whose default SIGNFLOW_SEED
+overrides; all but stream, whose lines carry no timestamp, take
+--no-timestamp and --pretty. The inputs choose the mode: synth --lexicon
+writes one clip per gloss, translate --out (with --clips) writes the
+planned frames, and train takes its class count from the manifest.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def _frames_entry(frames: str) -> ManifestEntry:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    if args.isolated:
+    if args.lexicon:
         lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
         glosses = {e.gloss_id: i for i, e in
                    enumerate(sorted(lex.entries.values(), key=lambda e: e.gloss_id))}
@@ -146,13 +150,13 @@ def _minor_faults() -> int:
 def cmd_train(args) -> int:
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
-    num_classes = args.classes or (len(label_map) if label_map else
-                                   max(e.label for e in entries) + 1)
+    num_classes = len(label_map) if label_map else max(e.label for e in entries) + 1
     spec = _netspec_from_args(num_classes, preset=args.preset, temporal=args.temporal,
                               t=args.t, fold=args.fold, direction=args.direction)
     mode = MODE_TRAIN_RANDOM if args.sample_mode == "random" else MODE_EVAL_CENTER
     sample = SampleSpec(num_segments=spec.t, mode=mode, seed=args.seed)
-    train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size)
+    train_ds = load_clip_dataset(manifest, "train", sample, size=spec.frame_size,
+                                 dtype=np.float32)
     spec = replace(spec, in_channels=_data_channels(train_ds, manifest, args.preset))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                       momentum=args.momentum, weight_decay=args.weight_decay, seed=args.seed)
@@ -186,7 +190,8 @@ def cmd_eval(args) -> int:
     manifest = _require_file(args.manifest, "--manifest")
     model = _load_model(args)
     sample = SampleSpec(num_segments=model.spec.t, mode=MODE_EVAL_CENTER)
-    dataset = load_clip_dataset(manifest, args.split, sample, size=model.spec.frame_size)
+    dataset = load_clip_dataset(manifest, args.split, sample, size=model.spec.frame_size,
+                                dtype=model.dtype)
     metrics = evaluate(model, dataset)
     _emit({"split": args.split, **metrics.to_dict()}, args)
     return 0
@@ -204,6 +209,8 @@ def cmd_recognize(args) -> int:
         label_map = labels_path = None
     else:
         manifest = _require_file(args.manifest, "--manifest")
+        if args.video_id is None:
+            raise UsageError("--video-id is required with --manifest")
         entries, label_map = load_manifest(manifest)
         by_id = {e.video_id: e for e in entries}
         if args.video_id not in by_id:
@@ -260,15 +267,13 @@ def cmd_translate(args) -> int:
         for record in manifest.warnings:
             _emit_line(record, sys.stderr)
         result["manifest"] = manifest.to_dict()
-        if args.materialize:
-            if not args.out:
-                raise UsageError("--materialize requires --out")
+        if args.out:
             out_dir = Path(args.out)
             entry = concat_frames(manifest, index, out_dir / "frames", video_id=out_dir.name)
             result["frames_dir"] = str(out_dir / "frames") if entry else None
             result["materialized_frames"] = entry.num_frames if entry else 0
-    elif args.materialize:
-        raise UsageError("--materialize requires --clips")
+    elif args.out:
+        raise UsageError("--out requires --clips")
     _emit(result, args)
     return 0
 
@@ -308,10 +313,10 @@ def cmd_bench(args) -> int:
              for variant in map(str.strip, args.variants.split(","))]
     # every variant of one preset reads frames of one size: load each split once
     size = specs[0].frame_size
-    train_ds = load_clip_dataset(manifest, "train", sample, size=size)
+    train_ds = load_clip_dataset(manifest, "train", sample, size=size, dtype=np.float32)
     eval_split = args.split if any(e.split == args.split for e in entries) else "train"
     eval_ds = train_ds if eval_split == "train" else \
-        load_clip_dataset(manifest, eval_split, sample, size=size)
+        load_clip_dataset(manifest, eval_split, sample, size=size, dtype=np.float32)
     channels = _data_channels([*train_ds, *eval_ds], manifest, args.preset)
     specs = [replace(spec, in_channels=channels) for spec in specs]
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
@@ -329,7 +334,7 @@ def cmd_bench(args) -> int:
 
         # every latency goes through _median_ms: one timed evaluate pass after its warm-up
         ms_eval = _median_ms(lambda: evaluate(model, eval_ds), 1) / len(eval_ds)
-        clip = eval_ds[0][0]  # as read: infer and the stream type it
+        clip = eval_ds[0][0]  # read at float32, the model's dtype
         ms_clip = _median_ms(lambda: model.infer(clip), args.reps)
         if variant in ("shift", "none"):
             frame = clip[0]
@@ -400,9 +405,15 @@ def cmd_gradcheck(args) -> int:
 # -- parser ------------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are one-line UsageErrors; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="signflow",
-                                     description="Two-way sign language translation engine")
+    parser = _Parser(prog="signflow", description="Two-way sign language translation engine")
     parser.add_argument("--version", action="version", version=f"signflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     seed_default = _default_seed()
@@ -428,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-per-class", type=int, default=0)
     p.add_argument("--test-per-class", type=int, default=13)
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--isolated", action="store_true",
-                   help="generate one clip per lexicon gloss instead")
-    p.add_argument("--lexicon", help="lexicon TSV (with --isolated)")
+    p.add_argument("--lexicon",
+                   help="lexicon TSV: write one clip per gloss instead of the temporal set")
     common(p, seed=True)
     p.set_defaults(fn=cmd_synth)
 
@@ -442,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["bidirectional", "unidirectional"])
     p.add_argument("--fold", type=float,
                    help="shift fold fraction (default 1/8); a fold of 0 channels is an error")
-    p.add_argument("--classes", type=int)
     p.add_argument("--t", type=int, help="segments per clip (default: preset value)")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=16)
@@ -491,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hard-cut or hold-last-frame:N")
     p.add_argument("--fallback", choices=["skip", "error"], default="skip")
     p.add_argument("--fps", type=float, default=25.0)
-    p.add_argument("--out", help="output directory (with --materialize)")
-    p.add_argument("--materialize", action="store_true")
+    p.add_argument("--out", help="write the planned frames here (with --clips)")
     common(p, seed=False)
     p.set_defaults(fn=cmd_translate)
 
@@ -532,10 +540,15 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         raise UsageError(f"--config: {exc}") from None
     if not isinstance(defaults, dict):
         raise UsageError(f"--config: {path} must hold a JSON object")
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    known = {a.dest for p in sub.choices.values() for a in p._actions}
     actions = {a.dest: a for a in args.config_parser._actions}
     values = {}
     for key, value in defaults.items():
-        action = actions.get(key.replace("-", "_"))
+        dest = key.replace("-", "_")
+        if dest not in known:  # a key of another subcommand is left for that one
+            raise UsageError(f"--config: {path}: {key!r} names no flag of any subcommand")
+        action = actions.get(dest)
         if action is not None and hasattr(args, action.dest):
             values[action.dest] = _config_value(action, key, value, path)
     args.config_parser.set_defaults(**values)

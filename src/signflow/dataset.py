@@ -492,8 +492,10 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
 
 
 def load_clip_dataset(manifest: Path | str, split: str, sample_spec,
-                      size: tuple[int, int] | None = None) -> list[tuple[np.ndarray, int]]:
-    """Materialize (clip, label) pairs for one split via segment sampling."""
+                      size: tuple[int, int] | None = None,
+                      dtype=np.float64) -> list[tuple[np.ndarray, int]]:
+    """Materialize (clip, label) pairs for one split via segment sampling,
+    each clip read at ``dtype``."""
     from .sampler import segment_sample
 
     manifest = Path(manifest)
@@ -504,7 +506,7 @@ def load_clip_dataset(manifest: Path | str, split: str, sample_spec,
         if entry.split != split:
             continue
         indices = segment_sample(entry.num_frames, sample_spec)
-        out.append((read_clip(entry, indices, base=base, size=size), entry.label))
+        out.append((read_clip(entry, indices, base=base, size=size, dtype=dtype), entry.label))
     if not out:
         raise InputError(f"{manifest}: no entries in split {split!r}")
     return out

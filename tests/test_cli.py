@@ -82,8 +82,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("flags, needle", [
         (("--size", "0"), "frame size"),
-        (("--isolated", "--size", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "frame size"),
-        (("--isolated", "--t", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "1 frame"),
+        (("--size", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "frame size"),
+        (("--t", "0", "--lexicon", str(DEMO / "lexicon.tsv")), "1 frame"),
         (("--size", "2", "--t", "8"), "frame size 2x2 is smaller than the 3x3 cell grid"),
     ])
     def test_empty_frames_rejected_before_writing(self, tmp_path, flags, needle):
@@ -229,7 +229,7 @@ class TestGradcheckCommand:
 class TestTranslate:
     def test_empty_text_empty_manifest(self, tmp_path):
         clips = tmp_path / "clips"
-        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+        run_cli("synth", "--lexicon", str(DEMO / "lexicon.tsv"),
                 "--out", str(clips), "--no-timestamp")
         proc = run_cli("translate", "--text", "", "--lexicon", str(DEMO / "lexicon.tsv"),
                        "--clips", str(clips / "manifest.jsonl"), "--no-timestamp")
@@ -245,30 +245,21 @@ class TestTranslate:
         assert out["segmented"] == ["我", "今天", "不", "吃", "苹果"]
         assert out["glosses"] == ["G_JINTIAN", "G_WO", "G_CHI", "G_PINGGUO", "G_BU"]
 
-    def test_materialize_without_clips_exit_2(self, capsys):
+    def test_materialize_without_clips_exit_2(self, tmp_path, capsys):
         proc = run_main(capsys, "translate", "--text", "我", "--lexicon", DEMO / "lexicon.tsv",
-                        "--materialize")
-        assert_one_line_error(proc, 2, "--materialize requires --clips")
-
-    def test_materialize_without_out_exit_2(self, tmp_path):
-        clips = tmp_path / "clips"
-        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
-                "--out", str(clips), "--no-timestamp")
-        proc = run_cli("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
-                       "--clips", str(clips / "manifest.jsonl"), "--materialize",
-                       check=False)
-        assert proc.returncode == 2
+                        "--out", tmp_path / "video")
+        assert_one_line_error(proc, 2, "--out requires --clips")
 
     def test_materialize_writes_the_planned_frames(self, tmp_path):
         clips = tmp_path / "clips"
-        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+        run_cli("synth", "--lexicon", str(DEMO / "lexicon.tsv"),
                 "--out", str(clips), "--no-timestamp")
         out_dir = tmp_path / "video"
         proc = run_cli("translate", "--text", "我今天不吃苹果",
                        "--lexicon", str(DEMO / "lexicon.tsv"),
                        "--rules", str(DEMO / "rules.json"),
                        "--clips", str(clips / "manifest.jsonl"), "--policy", "hold-last-frame:2",
-                       "--materialize", "--out", str(out_dir), "--no-timestamp")
+                       "--out", str(out_dir), "--no-timestamp")
         out = json_lines(proc.stdout)[-1]
         frames = sorted((out_dir / "frames").glob("frame_*.p?m"))
         assert out["frames_dir"] == str(out_dir / "frames")
@@ -277,11 +268,11 @@ class TestTranslate:
 
     def test_materialize_with_no_clip_writes_no_video(self, tmp_path, capsys):
         clips, out_dir = tmp_path / "clips", tmp_path / "video"
-        main_json(capsys, "synth", "--isolated", "--lexicon", DEMO / "lexicon.tsv",
+        main_json(capsys, "synth", "--lexicon", DEMO / "lexicon.tsv",
                   "--out", clips, "--no-timestamp")
         out = main_json(capsys, "translate", "--text", "犬猫",  # neither is in the lexicon
                         "--lexicon", DEMO / "lexicon.tsv", "--clips", clips / "manifest.jsonl",
-                        "--materialize", "--out", out_dir, "--no-timestamp")
+                        "--out", out_dir, "--no-timestamp")
         assert out["frames_dir"] is None and out["materialized_frames"] == 0
         assert out["manifest"]["entries"] == [] and out["manifest"]["total_frames"] == 0
         assert list((out_dir / "frames").iterdir()) == []
@@ -290,7 +281,7 @@ class TestTranslate:
 
     def test_missing_clip_warning_on_stderr(self, tmp_path):
         clips = tmp_path / "clips"
-        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+        run_cli("synth", "--lexicon", str(DEMO / "lexicon.tsv"),
                 "--out", str(clips), "--no-timestamp")
         proc = run_cli("translate", "--text", "我犬",  # 犬 not in the demo lexicon
                        "--lexicon", str(DEMO / "lexicon.tsv"),
@@ -303,7 +294,7 @@ class TestTranslate:
 
     def test_unparsable_policy_is_config_error(self, tmp_path):
         clips = tmp_path / "clips"
-        run_cli("synth", "--isolated", "--lexicon", str(DEMO / "lexicon.tsv"),
+        run_cli("synth", "--lexicon", str(DEMO / "lexicon.tsv"),
                 "--out", str(clips), "--no-timestamp")
         proc = run_cli("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
                        "--clips", str(clips / "manifest.jsonl"),
@@ -549,8 +540,6 @@ CLI_ERRORS = {
                     "synthetic clips need t >= 2"),
     "synth-one-class": ({}, ("synth", "--out", "{d}/s", "--classes", "1"), 1,
                         "need at least 2 classes"),
-    "synth-isolated-without-lexicon": ({}, ("synth", "--out", "{d}/s", "--isolated"), 2,
-                                       "--lexicon is required"),
     "translate-rules-object": ({"rules.json": b"{}"}, TRANSLATE_RULES, 1,
                                "{d}/rules.json: rules file must be a JSON list"),
     "translate-rules-one-id-twice": ({"rules.json": json.dumps(
@@ -565,7 +554,7 @@ CLI_ERRORS = {
     # one OS fault reads one way: the path, then the OS's reason, once
     "synth-out-is-a-file": ({"F": b""}, ("synth", "--out", "{d}/F"), 1,
                             "error: {d}/F: File exists\n"),
-    "synth-isolated-out-is-a-file": ({"F": b""}, ("synth", "--isolated", "--lexicon",
+    "synth-isolated-out-is-a-file": ({"F": b""}, ("synth", "--lexicon",
                                                   str(DEMO / "lexicon.tsv"), "--out", "{d}/F"),
                                      1, "error: {d}/F: File exists\n"),
     # a preset takes the first clip's channel count: a clip with another is one line
@@ -585,8 +574,27 @@ CLI_ERRORS = {
                                                 "v/frames": b""},
                                                ("translate", "--text", "我", "--lexicon",
                                                 str(DEMO / "lexicon.tsv"), "--clips",
-                                                "{d}/clips.jsonl", "--materialize", "--out",
-                                                "{d}/v"), 1, "{d}/v/frames: File exists"),
+                                                "{d}/clips.jsonl", "--out", "{d}/v"), 1,
+                                               "{d}/v/frames: File exists"),
+    "recognize-manifest-without-video-id": ({}, ("recognize", "--weights", "{model}/model.sgnf",
+                                                 "--lexicon", str(DEMO / "lexicon.tsv"),
+                                                 "--manifest", "{synth}/manifest.jsonl"), 2,
+                                            "usage error: --video-id is required with "
+                                            "--manifest\n"),
+    # argparse's own errors are one line too, and name the subcommand
+    "eval-split-without-value": ({}, ("eval", "--manifest", "x", "--weights", "y", "--split"),
+                                 2, "usage error: signflow eval: argument --split: expected "
+                                    "one argument\n"),
+    "stream-pretty": ({}, ("stream", "--weights", "{model}/model.sgnf", "--frames", "{frames}",
+                           "--pretty"), 2, "unrecognized arguments: --pretty\n"),
+    # the inputs choose these modes: a switch for one is not a flag
+    "synth-isolated-switch": ({}, ("synth", "--out", "{d}/s", "--lexicon",
+                                   str(DEMO / "lexicon.tsv"), "--isolated"), 2,
+                              "unrecognized arguments: --isolated\n"),
+    "translate-materialize-switch": ({}, ("translate", "--text", "我", "--lexicon",
+                                          str(DEMO / "lexicon.tsv"), "--materialize"), 2,
+                                     "unrecognized arguments: --materialize\n"),
+    "train-classes": ({}, (*TRAIN, "--classes", "3"), 2, "unrecognized arguments: --classes 3\n"),
 }
 
 
@@ -726,9 +734,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("content,key", [
         ({"classes": "2"}, "classes"),         # int flag given a string
         ({"noise": "0.1"}, "noise"),           # float flag given a string
-        ({"isolated": 1}, "isolated"),         # switch given a number
+        ({"isolated": True}, "isolated"),      # a deleted flag names no flag of any subcommand
         ({"test-per-class": 1.5}, "test-per-class"),
         ({"temporal": "lstm"}, "temporal"),    # outside the flag's choices
+        ({"pretty": 1}, "pretty"),             # switch given a number
+        ({"epochz": 5}, "epochz"),             # a misspelt flag, likewise
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, content, key):
         cfg = tmp_path / "cfg.json"
@@ -738,6 +748,13 @@ class TestConfigFile:
                        check=False)
         assert_one_line_error(proc, 2, str(cfg), repr(key))
         assert not (tmp_path / "ds").exists()
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 5, "classes": 2}))  # train's and synth's keys
+        translate = ("translate", "--text", "我", "--lexicon", DEMO / "lexicon.tsv")
+        assert main_json(capsys, *translate, "--no-timestamp", "--config", cfg) == \
+            main_json(capsys, *translate, "--no-timestamp")
 
     def test_env_seed_default(self, tmp_path):
         import os
@@ -787,11 +804,11 @@ LEXICON = str(DEMO / "lexicon.tsv")
 # mode: a valid argv of one subcommand, with {d} (the run's directory, emptied before each
 # run), {synth}, {model}, {frames} and {inputs} (the flag_inputs fixture)
 FLAG_MODES = {
-    # --lexicon is read only with --isolated, which this argv leaves out
-    "synth": ("synth", "--out", "{d}/s", "--lexicon", LEXICON, "--classes", "2", "--t", "4",
-              "--size", "8", "--train-per-class", "1", "--test-per-class", "0"),
-    "synth-isolated": ("synth", "--out", "{d}/s", "--isolated", "--lexicon", LEXICON,
-                       "--t", "2", "--size", "8"),
+    "synth": ("synth", "--out", "{d}/s", "--classes", "2", "--t", "4", "--size", "8",
+              "--train-per-class", "1", "--test-per-class", "0"),
+    # --lexicon writes one clip per gloss
+    "synth-isolated": ("synth", "--out", "{d}/s", "--lexicon", LEXICON, "--t", "2",
+                       "--size", "8"),
     # two SGD steps: the first step's update does not depend on --momentum
     "train": ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m",
               "--epochs", "1", "--t", "2", "--batch-size", "8"),
@@ -801,8 +818,7 @@ FLAG_MODES = {
     "stream": ("stream", "--weights", "{model}/model.sgnf", "--netspec", "{inputs}/netspec.json",
                "--frames", "{frames}"),
     "translate": ("translate", "--text", "我今天不吃苹果", "--lexicon", LEXICON),
-    # 犬 is not in the demo lexicon, so --fallback decides; --out is read only with
-    # --materialize, which this argv leaves out
+    # 犬 is not in the demo lexicon, so --fallback decides; --out writes the frames
     "translate-clips": ("translate", "--text", "我不吃犬", "--lexicon", LEXICON,
                         "--clips", "{inputs}/clips/manifest.jsonl", "--out", "{d}/video"),
     "bench": ("bench", "--manifest", "{synth}/manifest.jsonl", "--variants", "shift",
@@ -826,7 +842,7 @@ FLAG_EXEMPT = {
     **{(None, flag): "a path: what it changes is up to the file it names"
        for flag in PATH_FLAGS},
     (None, "--config"): "supplies other flags' defaults (TestConfigFile)",
-    **{("synth-isolated", flag): "temporal synth only: --isolated writes one clip per gloss"
+    **{("synth-isolated", flag): "temporal synth only: --lexicon writes one clip per gloss"
        for flag in ("--classes", "--train-per-class", "--val-per-class", "--test-per-class",
                     "--noise")},
     **{("translate", flag): "plans clips, so is read only with --clips"
@@ -873,7 +889,7 @@ def flag_inputs(tmp_path_factory, trained):
     spec = json.loads((trained / "netspec.json").read_text(encoding="utf-8"))
     (d / "netspec.json").write_text(json.dumps({**spec, "direction": "unidirectional"}),
                                     encoding="utf-8")
-    run_cli("synth", "--isolated", "--lexicon", LEXICON, "--out", str(d / "clips"),
+    run_cli("synth", "--lexicon", LEXICON, "--out", str(d / "clips"),
             "--t", "2", "--size", "8", "--no-timestamp")
     return d
 
@@ -884,20 +900,17 @@ def flag_baselines():
     return {}
 
 
-def _flag_run(capsys, argv: list[str], d: Path) -> tuple[tuple, bool]:
+def _flag_run(capsys, argv: list[str], d: Path) -> tuple[tuple, str]:
     """``cli.main`` in-process in an emptied ``d``: ((exit code, stdout, {file: bytes}
-    under d), whether argparse rejected the argv)."""
+    under d), stderr)."""
     from signflow import cli
     shutil.rmtree(d, ignore_errors=True)
     d.mkdir(parents=True)
-    try:
-        code, rejected = cli.main(argv), False
-    except SystemExit as exc:
-        code, rejected = exc.code, True
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err, captured.err
     files = {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
-    return (code, captured.out, files), rejected
+    return (code, captured.out, files), captured.err
 
 
 @pytest.mark.parametrize("mode, flag", _flag_rows(), ids=lambda v: v.lstrip("-"))
@@ -929,9 +942,11 @@ def test_every_flag_is_read(synth_dir, trained, flag_inputs, flag_baselines, tmp
         without = flag_baselines[mode]
         given = [*stamp, *given]
     assert without[0] == 0, f"{mode}'s argv exits {without[0]}"
-    with_flag, rejected = _flag_run(capsys, [*base, *given], d)
+    with_flag, err = _flag_run(capsys, [*base, *given], d)
+    # argparse's errors exit 2 and name the program: "usage error: signflow <command>: ..."
+    rejected = with_flag[0] == 2 and err.startswith("usage error: signflow")
     if action is None:  # a shared flag this subcommand does not take
-        assert rejected and with_flag[0] == 2, f"{base[0]} accepts {flag}"
+        assert rejected and "unrecognized arguments" in err, f"{base[0]} accepts {flag}"
     else:
         assert not rejected, f"argparse rejects {given}: fix FLAG_VALUES"
     assert with_flag != without, f"{' '.join(base)} {' '.join(given)} changes nothing"

@@ -461,6 +461,18 @@ class TestLoadClipDataset:
         clip, label = train_ds[0]
         assert clip.shape == (4, 1, 16, 16) and label in (0, 1)
 
+    def test_float32_load_equals_float64_load_cast(self, tmp_path):
+        spec = SynthSpec(num_classes=2, t=4, frame_size=(16, 16), clips_per_class={"train": 2},
+                         noise=0.1, seed=3)
+        manifest = synth_temporal(spec, tmp_path / "ds")
+        ss = SampleSpec(num_segments=4, mode="eval-center")
+        wide = load_clip_dataset(manifest, "train", ss)
+        narrow = load_clip_dataset(manifest, "train", ss, dtype=np.float32)
+        assert [label for _, label in narrow] == [label for _, label in wide]
+        for (clip32, _), (clip64, _) in zip(narrow, wide):
+            assert clip64.dtype == np.float64 and clip32.dtype == np.float32
+            npt.assert_array_equal(clip32, clip64.astype(np.float32))
+
     def test_missing_split_rejected(self, tmp_path):
         spec = SynthSpec(num_classes=2, t=4, clips_per_class={"train": 1}, seed=10)
         manifest = synth_temporal(spec, tmp_path / "ds")
