@@ -41,7 +41,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import read_json
+from .dataset import read_json, write_bytes
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col, add,
                      class_labels, conv2d, conv2d_array, log_softmax, matmul, relu, reshape,
@@ -336,9 +336,8 @@ class Model:
                               f"model is {np.dtype(self.dtype)}")
         save_weights(weights_path, self.state_dict())
         if spec_path is not None:
-            with open(spec_path, "w", encoding="utf-8") as fh:
-                json.dump(self.spec.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_bytes(spec_path, (json.dumps(self.spec.to_dict(), indent=2, sort_keys=True)
+                                    + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, weights_path, spec_path) -> "Model":

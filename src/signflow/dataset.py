@@ -61,9 +61,7 @@ def write_frame(path: Path | str, frame: np.ndarray) -> None:
     magic = b"P5" if c == 1 else b"P6"
     body = data[0] if c == 1 else np.moveaxis(data, 0, 2)  # P6 interleaves RGB per pixel
     try:
-        with open(path, "wb") as fh:
-            fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-            fh.write(body.tobytes())
+        write_bytes(path, magic + b"\n%d %d\n255\n" % (w, h) + body.tobytes())
     except OSError as exc:
         raise FrameIOError.of(path, exc) from exc
 
@@ -89,6 +87,24 @@ def _read_bytes(path: Path | str) -> bytes:
         while chunk := os.read(fd, _READ_CHUNK):
             parts.append(chunk)
         return b"".join(parts)
+    finally:
+        os.close(fd)
+
+
+def write_bytes(path: Path | str, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path``, in place: the file is
+    opened without truncation, written from offset 0, then cut to
+    ``len(data)``. An existing file keeps its inode, so a hard-linked path is
+    written through. (Truncating to zero first would make ext4, under its
+    default ``auto_da_alloc``, force a writeback at close.) A crash
+    mid-rewrite can leave old and new bytes mixed; every file signflow writes
+    is an output it can regenerate. OSError propagates."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 
@@ -212,13 +228,11 @@ def _resize_nearest(frame: np.ndarray, size: tuple[int, int]) -> np.ndarray:
 def save_manifest(path: Path | str, entries: list[ManifestEntry],
                   label_map: dict[str, int] | None = None) -> None:
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(entry.to_json() + "\n")
+    write_bytes(path, "".join(entry.to_json() + "\n" for entry in entries).encode("utf-8"))
     if label_map is not None:
-        with open(path.parent / "labels.json", "w", encoding="utf-8") as fh:
-            json.dump(label_map, fh, ensure_ascii=False, indent=0, sort_keys=True)
-            fh.write("\n")
+        write_bytes(path.parent / "labels.json",
+                    (json.dumps(label_map, ensure_ascii=False, indent=0, sort_keys=True)
+                     + "\n").encode("utf-8"))
 
 
 def load_manifest(path: Path | str) -> tuple[list[ManifestEntry], dict[str, int] | None]:

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .dataset import write_bytes
 from .errors import DimensionError, InputError, ParseError, UsageError
 
 Array = np.ndarray
@@ -533,17 +534,13 @@ def save_weights(path, tensors: dict[str, Array] | Iterable[tuple[str, Array]]) 
         items = list(tensors.items())
     else:
         items = list(tensors)
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_MAGIC)
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            arr = np.asarray(arr, dtype="<f4")  # keeps rank 0; ascontiguousarray makes it 1
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    parts = [WEIGHT_MAGIC, struct.pack("<I", len(items))]
+    for name, arr in items:
+        arr = np.asarray(arr, dtype="<f4")  # keeps rank 0; ascontiguousarray makes it 1
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    write_bytes(path, b"".join(parts))
 
 
 def load_weights(path) -> dict[str, Array]:

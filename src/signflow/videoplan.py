@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (FRAME_EXTS, ManifestEntry, load_manifest, make_dir, missing_frame,
-                      read_clip, save_manifest)
+                      read_clip, save_manifest, write_bytes)
 from .errors import ConfigError, FrameIOError, GlossLookupError, InputError
 from .gloss import GlossSequence, Lexicon, ReorderRule, glosses_to_text, tokens_from_gloss_ids
 from .sampler import SampleSpec, segment_sample
@@ -181,9 +181,9 @@ def concat_frames(manifest: AssemblyManifest, index: ClipIndex, out_dir: Path | 
             break
         else:
             raise missing_frame(index.base / clip.frame_dir, i)
-    with open(out_dir.parent / f"{video_id}.plan.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_bytes(out_dir.parent / f"{video_id}.plan.json",
+                (json.dumps(manifest.to_dict(), ensure_ascii=False, indent=2) + "\n")
+                .encode("utf-8"))
     if not manifest.frames:
         return None
     result = ManifestEntry(video_id, out_dir.name, manifest.total_frames, 0, "test")

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -34,6 +35,12 @@ def assert_one_line_error(proc, code, *needles):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
     for needle in needles:
         assert needle in proc.stderr
+
+
+def tree_sha256(root: Path) -> dict:
+    """The sha256 of every file under root, by relative path."""
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
 
 
 def run_main(capsys, *args):
@@ -100,6 +107,14 @@ class TestSynth:
                     "--seed", "9", "--no-timestamp")
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+    def test_smaller_synth_over_a_larger_one_equals_a_fresh_one(self, tmp_path, capsys):
+        flags = ("--classes", "2", "--t", "4", "--train-per-class", "2",
+                 "--test-per-class", "1", "--seed", "9", "--no-timestamp")
+        main_json(capsys, "synth", "--out", tmp_path / "a", *flags, "--size", "32")
+        main_json(capsys, "synth", "--out", tmp_path / "a", *flags, "--size", "8")
+        main_json(capsys, "synth", "--out", tmp_path / "b", *flags, "--size", "8")
+        assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
 
 
 class TestTrainEval:
@@ -265,6 +280,22 @@ class TestTranslate:
         assert out["frames_dir"] == str(out_dir / "frames")
         assert out["materialized_frames"] == out["manifest"]["total_frames"] == len(frames)
         assert len(frames) == 5 * 8 + 4 * 2  # five 8-frame clips, four holds of 2
+
+    def test_shorter_materialize_over_a_longer_one_equals_a_fresh_one(self, tmp_path, capsys):
+        clips = tmp_path / "clips"
+        main_json(capsys, "synth", "--lexicon", DEMO / "lexicon.tsv",
+                  "--out", clips, "--no-timestamp")
+
+        def materialize(out_dir, text):
+            main_json(capsys, "translate", "--text", text, "--lexicon", DEMO / "lexicon.tsv",
+                      "--rules", DEMO / "rules.json", "--clips", clips / "manifest.jsonl",
+                      "--policy", "hold-last-frame:2", "--out", out_dir, "--no-timestamp")
+
+        materialize(tmp_path / "a" / "v", "我今天不吃苹果")
+        materialize(tmp_path / "a" / "v", "我")
+        materialize(tmp_path / "b" / "v", "我")
+        assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
+        assert len(list((tmp_path / "a" / "v" / "frames").iterdir())) == 8
 
     def test_materialize_with_no_clip_writes_no_video(self, tmp_path, capsys):
         clips, out_dir = tmp_path / "clips", tmp_path / "video"
@@ -576,6 +607,13 @@ CLI_ERRORS = {
                                                 str(DEMO / "lexicon.tsv"), "--clips",
                                                 "{d}/clips.jsonl", "--out", "{d}/v"), 1,
                                                "{d}/v/frames: File exists"),
+    "translate-plan-json-is-a-directory": ({"clips.jsonl": CLIP_LINE,
+                                            "G_WO/frame_00000.pgm": GRAY_2X2,
+                                            "v/v.plan.json/keep": b""},
+                                           ("translate", "--text", "我", "--lexicon",
+                                            str(DEMO / "lexicon.tsv"), "--clips",
+                                            "{d}/clips.jsonl", "--out", "{d}/v"), 1,
+                                           "error: {d}/v/v.plan.json: Is a directory\n"),
     "recognize-manifest-without-video-id": ({}, ("recognize", "--weights", "{model}/model.sgnf",
                                                  "--lexicon", str(DEMO / "lexicon.tsv"),
                                                  "--manifest", "{synth}/manifest.jsonl"), 2,

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from signflow.dataset import (ManifestEntry, SynthSpec, base_frames, class_orders,
                               frame_name, load_clip_dataset, load_manifest,
-                              make_isolated_clips, read_clip, read_frame, save_manifest,
-                              synth_temporal, write_frame)
+                              make_isolated_clips, read_clip, read_frame, read_json,
+                              save_manifest, synth_temporal, write_frame)
 from signflow.errors import ConfigError, FrameIOError, InputError, ParseError
+from signflow.gloss import GlossSequence, LexEntry, Lexicon, Token
 from signflow.sampler import SampleSpec
+from signflow.tensor import load_weights, save_weights
+from signflow.videoplan import ClipIndex, concat_frames, plan
 
 
 class TestFrameIO:
@@ -501,3 +504,58 @@ def test_typed_error(tmp_path, row):
     with pytest.raises(error) as info:
         call(tmp_path)
     assert needle.format(d=tmp_path) in str(info.value)
+
+
+def _assemble(d, copies: int) -> None:
+    """Assemble ``copies`` repeats of one 2-frame clip into d/v/frames, so the
+    plan d/v/v.plan.json shrinks with ``copies``."""
+    clips = d / "clips"
+    if not clips.exists():
+        make_isolated_clips({"G_A": 0}, clips, num_frames=2)
+    index = ClipIndex(clips / "manifest.jsonl")
+    lex = Lexicon({"a": LexEntry("a", "G_A", "G_A")})
+    manifest = plan(GlossSequence([Token("a", "G_A")] * copies), lex, index)
+    concat_frames(manifest, index, d / "v" / "frames", video_id="v")
+
+
+def _entries(count: int) -> list[ManifestEntry]:
+    return [ManifestEntry(f"v{i}", f"v{i}", 8, 0, "train") for i in range(count)]
+
+
+# an artifact rewritten with fewer bytes: id -> (path under a directory, a long write and a
+# short write of that directory, a reader of the path whose result is compared)
+REWRITES = {
+    "frame": ("f.pgm",
+              lambda d: write_frame(d / "f.pgm", np.full((32, 32), 0.5)),
+              lambda d: write_frame(d / "f.pgm", np.full((8, 8), 0.25)),
+              lambda p: read_frame(p).tolist()),
+    "manifest": ("m.jsonl",
+                 lambda d: save_manifest(d / "m.jsonl", _entries(5), {"A": 0, "B": 1}),
+                 lambda d: save_manifest(d / "m.jsonl", _entries(1), {"A": 0}),
+                 load_manifest),
+    "plan": ("v/v.plan.json", lambda d: _assemble(d, 4), lambda d: _assemble(d, 1), read_json),
+    "weights": ("w.sgnf",
+                lambda d: save_weights(d / "w.sgnf", {"a": np.ones((4, 4)), "b": np.zeros(3)}),
+                lambda d: save_weights(d / "w.sgnf", {"a": np.ones(2)}),
+                lambda p: {k: v.tolist() for k, v in load_weights(p).items()}),
+}
+
+
+@pytest.mark.parametrize("row", list(REWRITES))
+def test_rewrite_is_in_place_and_cut_to_length(tmp_path, row):
+    """A shorter rewrite keeps the inode and leaves the bytes of a fresh write:
+    nothing of the longer file is left after them (the plain-header reader
+    would accept such bytes after a raster, so only the bytes show it)."""
+    name, write_long, write_short, read = REWRITES[row]
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    write_long(old)
+    before = os.stat(old / name)
+    write_short(old)
+    write_short(new)
+    after = os.stat(old / name)
+    assert after.st_ino == before.st_ino and after.st_size < before.st_size
+    tree = {p.relative_to(new): p.read_bytes() for p in new.rglob("*") if p.is_file()}
+    assert {p.relative_to(old): p.read_bytes() for p in old.rglob("*") if p.is_file()} == tree
+    assert read(old / name) == read(new / name)
