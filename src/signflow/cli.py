@@ -124,6 +124,8 @@ def _frames_entry(frames: str) -> ManifestEntry:
 def cmd_synth(args) -> int:
     out = Path(args.out)
     if args.lexicon:
+        if args.temporal_flags:
+            raise UsageError(f"{args.temporal_flags[0]} requires a temporal synth (no --lexicon)")
         lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
         glosses = {e.gloss_id: i for i, e in
                    enumerate(sorted(lex.entries.values(), key=lambda e: e.gloss_id))}
@@ -412,6 +414,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+class _TemporalOnly(argparse.Action):
+    """A temporal synth flag, noted in ``temporal_flags`` when the command line gives it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.temporal_flags = [*namespace.temporal_flags, self.option_strings[0]]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="signflow", description="Two-way sign language translation engine")
     parser.add_argument("--version", action="version", version=f"signflow {__version__}")
@@ -432,17 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--classes", type=int, default=4, action=_TemporalOnly)
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--train-per-class", type=int, default=50)
-    p.add_argument("--val-per-class", type=int, default=0)
-    p.add_argument("--test-per-class", type=int, default=13)
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--train-per-class", type=int, default=50, action=_TemporalOnly)
+    p.add_argument("--val-per-class", type=int, default=0, action=_TemporalOnly)
+    p.add_argument("--test-per-class", type=int, default=13, action=_TemporalOnly)
+    p.add_argument("--noise", type=float, default=0.05, action=_TemporalOnly)
     p.add_argument("--lexicon",
                    help="lexicon TSV: write one clip per gloss instead of the temporal set")
     common(p, seed=True)
-    p.set_defaults(fn=cmd_synth)
+    p.set_defaults(fn=cmd_synth, temporal_flags=[])
 
     p = sub.add_parser("train", help="train a model on a manifest")
     p.add_argument("--manifest", required=True)

@@ -56,14 +56,20 @@ def write_frame(path: Path | str, frame: np.ndarray) -> None:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise FrameIOError(f"{path}: frame must be [H,W] or [C,H,W] with 1 or 3 channels")
-    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    c, h, w = data.shape
-    magic = b"P5" if c == 1 else b"P6"
-    body = data[0] if c == 1 else np.moveaxis(data, 0, 2)  # P6 interleaves RGB per pixel
-    try:
-        write_bytes(path, magic + b"\n%d %d\n255\n" % (w, h) + body.tobytes())
-    except OSError as exc:
-        raise FrameIOError.of(path, exc) from exc
+    _write_frames([path], (arr * 255.0)[None])
+
+
+def _write_frames(paths: list, scaled: np.ndarray) -> None:
+    """Write frame t of [T,C,H,W] values in [0,1] times 255 (C in {1,3}) to
+    paths[t] as an 8-bit binary PGM/PPM file. ``scaled`` is quantized in place."""
+    c, h, w = scaled.shape[1:]
+    header = b"%s\n%d %d\n255\n" % (b"P5" if c == 1 else b"P6", w, h)
+    levels = np.clip(np.rint(scaled, out=scaled), 0, 255, out=scaled).astype(np.uint8)
+    for path, frame in zip(paths, np.moveaxis(levels, 1, 3)):  # P6 interleaves RGB per pixel
+        try:
+            write_bytes(path, header + frame.tobytes())
+        except OSError as exc:
+            raise FrameIOError.of(path, exc) from exc
 
 
 def read_frame(path: Path | str) -> np.ndarray:
@@ -72,7 +78,7 @@ def read_frame(path: Path | str) -> np.ndarray:
         raw = _read_bytes(path)
     except OSError as exc:
         raise FrameIOError.of(path, exc) from exc
-    return np.take(_levels(np.float64), _raster(raw, path), mode="wrap")
+    return np.take(_levels(np.float64), _rasters([raw], _header(raw, path))[0], mode="wrap")
 
 
 _READ_CHUNK = 1 << 16  # under glibc's mmap threshold: a read's buffer comes from the heap
@@ -124,17 +130,24 @@ def _levels(dtype) -> np.ndarray:
     return table
 
 
-def _raster(raw: bytes, path: Path | str) -> np.ndarray:
-    """The [C,H,W] uint8 pixels of a binary PGM/PPM file's bytes (a view)."""
+def _header(raw: bytes, path: Path | str) -> tuple[int, int, int, int]:
+    """(channels, width, height, raster offset) of a binary PGM/PPM file's bytes."""
     m = _PLAIN_HEADER.match(raw)
     if m is not None:
         channels, w, h, pos = 1 if m[1] == b"5" else 3, int(m[2]), int(m[3]), m.end()
-    if m is None or len(raw) - pos < w * h * channels:
-        channels, w, h, pos = _parse_header(raw, path)
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h * channels, offset=pos)
+        if len(raw) - pos >= w * h * channels:
+            return channels, w, h, pos
+    return _parse_header(raw, path)
+
+
+def _rasters(files: list[bytes], header: tuple[int, int, int, int]) -> np.ndarray:
+    """The [N,C,H,W] uint8 pixels (a view) of N PGM/PPM files of one length and header."""
+    channels, w, h, pos = header
+    n = len(files)  # a join of one bytes is that bytes, not a copy
+    pixels = np.ndarray((n, w * h * channels), np.uint8, b"".join(files), pos, (len(files[0]), 1))
     if channels == 1:
-        return pixels.reshape(1, h, w)
-    return np.moveaxis(pixels.reshape(h, w, 3), 2, 0)  # P6 interleaves RGB per pixel
+        return pixels.reshape(n, 1, h, w)
+    return pixels.reshape(n, h, w, 3).transpose(0, 3, 1, 2)  # P6 interleaves RGB per pixel
 
 
 def _parse_header(raw: bytes, path: Path | str) -> tuple[int, int, int, int]:
@@ -186,10 +199,6 @@ def make_dir(path: Path) -> None:
         raise FrameIOError.of(path, exc) from exc
 
 
-def frame_name(index: int) -> str:
-    return f"frame_{index:05d}.pgm"
-
-
 FRAME_EXTS = ("pgm", "ppm")  # the extensions tried, in order, for each frame index
 
 
@@ -212,14 +221,13 @@ def _read_indexed(stem: str, frame_dir: Path, index: int) -> tuple[bytes, str]:
     raise missing_frame(frame_dir, index)
 
 
-def _resize_nearest(frame: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    c, h, w = frame.shape
-    th, tw = size
-    if (h, w) == (th, tw):
-        return frame
+def _resize_nearest(frames: np.ndarray, size: tuple[int, int] | None) -> np.ndarray:
+    if size is None or frames.shape[-2:] == tuple(size):
+        return frames
+    (h, w), (th, tw) = frames.shape[-2:], size
     rows = (np.arange(th) * h // th).astype(np.intp)
     cols = (np.arange(tw) * w // tw).astype(np.intp)
-    return frame[:, rows[:, None], cols[None, :]]
+    return frames[..., rows[:, None], cols[None, :]]
 
 
 # -- manifest ---------------------------------------------------------------------------
@@ -332,8 +340,9 @@ def _frame_dir(base: Path | str, frame_dir: str) -> tuple[Path, str]:
 def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
               size: tuple[int, int] | None = None, dtype=np.float64) -> np.ndarray:
     """Decode each given frame index (a repeated index is decoded again) to a
-    [T,C,H,W] array of ``dtype`` in [0,1]: each frame's levels go straight
-    into the clip's buffer, equal to the float64 decode cast to ``dtype``."""
+    [T,C,H,W] array of ``dtype`` in [0,1], equal to the float64 decode cast to
+    ``dtype``. The frames with the first frame's header bytes and length share
+    its layout, and their levels are looked up in one call."""
     if not indices:
         raise InputError(f"{entry.video_id}: no frame indices to read")
     for idx in indices:
@@ -341,18 +350,25 @@ def read_clip(entry: ManifestEntry, indices: list[int], base: Path | str = ".",
             raise InputError(f"{entry.video_id}: frame index {idx} outside "
                              f"[0, {entry.num_frames})")
     d, stem = _frame_dir(base, entry.frame_dir)
+    first, path = _read_indexed(stem, d, indices[0])
+    header = _header(first, path)
+    head, alike, others = first[:header[3]], [first], []
+    for i, idx in enumerate(indices[1:], 1):
+        raw, path = _read_indexed(stem, d, idx)
+        if len(raw) != len(first) or not raw.startswith(head):
+            pixels = _resize_nearest(_rasters([raw], _header(raw, path))[0], size)
+            shape = _resize_nearest(_rasters([first], header)[0], size).shape
+            if pixels.shape != shape:
+                raise FrameIOError(f"{d}: frame {idx} has shape {pixels.shape}, "
+                                   f"frame {indices[0]} has {shape}")
+            others.append((i, pixels))
+            raw = first  # holds slot i until the frame's own levels go in below
+        alike.append(raw)
     levels = _levels(dtype)
-    clip = None
-    for i, idx in enumerate(indices):
-        pixels = _raster(*_read_indexed(stem, d, idx))
-        if size is not None:  # nearest neighbour picks pixels, so it commutes with the lookup
-            pixels = _resize_nearest(pixels, size)
-        if clip is None:
-            clip = np.empty((len(indices), *pixels.shape), dtype=levels.dtype)
-        elif pixels.shape != clip.shape[1:]:
-            raise FrameIOError(f"{d}: frame {idx} has shape {pixels.shape}, "
-                               f"frame {indices[0]} has {clip.shape[1:]}")
-        # every uint8 level indexes the table; "wrap" skips np.take's buffered bounds check
+    # nearest neighbour picks pixels, so it commutes with the lookup; every uint8
+    # level indexes the table, so "wrap" skips np.take's buffered bounds check
+    clip = np.take(levels, _resize_nearest(_rasters(alike, header), size), mode="wrap")
+    for i, pixels in others:
         np.take(levels, pixels, out=clip[i], mode="wrap")
     return clip
 
@@ -453,22 +469,25 @@ def synth_temporal(spec: SynthSpec, out_dir: Path | str) -> Path:
         for label in range(spec.num_classes):
             for i in range(count):
                 video_id = f"{split}_c{label}_{i:04d}"
-                rel = Path(split) / video_id
-                d = out_dir / rel
-                make_dir(d)
-                order = orders[label]
-                for t_idx in range(spec.t):
-                    frame = frames[order[t_idx]]
-                    if spec.noise > 0:
-                        frame = np.clip(
-                            frame + rng.uniform(-spec.noise, spec.noise, size=frame.shape), 0, 1)
-                    write_frame(d / frame_name(t_idx), frame)
-                entries.append(ManifestEntry(video_id, str(rel), spec.t, label, split))
+                rel = f"{split}/{video_id}"
+                clip = frames[orders[label]]  # a new array: the class's frames in order
+                if spec.noise > 0:  # one draw per clip: the stream of one draw per frame
+                    clip += rng.uniform(-spec.noise, spec.noise, size=clip.shape)
+                    np.clip(clip, 0, 1, out=clip)
+                _write_clip(out_dir / rel, clip)
+                entries.append(ManifestEntry(video_id, rel, spec.t, label, split))
 
     label_map = {f"ORDER{k}": k for k in range(spec.num_classes)}
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(manifest_path, entries, label_map)
     return manifest_path
+
+
+def _write_clip(frame_dir: Path, clip: np.ndarray) -> None:
+    """Write a [T,1,H,W] clip of values in [0,1] (scaled in place) as frame_dir's frames."""
+    make_dir(frame_dir)
+    clip *= 255.0
+    _write_frames([f"{frame_dir}/frame_{t:05d}.pgm" for t in range(len(clip))], clip)
 
 
 def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames: int = 8,
@@ -489,17 +508,13 @@ def make_isolated_clips(glosses: dict[str, int], out_dir: Path | str, num_frames
     rng = np.random.default_rng(seed)
     entries = []
     for gloss_id, label in sorted(glosses.items(), key=lambda kv: kv[1]):
-        rel = Path("clips") / gloss_id
-        d = out_dir / rel
-        make_dir(d)
-        level = (label + 1) / (k_total + 1)
-        for t_idx in range(num_frames):
-            frame = np.zeros((1, h, w))
-            frame[0, h // 4: 3 * h // 4, w // 4: 3 * w // 4] = level
-            # tiny jitter outside the patch keeps clips non-constant
-            frame[0, 0, :] = rng.uniform(0, 0.02, size=w)
-            write_frame(d / frame_name(t_idx), frame)
-        entries.append(ManifestEntry(gloss_id, str(rel), num_frames, label, "train"))
+        rel = str(Path("clips") / gloss_id)  # as pathlib joins any gloss id
+        clip = np.zeros((num_frames, 1, h, w))
+        clip[:, 0, h // 4: 3 * h // 4, w // 4: 3 * w // 4] = (label + 1) / (k_total + 1)
+        # tiny jitter outside the patch keeps clips non-constant
+        clip[:, 0, 0, :] = rng.uniform(0, 0.02, size=(num_frames, w))
+        _write_clip(out_dir / rel, clip)
+        entries.append(ManifestEntry(gloss_id, rel, num_frames, label, "train"))
     manifest_path = out_dir / "manifest.jsonl"
     save_manifest(manifest_path, entries, dict(sorted(glosses.items())))
     return manifest_path

@@ -633,6 +633,18 @@ CLI_ERRORS = {
                                           str(DEMO / "lexicon.tsv"), "--materialize"), 2,
                                      "unrecognized arguments: --materialize\n"),
     "train-classes": ({}, (*TRAIN, "--classes", "3"), 2, "unrecognized arguments: --classes 3\n"),
+    # --lexicon writes one clip per gloss: a temporal set's flag beside it is a usage error,
+    # also at the flag's default value (--classes 4, --test-per-class 13)
+    **{f"synth-lexicon{flag}": ({}, ("synth", "--out", "{d}/s", "--lexicon",
+                                     str(DEMO / "lexicon.tsv"), flag, value), 2,
+                                f"usage error: {flag} requires a temporal synth (no --lexicon)\n")
+       for flag, value in (("--classes", "4"), ("--train-per-class", "3"),
+                           ("--val-per-class", "1"), ("--test-per-class", "13"),
+                           ("--noise", "0.9"))},
+    "synth-lexicon-abbreviated-flag": ({}, ("synth", "--out", "{d}/s", "--noi", "0.1",
+                                            "--lexicon", str(DEMO / "lexicon.tsv")), 2,
+                                       "usage error: --noise requires a temporal synth "
+                                       "(no --lexicon)\n"),
 }
 
 
@@ -753,6 +765,17 @@ class TestConfigFile:
                     "--no-timestamp")
             labels = json.loads((out / "labels.json").read_text())
             assert len(labels) == 3  # flag wins over config's 2
+
+    def test_temporal_keys_do_not_reject_a_lexicon_synth(self, tmp_path, capsys):
+        """One config file serves several subcommands and modes: its temporal
+        synth keys are left unread by synth --lexicon, as a default is."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classes": 2, "train-per-class": 1, "val-per-class": 1,
+                                   "test-per-class": 0, "noise": 0.5}))
+        lexicon = ("synth", "--lexicon", LEXICON, "--t", "2", "--size", "8", "--no-timestamp")
+        assert main_json(capsys, *lexicon, "--out", tmp_path / "a", "--config", cfg)["entries"] \
+            == main_json(capsys, *lexicon, "--out", tmp_path / "b")["entries"]
+        assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
 
     def test_missing_config_is_usage_error(self, tmp_path):
         missing = tmp_path / "nonexistent.json"
@@ -880,9 +903,6 @@ FLAG_EXEMPT = {
     **{(None, flag): "a path: what it changes is up to the file it names"
        for flag in PATH_FLAGS},
     (None, "--config"): "supplies other flags' defaults (TestConfigFile)",
-    **{("synth-isolated", flag): "temporal synth only: --lexicon writes one clip per gloss"
-       for flag in ("--classes", "--train-per-class", "--val-per-class", "--test-per-class",
-                    "--noise")},
     **{("translate", flag): "plans clips, so is read only with --clips"
        for flag in ("--policy", "--fallback", "--fps")},
     ("bench", "--profile"): "writes to stderr by design (test_profile_goes_to_stderr_only)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signflow.dataset import (ManifestEntry, SynthSpec, base_frames, class_orders,
-                              frame_name, load_clip_dataset, load_manifest,
-                              make_isolated_clips, read_clip, read_frame, read_json,
-                              save_manifest, synth_temporal, write_frame)
+                              load_clip_dataset, load_manifest, make_isolated_clips, read_clip,
+                              read_frame, read_json, save_manifest, synth_temporal, write_frame)
 from signflow.errors import ConfigError, FrameIOError, InputError, ParseError
 from signflow.gloss import GlossSequence, LexEntry, Lexicon, Token
 from signflow.sampler import SampleSpec
@@ -273,7 +273,7 @@ class TestReadClip:
         d.mkdir()
         rng = np.random.default_rng(3)
         for i in range(4):
-            write_frame(d / frame_name(i), rng.uniform(0, 1, (1, 6, 6)))
+            write_frame(d / f"frame_{i:05d}.pgm", rng.uniform(0, 1, (1, 6, 6)))
         entry = ManifestEntry("v", "v", 4, 0, "train")
         clip = read_clip(entry, [0, 0, 0], base=tmp_path)
         assert clip.shape == (3, 1, 6, 6)
@@ -285,7 +285,7 @@ class TestReadClip:
         d = tmp_path / "v"
         d.mkdir()
         for i in range(2):
-            write_frame(d / frame_name(i), np.full((1, 4, 4), 0.2 * (i + 1)))
+            write_frame(d / f"frame_{i:05d}.pgm", np.full((1, 4, 4), 0.2 * (i + 1)))
         decoded = []
         read_indexed = dataset._read_indexed
         monkeypatch.setattr(dataset, "_read_indexed",
@@ -303,7 +303,7 @@ class TestReadClip:
     def test_resize_nearest(self, tmp_path):
         d = tmp_path / "v"
         d.mkdir()
-        write_frame(d / frame_name(0), np.ones((1, 16, 16)) * 0.5)
+        write_frame(d / "frame_00000.pgm", np.ones((1, 16, 16)) * 0.5)
         entry = ManifestEntry("v", "v", 1, 0, "train")
         clip = read_clip(entry, [0], base=tmp_path, size=(8, 8))
         assert clip.shape == (1, 1, 8, 8)
@@ -317,7 +317,7 @@ class TestReadClip:
     def test_frames_of_two_shapes_name_the_directory(self, tmp_path, second, size):
         d = tmp_path / "v"
         d.mkdir()
-        write_frame(d / frame_name(0), np.zeros((1, 6, 6)))
+        write_frame(d / "frame_00000.pgm", np.zeros((1, 6, 6)))
         write_frame(d / f"frame_00001.{'ppm' if second[0] == 3 else 'pgm'}", np.zeros(second))
         entry = ManifestEntry("v", "v", 2, 0, "train")
         first = (1, *(size or (6, 6)))
@@ -559,3 +559,163 @@ def test_rewrite_is_in_place_and_cut_to_length(tmp_path, row):
     tree = {p.relative_to(new): p.read_bytes() for p in new.rglob("*") if p.is_file()}
     assert {p.relative_to(old): p.read_bytes() for p in old.rglob("*") if p.is_file()} == tree
     assert read(old / name) == read(new / name)
+
+
+def tree_digest(root) -> str:
+    """sha256 over each file's path relative to root and the sha256 of its
+    bytes, in sorted path order."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode() + b"\0")
+            h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
+
+
+# Golden bytes: the sha256 of what the generators write and of what read_clip decodes,
+# computed once and fixed here. test_c10_determinism and test_regeneration_byte_identical
+# compare two runs of one build; these tie every build to the same bytes.
+# id -> (SynthSpec keywords, tree_digest of the generated tree)
+GOLDEN_SYNTH = {
+    "noise": (dict(num_classes=3, t=5, frame_size=(7, 11), noise=0.1, seed=3,
+                   clips_per_class={"train": 2, "val": 1, "test": 1}),
+              "bf9fdea400c11c32fb7a117fbd7760d9e0a4bd98e611d7cebcff0bf3ec6fb4e7"),
+    "noise-zero": (dict(num_classes=2, t=2, frame_size=(8, 8), noise=0.0, seed=0,
+                        clips_per_class={"train": 1, "test": 1}),
+                   "d621c648c5a7995f3902263ebcae5482c245caf0579fe70ec5ace14130a921ad"),
+    "default-frames": (dict(num_classes=4, t=8, seed=1, clips_per_class={"train": 2, "test": 1}),
+                       "07dbbf0f61a46a686504e017589fedba7547648bd277ea85572df6f925a98c9f"),
+    "t48": (dict(num_classes=2, t=48, frame_size=(8, 8), noise=0.3, seed=2,
+                 clips_per_class={"test": 1}),
+            "0eb7196cf754590aa19486738333d8a9de5a13c50674c18779d3db0d26c61a98"),
+}
+# id -> (make_isolated_clips arguments, tree_digest); a 3-row frame puts the patch on row 0,
+# where the jitter overwrites it
+GOLDEN_ISOLATED = {
+    "3x5": (({"G_A": 0, "G_B": 1}, 2, (3, 5), 4),
+            "d138dff19ceb09421254435292be147bc74218eba01395bddf058252c4a20293"),
+    "default": (({"G_A": 0, "G_B": 1, "G_C": 2}, 8, (32, 32), 0),
+                "536ad3e71f0fe191f8ee18566bd342b44e0bafa00a10ba9aeee6d47d4ec045e7"),
+}
+# size -> (shape, sha256 of the float32 read_clip of GOLDEN_SYNTH["noise"]'s train_c1_0000
+# at frames [4, 0, 2, 2])
+GOLDEN_READ = {
+    None: ((4, 1, 7, 11), "fd00a6718d33d25e20f871858e53f9a0d779190800c5ea975dc98f4b774c7dab"),
+    (4, 6): ((4, 1, 4, 6), "997a2a824d8214e898a9c5f340c27c88e00c2e29b697acd4a7ef7c6ff2a814a7"),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("row", list(GOLDEN_SYNTH))
+    def test_synth_temporal_tree(self, tmp_path, row):
+        kw, want = GOLDEN_SYNTH[row]
+        synth_temporal(SynthSpec(**kw), tmp_path / "ds")
+        assert tree_digest(tmp_path / "ds") == want
+
+    @pytest.mark.parametrize("row", list(GOLDEN_ISOLATED))
+    def test_make_isolated_clips_tree(self, tmp_path, row):
+        (glosses, num_frames, frame_size, seed), want = GOLDEN_ISOLATED[row]
+        make_isolated_clips(glosses, tmp_path / "clips", num_frames=num_frames,
+                            frame_size=frame_size, seed=seed)
+        assert tree_digest(tmp_path / "clips") == want
+
+    @pytest.mark.parametrize("size", list(GOLDEN_READ), ids=str)
+    def test_float32_read_clip(self, tmp_path, size):
+        manifest = synth_temporal(SynthSpec(**GOLDEN_SYNTH["noise"][0]), tmp_path / "ds")
+        [entry] = [e for e in load_manifest(manifest)[0] if e.video_id == "train_c1_0000"]
+        clip = read_clip(entry, [4, 0, 2, 2], base=manifest.parent, size=size,
+                         dtype=np.float32)
+        shape, want = GOLDEN_READ[size]
+        assert clip.dtype == np.float32 and clip.shape == shape
+        assert hashlib.sha256(clip.tobytes()).hexdigest() == want
+
+
+def _pgm(w: int, h: int, seed: int, header: bytes = b"P5\n%d %d\n255\n",
+         tail: bytes = b"") -> bytes:
+    pixels = np.random.default_rng(seed).integers(0, 256, w * h, dtype=np.uint8)
+    return header % (w, h) + pixels.tobytes() + tail
+
+
+def _ppm(w: int, h: int, seed: int, header: bytes = b"P6\n%d %d\n255\n") -> bytes:
+    pixels = np.random.default_rng(seed).integers(0, 256, w * h * 3, dtype=np.uint8)
+    return header % (w, h) + pixels.tobytes()
+
+
+# id -> the bytes of frames 0, 1, 2, ... of one clip (a bytes of P6 magic is a .ppm)
+CLIP_FRAMES = {
+    "plain": [_pgm(6, 4, s) for s in range(4)],
+    "comment-line": [_pgm(6, 4, 0), _pgm(6, 4, 1),
+                     _pgm(6, 4, 2, header=b"P5\n# by hand\n%d %d\n255\n"), _pgm(6, 4, 3)],
+    "trailing-bytes": [_pgm(6, 4, 0), _pgm(6, 4, 1, tail=b"xyz"), _pgm(6, 4, 2),
+                       _pgm(6, 4, 3, tail=b"abc")],
+    # the length of frame 0, other header bytes
+    "tab-after-maxval": [_pgm(6, 4, 0), _pgm(6, 4, 1, header=b"P5\n%d %d\n255\t"),
+                         _pgm(6, 4, 2), _pgm(6, 4, 3)],
+    "p6": [_ppm(6, 4, s) for s in range(4)],
+    "p6-spaced-header": [_ppm(6, 4, 0), _ppm(6, 4, 1, header=b"P6 %d %d 255 "),
+                         _ppm(6, 4, 2), _ppm(6, 4, 3)],
+    "gray-then-rgb": [_pgm(6, 4, 0), _pgm(6, 4, 1), _ppm(6, 4, 2), _ppm(6, 4, 3)],
+    "two-sizes": [_pgm(6, 4, 0), _pgm(12, 8, 1), _pgm(6, 4, 2), _pgm(12, 8, 3)],
+    # files of one length whose rasters are laid out differently
+    "transposed": [_pgm(6, 4, 0), _pgm(4, 6, 1), _pgm(6, 4, 2), _pgm(4, 6, 3)],
+}
+
+
+def _write_clip_frames(d, frames: list[bytes]) -> ManifestEntry:
+    d.mkdir()
+    for i, raw in enumerate(frames):
+        (d / f"frame_{i:05d}.{'ppm' if raw.startswith(b'P6') else 'pgm'}").write_bytes(raw)
+    return ManifestEntry("v", str(d), len(frames), 0, "train")
+
+
+def _per_frame(d, indices, size, dtype) -> np.ndarray:
+    """Each frame decoded on its own by read_frame, resized by nearest neighbour, cast."""
+    frames = []
+    for idx in indices:
+        [path] = d.glob(f"frame_{idx:05d}.p?m")
+        frame = read_frame(path)
+        if size is not None:
+            h, w = frame.shape[1:]
+            rows, cols = np.arange(size[0]) * h // size[0], np.arange(size[1]) * w // size[1]
+            frame = frame[:, rows[:, None], cols[None, :]]
+        frames.append(frame)
+    return np.stack(frames).astype(dtype)
+
+
+class TestClipDecode:
+    """read_clip decodes the frames laid out as its first frame together and
+    any other frame on its own; either way it equals per-frame decoding."""
+
+    @pytest.mark.parametrize("row", list(CLIP_FRAMES))
+    @pytest.mark.parametrize("indices", [[0, 1, 2, 3], [2, 0, 3, 1, 2], [1, 3, 3]], ids=str)
+    @pytest.mark.parametrize("size", [None, (3, 5), (8, 12)], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda t: t.__name__)
+    def test_clip_equals_per_frame_decode(self, tmp_path, row, indices, size, dtype):
+        frames = CLIP_FRAMES[row]
+        entry = _write_clip_frames(tmp_path / "v", frames)
+        shapes = {_per_frame(tmp_path / "v", [i], size, dtype).shape for i in indices}
+        if len(shapes) > 1:
+            with pytest.raises(FrameIOError, match="has shape"):
+                read_clip(entry, indices, size=size, dtype=dtype)
+            return
+        clip = read_clip(entry, indices, size=size, dtype=dtype)
+        assert clip.dtype == dtype
+        npt.assert_array_equal(clip, _per_frame(tmp_path / "v", indices, size, dtype))
+
+    def test_a_later_frame_of_another_size_names_both(self, tmp_path):
+        entry = _write_clip_frames(tmp_path / "v", [_pgm(6, 4, 0), _pgm(6, 4, 1),
+                                                    _pgm(6, 5, 2)])
+        with pytest.raises(FrameIOError, match=re.escape(
+                f"{tmp_path / 'v'}: frame 2 has shape (1, 5, 6), frame 0 has (1, 4, 6)")):
+            read_clip(entry, [0, 1, 2])
+
+    @pytest.mark.parametrize("indices, match", [
+        ([0, 1, 2, 3], "frame_00001.pgm: not a binary PGM/PPM file"),
+        ([0, 3, 1], "no frame_00003.pgm/.ppm"),
+    ], ids=str)
+    def test_the_first_failing_frame_gives_the_error(self, tmp_path, indices, match):
+        entry = _write_clip_frames(tmp_path / "v", [_pgm(6, 4, 0), b"P7\n6 4\n255\n" + bytes(24),
+                                                    _pgm(6, 4, 2)])
+        entry = ManifestEntry("v", entry.frame_dir, 4, 0, "train")  # frame 3 is missing
+        with pytest.raises(FrameIOError, match=re.escape(match)):
+            read_clip(entry, indices)
