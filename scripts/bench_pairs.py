@@ -15,7 +15,8 @@ and change medians, their [q1, q3] (``statistics.quantiles(n=4)``, as
 perfbench/suite.py computes its spread), the number of pairs the change
 wins and the per-pair values, at reference speed as run.py gates them;
 the workload-named metrics as timed are kept per run under ``raw``. It
-also records the machine facts of the first run (nproc, numpy, BLAS).
+also records the machine facts of the first run (nproc, numpy, BLAS) and
+each side's ``src/signflow/*.py`` line count (as ``wc -l`` counts them).
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def checkout(rev: str, dest: Path) -> str:
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(dest, filter="data")
     return sha
+
+
+def src_lines(side: Path) -> int:
+    """Newlines in the side's ``src/signflow/*.py``: ``wc -l``'s total."""
+    return sum(p.read_bytes().count(b"\n") for p in (side / "src" / "signflow").glob("*.py"))
 
 
 def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,7 +113,9 @@ def main(argv=None) -> int:
 
     report = {"parent": shas["parent"], "change": shas["change"] if args.change else
               f"working tree over {git('rev-parse', 'HEAD')}",
-              "seconds": args.seconds, "machine": None, "workloads": {}}
+              "seconds": args.seconds, "machine": None,
+              "src_lines": {side: src_lines(path) for side, path in sides.items()},
+              "workloads": {}}
     clean = True
     for spec in args.workload or ["train:10"]:
         workload, _, count = spec.partition(":")

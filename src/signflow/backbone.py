@@ -18,11 +18,11 @@ Parameters so gamma and beta get their gradients; ``forward`` is its
 consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
 plain numpy calls; its caller gives each block's branch input (``infer``
 the temporal module over the clip, ``StreamState.step`` the online shift).
-``infer`` runs each conv as conv2d_array; a stream runs it as a gather from
-a zero-bordered buffer of its own, through an index cached per geometry
-(``gather_index``), and one GEMM: at batch 1 a conv's cost is its numpy
-calls, and a copy, a gather, the GEMM and the bias take the place of
-conv2d_array's ten or so.
+Both run the plan's convs (``_PlanConv``): conv2d_array, or for a stream's
+few rows of small cols a gather from a zero-bordered buffer, through an
+index cached per geometry (``gather_index``), and one GEMM: at batch 1 a
+conv's cost is its numpy calls, and a copy, a gather, the GEMM and the bias
+take the place of conv2d_array's ten or so.
 
 NetSpec is the one config of the temporal modules: ``block_layout`` sizes
 each block's shift fold once (``_Block.fold``), and every walk reads it
@@ -447,50 +447,36 @@ def _relu(x: Array) -> Array:
 
 
 class InferencePlan:
-    """A model's weights folded for graph-free inference.
+    """A model's weights folded for graph-free inference, and their convs.
 
-    Every array is a new copy, so the plan is a snapshot: it keeps the
-    weights as they were when it was built. ``folds[i]`` is block i's shift
-    fold (0 without a shift), ``actions[i]`` its excitation block as a copy on
-    constant Tensors (None without one), and ``frame_shape`` is (C, H, W).
+    Every weight is a new copy, so the plan is a snapshot of the weights as
+    they were when it was built. ``stem`` and each ``blocks[i]`` (conv1,
+    conv2, proj or None) are _PlanConvs, which also hold scratch buffers.
+    ``folds[i]`` is block i's shift fold (0 without a shift), ``actions[i]``
+    its excitation block as a copy on constant Tensors (None without one),
+    and ``frame_shape`` is (C, H, W).
     """
 
     def __init__(self, model: Model):
         self.frame_shape = (model.spec.in_channels, *model.spec.frame_size)
         self.folds = [block.fold for block in model.blocks]
-        self.stem = model.stem.folded()
-        self.blocks = [(block.conv1.folded(), block.conv2.folded(),
-                        block.proj.folded() if block.proj is not None else None)
+        self.stem = _PlanConv(*model.stem.folded())
+        self.blocks = [(_PlanConv(*block.conv1.folded()), _PlanConv(*block.conv2.folded()),
+                        _PlanConv(*block.proj.folded()) if block.proj is not None else None)
                        for block in model.blocks]
         self.actions = [block.action.constant() if block.action is not None else None
                         for block in model.blocks]
-        self.head_w = model.head_w.data.copy()
-        self.head_b = model.head_b.data.copy()
+        self.head_w, self.head_b = model.head_w.data.copy(), model.head_b.data.copy()
 
-    def convs(self, make: Callable[[Array, Array, int, int], Callable[[Array], Array]]) -> tuple:
-        """The walk's convs, each ``make(w, b, stride, pad)`` of a folded unit:
-        (stem, [(conv1, conv2, proj or None) of each block])."""
-        return make(*self.stem), [(make(*conv1), make(*conv2),
-                                   make(*proj) if proj is not None else None)
-                                  for conv1, conv2, proj in self.blocks]
-
-    def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array],
-                     convs: tuple | None = None) -> Array:
+    def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
         """[M,C,H,W] frames -> [M,K] logits of each frame. ``branch(i, x)``
-        gives block i's branch input from its input x. ``convs`` (made by
-        ``convs``) run the convs; by default conv2d_array on each folded unit."""
-        stem, blocks = convs if convs is not None else self.convs(_array_conv)
-        x = _relu(stem(frames))
-        for i, (conv1, conv2, proj) in enumerate(blocks):
+        gives block i's branch input from its input x."""
+        x = _relu(self.stem(frames))
+        for i, (conv1, conv2, proj) in enumerate(self.blocks):
             y = conv2(_relu(conv1(branch(i, x))))
             y += proj(x) if proj is not None else x
             x = _relu(y)
         return x.mean(axis=(2, 3)) @ self.head_w + self.head_b
-
-
-def _array_conv(w: Array, b: Array, stride: int, pad: int) -> Callable[[Array], Array]:
-    """conv2d_array on one folded unit: the convs of ``Model.infer``."""
-    return lambda x: conv2d_array(x, w, b, stride, pad)
 
 
 @functools.lru_cache(maxsize=64)
@@ -499,7 +485,7 @@ def gather_index(c: int, h: int, w: int, n: int, kh: int, kw: int, stride: int,
     """Where each element of a conv's cols lies in its zero-bordered input:
     the _im2col cols of an [N, C, H+2*pad, W+2*pad] buffer that holds its own
     flat positions. One read-only array per geometry, shared by every
-    stream."""
+    plan."""
     oh, ow = _conv2d_out_hw(h, w, kh, kw, stride, pad)
     shape = (n, c, h + 2 * pad, w + 2 * pad)
     positions = np.arange(math.prod(shape)).reshape(shape)
@@ -508,72 +494,73 @@ def gather_index(c: int, h: int, w: int, n: int, kh: int, kw: int, stride: int,
     return index
 
 
-# The largest cols (C*kh*kw*oh*ow*N elements) a stream conv gathers. The
+# The most rows N and cols (C*kh*kw*oh*ow*N elements) a conv gathers for. The
 # gather indexes element by element, so it beats conv2d_array's copies only
-# while the cols are small: every conv of the micro net, and the 1x1
+# on a stream's traffic: every conv of the micro net, and the 1x1
 # projections of the tiny net, at N = 1 and 2.
 GATHER_MAX_COLS = 16_384
+GATHER_MAX_ROWS = 2
 
 
-class _StreamConv:
-    """One conv of a stream. On the first call, when N is known, it picks by
-    the size of its cols: up to GATHER_MAX_COLS a gather and one GEMM, above
-    it conv2d_array. The gather writes each [N,C,H,W] input into the interior
-    of a zero-bordered buffer of its own (``flat``, None until then and for a
-    conv2d_array conv), gathers the cols through gather_index (fancy indexing
-    of the flat buffer, which beat ``np.take`` here) and multiplies them by
-    the weights. The cols are _im2col's, so either way the result is
-    conv2d_array's, at float32 bit for bit."""
+class _PlanConv:
+    """One folded conv of an InferencePlan. It picks by its [N,C,H,W] input's
+    shape, again whenever the shape changes: within GATHER_MAX_ROWS and
+    GATHER_MAX_COLS a gather and one GEMM, otherwise conv2d_array. The gather
+    writes each input into the interior of a zero-bordered buffer of its own
+    (``flat``, None for conv2d_array), gathers the cols through gather_index
+    (fancy indexing of the flat buffer, which beat ``np.take`` here) and
+    multiplies them by the weights. The cols are _im2col's, so either way
+    the result is conv2d_array's, at float32 bit for bit."""
 
     def __init__(self, w: Array, b: Array, stride: int, pad: int):
         self.w, self.b, self.stride, self.pad = w, b, stride, pad
+        self.shape: tuple | None = None
         self.flat: Array | None = None
-        self.run: Callable[[Array], Array] | None = None
+        self.gather: tuple | None = None
 
     def __call__(self, x: Array) -> Array:
-        if self.run is None:
-            self.run = self._choose(*x.shape)
-        return self.run(x)
+        if x.shape != self.shape:
+            self._choose(*x.shape)
+            self.shape = x.shape
+        if self.flat is None:
+            return conv2d_array(x, self.w, self.b, self.stride, self.pad)
+        interior, index, w2d, b2d, out_shape = self.gather
+        interior[...] = x
+        out = w2d @ self.flat[index]
+        out += b2d
+        return out.reshape(out_shape).transpose(3, 0, 1, 2)
 
-    def _choose(self, n: int, c: int, h: int, wd: int) -> Callable[[Array], Array]:
-        """The conv this unit runs for [n, c, h, wd] inputs. The gather is a
-        closure over its own state, not a bound method: stored in ``run``, a
-        method would tie the conv into a reference cycle that only the cyclic
-        collector frees, once for every stream opened."""
-        kh, kw = self.w.shape[2:]
-        p = self.pad
+    def _choose(self, n: int, c: int, h: int, wd: int) -> None:
+        """Set up the lowering for [n, c, h, wd] inputs: for the gather,
+        ``flat`` and ``gather`` (the buffer's interior, the index, the weights
+        as a matrix, the bias as a column and the output shape), else
+        ``flat`` None."""
+        self.flat = self.gather = None
+        if n > GATHER_MAX_ROWS:  # infer's chunks: skip the cols arithmetic
+            return
+        w, p = self.w, self.pad
+        kh, kw = w.shape[2:]
         oh, ow = _conv2d_out_hw(h, wd, kh, kw, self.stride, p)
         if c * kh * kw * oh * ow * n > GATHER_MAX_COLS:
-            return _array_conv(self.w, self.b, self.stride, p)
-        w2d, b2d = self.w.reshape(len(self.w), -1), self.b[:, None]
-        index = gather_index(c, h, wd, n, kh, kw, self.stride, p)
-        buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=self.w.dtype)
-        self.flat = flat = buf.reshape(-1)
-        interior = buf[:, :, p:p + h, p:p + wd]
-        out_shape = (len(w2d), oh, ow, n)
-
-        def gather(x: Array) -> Array:
-            interior[...] = x
-            out = w2d @ flat[index]
-            out += b2d
-            return out.reshape(out_shape).transpose(3, 0, 1, 2)
-
-        return gather
+            return
+        buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=w.dtype)
+        self.flat = buf.reshape(-1)
+        self.gather = (buf[:, :, p:p + h, p:p + wd],
+                       gather_index(c, h, wd, n, kh, kw, self.stride, p),
+                       w.reshape(len(w), -1), self.b[:, None], (len(w), oh, ow, n))
 
 
 class StreamState:
-    """Per-stream mutable state: each block's previous input, each conv's
-    choice and input buffer (see _StreamConv) and a logit sum.
+    """Per-stream mutable state: each block's previous input and a logit sum.
 
-    It holds the InferencePlan folded when the stream was opened, which
-    gives each block's fold and the frame shape. The batch size N is the
-    first frame's; later frames must match it."""
+    It runs the InferencePlan folded when the stream was opened, which gives
+    each block's fold, the frame shape and the convs. The batch size N is
+    the first frame's; later frames must match it."""
 
     def __init__(self, plan: InferencePlan, stream_id: str):
         self.plan = plan
         self.dtype = plan.head_w.dtype
         self.stream_id = stream_id
-        self.convs = plan.convs(_StreamConv)
         self.prev: list[Array | None] = [None] * len(plan.folds)
         self.frames_seen = 0
         self.logit_sum: Array | None = None
@@ -590,7 +577,7 @@ class StreamState:
             n = "N" if self.logit_sum is None else rows[0]
             raise InputError(f"stream {self.stream_id!r}: frame shape {frame.shape} is not "
                              f"[{n},{','.join(map(str, self.plan.frame_shape))}]")
-        logits = self.plan.frame_logits(frame, self._branch, self.convs)
+        logits = self.plan.frame_logits(frame, self._branch)
         self.frames_seen += 1
         self.logit_sum = logits if self.logit_sum is None else self.logit_sum + logits
         return {"frame_logits": logits, "rolling_logits": self.logit_sum / self.frames_seen}

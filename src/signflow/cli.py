@@ -10,7 +10,8 @@ synth, train, bench and gradcheck take --seed, whose default SIGNFLOW_SEED
 overrides; all but stream, whose lines carry no timestamp, take
 --no-timestamp and --pretty. The inputs choose the mode: synth --lexicon
 writes one clip per gloss, translate --out (with --clips) writes the
-planned frames, and train takes its class count from the manifest.
+planned frames, and train takes its class count from the manifest. A flag
+that only another mode reads is a usage error, but only from the command line.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def _frames_entry(frames: str) -> ManifestEntry:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    _require_mode(args, "a temporal synth (no --lexicon)", not args.lexicon)
     if args.lexicon:
-        if args.temporal_flags:
-            raise UsageError(f"{args.temporal_flags[0]} requires a temporal synth (no --lexicon)")
         lex = load_lexicon(_require_file(args.lexicon, "--lexicon"))
         glosses = {e.gloss_id: i for i, e in
                    enumerate(sorted(lex.entries.values(), key=lambda e: e.gloss_id))}
@@ -257,6 +257,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    _require_mode(args, "--clips", bool(args.clips))
     lex, rules = _lexicon_and_rules(args)
     tokens = segment(args.text, lex)
     seq = reorder(tokens, rules)
@@ -274,8 +275,6 @@ def cmd_translate(args) -> int:
             entry = concat_frames(manifest, index, out_dir / "frames", video_id=out_dir.name)
             result["frames_dir"] = str(out_dir / "frames") if entry else None
             result["materialized_frames"] = entry.num_frames if entry else 0
-    elif args.out:
-        raise UsageError("--out requires --clips")
     _emit(result, args)
     return 0
 
@@ -305,6 +304,11 @@ def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    variants = [variant.strip() for variant in args.variants.split(",")]
+    _require_mode(args, "--epochs above 0", args.epochs > 0, "--lr")
+    _require_mode(args, "--epochs above 0 or --profile", args.epochs > 0 or args.profile,
+                  "--batch-size")
+    _require_mode(args, "a shift entry in --variants", "shift" in variants, "--fold")
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
     num_classes = len(label_map) if label_map else max(e.label for e in entries) + 1
@@ -312,7 +316,7 @@ def cmd_bench(args) -> int:
     specs = [_netspec_from_args(num_classes, preset=args.preset, temporal=variant, t=args.t,
                                 fold=args.fold,
                                 direction=UNIDIRECTIONAL if variant == "shift" else None)
-             for variant in map(str.strip, args.variants.split(","))]
+             for variant in variants]
     # every variant of one preset reads frames of one size: load each split once
     size = specs[0].frame_size
     train_ds = load_clip_dataset(manifest, "train", sample, size=size, dtype=np.float32)
@@ -414,12 +418,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-class _TemporalOnly(argparse.Action):
-    """A temporal synth flag, noted in ``temporal_flags`` when the command line gives it."""
+class _ModeOnly(argparse.Action):
+    """A flag one mode reads, noted in ``mode_flags`` when the command line gives it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.temporal_flags = [*namespace.temporal_flags, self.option_strings[0]]
+        namespace.mode_flags = [*namespace.mode_flags, self.option_strings[0]]
+
+
+def _require_mode(args, mode: str, on: bool, *flags: str) -> None:
+    """A usage error for the first noted flag (of ``flags``, or any) while ``mode`` is off."""
+    given = [flag for flag in args.mode_flags if not flags or flag in flags]
+    if given and not on:
+        raise UsageError(f"{given[0]} requires {mode}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,21 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-timestamp", action="store_true",
                            help="omit the timestamp field (byte-stable output)")
             p.add_argument("--pretty", action="store_true", help="indent JSON output")
-        p.set_defaults(config_parser=p)
+        p.set_defaults(config_parser=p, mode_flags=[])
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4, action=_TemporalOnly)
+    p.add_argument("--classes", type=int, default=4, action=_ModeOnly)
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--train-per-class", type=int, default=50, action=_TemporalOnly)
-    p.add_argument("--val-per-class", type=int, default=0, action=_TemporalOnly)
-    p.add_argument("--test-per-class", type=int, default=13, action=_TemporalOnly)
-    p.add_argument("--noise", type=float, default=0.05, action=_TemporalOnly)
+    p.add_argument("--train-per-class", type=int, default=50, action=_ModeOnly)
+    p.add_argument("--val-per-class", type=int, default=0, action=_ModeOnly)
+    p.add_argument("--test-per-class", type=int, default=13, action=_ModeOnly)
+    p.add_argument("--noise", type=float, default=0.05, action=_ModeOnly)
     p.add_argument("--lexicon",
                    help="lexicon TSV: write one clip per gloss instead of the temporal set")
     common(p, seed=True)
-    p.set_defaults(fn=cmd_synth, temporal_flags=[])
+    p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a manifest")
     p.add_argument("--manifest", required=True)
@@ -506,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--rules")
     p.add_argument("--clips", help="isolated-word clip manifest")
-    p.add_argument("--policy", default="hard-cut",
-                   help="hard-cut or hold-last-frame:N")
-    p.add_argument("--fallback", choices=["skip", "error"], default="skip")
-    p.add_argument("--fps", type=float, default=25.0)
-    p.add_argument("--out", help="write the planned frames here (with --clips)")
+    p.add_argument("--policy", default="hard-cut", action=_ModeOnly,
+                   help="hard-cut or hold-last-frame:N (with --clips)")
+    p.add_argument("--fallback", choices=["skip", "error"], default="skip", action=_ModeOnly)
+    p.add_argument("--fps", type=float, default=25.0, action=_ModeOnly)
+    p.add_argument("--out", action=_ModeOnly, help="write the planned frames here (with --clips)")
     common(p, seed=False)
     p.set_defaults(fn=cmd_translate)
 
@@ -518,11 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--variants", default="shift,action,none")
     p.add_argument("--preset", choices=["micro", "tiny"], default="micro")
-    p.add_argument("--fold", type=float)
+    p.add_argument("--fold", type=float, action=_ModeOnly, help="with a shift variant")
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--epochs", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.02)
+    p.add_argument("--batch-size", type=int, default=16, action=_ModeOnly)
+    p.add_argument("--lr", type=float, default=0.02, action=_ModeOnly)
     p.add_argument("--split", default="test")
     p.add_argument("--reps", type=int, default=30)
     p.add_argument("--profile", action="store_true",

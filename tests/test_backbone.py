@@ -566,6 +566,23 @@ class TestInfer:
         clips = [c for c, _ in random_dataset(spec, 5, seed=3)]  # T = 8: chunks of 2, 2, 1
         npt.assert_array_equal(model.infer(clips), model.infer(np.stack(clips)))
 
+    @pytest.mark.parametrize("temporal", ["shift", "action", "none"])
+    def test_five_clips_run_in_chunks_of_16_16_and_8_frames(self, monkeypatch, temporal):
+        spec = NetSpec.micro(4, temporal=temporal)
+        model = perturbed(build(spec, seed=1), seed=2)
+        clips = np.random.default_rng(3).uniform(0, 1, (5, *spec.clip_shape)).astype(np.float32)
+        chunks = []
+        frame_logits = backbone.InferencePlan.frame_logits
+
+        def spy(plan, x, branch):
+            chunks.append(len(x))
+            return frame_logits(plan, x, branch)
+
+        monkeypatch.setattr(backbone.InferencePlan, "frame_logits", spy)
+        got = model.infer(clips)
+        assert chunks == [16, 16, 8]  # the last chunk's shape makes each conv pick again
+        assert_agrees(got, model.forward(clips).numpy(), np.float32)
+
     def test_mixed_clip_shapes_rejected(self):
         model = build(tiny_spec(), seed=0)
         clips = [np.zeros((4, 2, 8, 8)), np.zeros((4, 2, 8, 6))]
@@ -694,20 +711,32 @@ class TestStreamConv:
         rng = np.random.default_rng(k + stride + n)
         w = rng.uniform(-1, 1, (5, 3, k, k)).astype(np.float32)
         b = rng.uniform(-1, 1, 5).astype(np.float32)
-        conv = backbone._StreamConv(w, b, stride, pad)
+        conv = backbone._PlanConv(w, b, stride, pad)
         for _ in range(3):  # the buffer is reused from call to call
             x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
             npt.assert_array_equal(conv(x), conv2d_array(x, w, b, stride, pad))
+        assert conv.flat is not None
+
+    def test_a_new_shape_picks_again(self):
+        rng = np.random.default_rng(9)
+        w = rng.uniform(-1, 1, (5, 3, 3, 3)).astype(np.float32)
+        b = rng.uniform(-1, 1, 5).astype(np.float32)
+        conv = backbone._PlanConv(w, b, 1, 1)
+        # two rows gather, three run conv2d_array, and one row gathers again
+        for n, gathers in ((2, True), (3, False), (1, True), (2, True)):
+            x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
+            npt.assert_array_equal(conv(x), conv2d_array(x, w, b, 1, 1))
+            assert (conv.flat is not None) == gathers and conv.shape == x.shape
 
 
-def stream_convs(stream):
-    stem, blocks = stream.convs
-    return [stem, *(conv for block in blocks for conv in block if conv is not None)]
+def plan_convs(plan):
+    """Every conv of a plan: the stem, then each block's conv1, conv2 and proj."""
+    return [plan.stem, *(conv for block in plan.blocks for conv in block if conv is not None)]
 
 
 def stream_buffers(stream):
     """Copies of every conv buffer of a stream (None before its first frame)."""
-    return [None if conv.flat is None else conv.flat.copy() for conv in stream_convs(stream)]
+    return [None if conv.flat is None else conv.flat.copy() for conv in plan_convs(stream.plan)]
 
 
 class TestStreamBuffers:
@@ -727,6 +756,23 @@ class TestStreamBuffers:
         for i in range(2):
             npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
 
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    def test_two_streams_of_different_n_share_one_plan(self, temporal):
+        spec = NetSpec.micro(4, temporal=temporal, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        clips = [rng.uniform(0, 1, (n, 6, 1, 32, 32)).astype(np.float32) for n in (1, 2)]
+        alone = [stream_logits(model, clip) for clip in clips]
+        plan = backbone.InferencePlan(model)
+        streams = [backbone.StreamState(plan, f"s{i}") for i in range(2)]
+        got = [[], []]
+        for t in range(6):  # each conv picks again whenever the other stream stepped last
+            for i, stream in enumerate(streams):
+                got[i].append(stream.step(clips[i][:, t])["frame_logits"])
+        for i, clip in enumerate(clips):
+            npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
+            assert_agrees(alone[i], model.per_frame_logits(clip).numpy(), np.float32)
+
     def test_kept_results_are_new_arrays_that_later_steps_leave_alone(self):
         spec = NetSpec.micro(4, direction="unidirectional")
         model = perturbed(build(spec, seed=1), seed=2)
@@ -739,7 +785,7 @@ class TestStreamBuffers:
         for out, copy in zip(kept, copies):  # later steps ran after each was returned
             for key, value in copy.items():
                 npt.assert_array_equal(out[key], value)
-        buffers = [conv.flat for conv in stream_convs(stream)]
+        buffers = [conv.flat for conv in plan_convs(stream.plan)]
         arrays = [out[key] for out in kept for key in ("frame_logits", "rolling_logits")]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, buf) for buf in buffers)
@@ -773,7 +819,30 @@ class TestStreamConvChoice:
     def test_micro_gathers_every_conv(self, n):
         stream = build(NetSpec.micro(4, direction="unidirectional"), seed=0).open_stream()
         stream.step(np.zeros((n, 1, 32, 32), dtype=np.float32))
-        assert all(conv.flat is not None for conv in stream_convs(stream))
+        assert all(conv.flat is not None for conv in plan_convs(stream.plan))
+
+    def test_micro_streams_gather_and_infer_runs_conv2d_array(self, monkeypatch):
+        spec = NetSpec.micro(4, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        for n in (1, 2):
+            clip = rng.uniform(0, 1, (n, 4, 1, 32, 32)).astype(np.float32)
+            stream = model.open_stream()
+            got = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(4)], axis=1)
+            assert all(conv.flat is not None for conv in plan_convs(stream.plan))
+            assert_agrees(got, model.per_frame_logits(clip).numpy(), np.float32)
+        picked = []
+        frame_logits = backbone.InferencePlan.frame_logits
+
+        def spy(plan, x, branch):
+            out = frame_logits(plan, x, branch)
+            picked.append((len(x), [conv.flat is None for conv in plan_convs(plan)]))
+            return out
+
+        monkeypatch.setattr(backbone.InferencePlan, "frame_logits", spy)
+        clips = rng.uniform(0, 1, (5, *spec.clip_shape)).astype(np.float32)
+        assert_agrees(model.infer(clips), model.forward(clips).numpy(), np.float32)
+        assert picked == [(n, [True] * 7) for n in (16, 16, 8)]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_runs_its_stem_as_an_array_conv_and_gathers_its_projections(self, n):
@@ -782,10 +851,9 @@ class TestStreamConvChoice:
         got = stream_logits(model, clip)
         stream = model.open_stream()
         stream.step(clip[:, 0])
-        stem, blocks = stream.convs
-        projections = [proj for _, _, proj in blocks if proj is not None]
-        assert stem.flat is None and len(projections) == 2
-        assert [conv for conv in stream_convs(stream) if conv.flat is not None] == projections
+        projections = [proj for _, _, proj in stream.plan.blocks if proj is not None]
+        assert stream.plan.stem.flat is None and len(projections) == 2
+        assert [conv for conv in plan_convs(stream.plan) if conv.flat is not None] == projections
         assert_agrees(got, model.per_frame_logits(clip).numpy(), np.float32)
 
     @pytest.mark.parametrize("preset,channels", [("micro", 1), ("tiny", 3)])
@@ -793,7 +861,7 @@ class TestStreamConvChoice:
         model = build(getattr(NetSpec, preset)(4, direction="unidirectional"), seed=0)
         stream = model.open_stream()
         stream.step(np.zeros((1, channels, 32, 32), dtype=np.float32))
-        refs = [weakref.ref(conv) for conv in stream_convs(stream)]
+        refs = [weakref.ref(conv) for conv in plan_convs(stream.plan)]
         gc.disable()
         try:
             del stream

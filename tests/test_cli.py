@@ -522,8 +522,9 @@ CLIP_LINE = json.dumps({"video_id": "G_WO", "frame_dir": "G_WO", "num_frames": 1
 TRAIN = ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m")
 EVAL_NETSPEC = ("eval", "--manifest", "{synth}/manifest.jsonl", "--weights",
                 "{model}/model.sgnf", "--netspec", "{d}/netspec.json")
-TRANSLATE_RULES = ("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"),
-                   "--rules", "{d}/rules.json")
+TRANSLATE = ("translate", "--text", "我", "--lexicon", str(DEMO / "lexicon.tsv"))
+TRANSLATE_RULES = (*TRANSLATE, "--rules", "{d}/rules.json")
+BENCH = ("bench", "--manifest", "{synth}/manifest.jsonl", "--reps", "1")
 # id: (files written into {d}: name -> bytes, or a function of the trained model's netspec
 # dict; argv with {d}, {synth}, {model} and {frames}; exit code; what stderr must hold)
 CLI_ERRORS = {
@@ -645,6 +646,19 @@ CLI_ERRORS = {
                                             "--lexicon", str(DEMO / "lexicon.tsv")), 2,
                                        "usage error: --noise requires a temporal synth "
                                        "(no --lexicon)\n"),
+    # likewise translate's planning flags without --clips (--fps at its default too) ...
+    **{f"translate{flag}-without-clips": ({}, (*TRANSLATE, flag, value), 2,
+                                          f"usage error: {flag} requires --clips\n")
+       for flag, value in (("--policy", "hold-last-frame:2"), ("--fallback", "error"),
+                           ("--fps", "25"))},
+    # ... and bench's training flags at --epochs 0, and its fold without a shift variant
+    "bench-lr-at-epochs-0": ({}, (*BENCH, "--lr", "0.1"), 2,
+                             "usage error: --lr requires --epochs above 0\n"),
+    "bench-batch-size-at-epochs-0": ({}, (*BENCH, "--batch-size", "4"), 2,
+                                     "usage error: --batch-size requires --epochs above 0 or "
+                                     "--profile\n"),
+    "bench-fold-without-shift": ({}, (*BENCH, "--variants", "none,action", "--fold", "0.25"), 2,
+                                 "usage error: --fold requires a shift entry in --variants\n"),
 }
 
 
@@ -720,17 +734,18 @@ class TestBench:
         from signflow import cli
         monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
         args = ["bench", "--manifest", str(synth_dir / "manifest.jsonl"), "--variants",
-                "shift,none", "--epochs", "0", "--reps", "1", "--batch-size", "2",
-                "--no-timestamp"]
+                "shift,none", "--epochs", "0", "--reps", "1", "--no-timestamp"]
         assert cli.main(args) == 0
         plain = capsys.readouterr()
-        assert cli.main(args + ["--profile"]) == 0
+        # at --epochs 0 only the profiled step reads --batch-size
+        assert cli.main(args + ["--batch-size", "2", "--profile"]) == 0
         profiled = capsys.readouterr()
         assert profiled.out == plain.out and plain.err == ""
         rows = [json.loads(line) for line in profiled.err.splitlines()]
         assert [r["variant"] for r in rows] == ["shift", "none"]
         for row in rows:
             assert row["backward_ms"]["conv2d"] >= 0 and row["op_nodes"] > 0
+            assert row["batch_size"] == 2
 
 
 class TestTinyPreset:
@@ -810,6 +825,21 @@ class TestConfigFile:
         assert_one_line_error(proc, 2, str(cfg), repr(key))
         assert not (tmp_path / "ds").exists()
 
+    def test_mode_keys_do_not_reject_the_other_modes(self, tmp_path, synth_dir, monkeypatch,
+                                                     capsys):
+        """Likewise translate's planning keys without --clips, and bench's training
+        keys at --epochs 0 and its fold key without a shift variant."""
+        from signflow import cli
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "hold-last-frame:2", "fallback": "error",
+                                   "fps": 10, "lr": 0.1, "batch-size": 4, "fold": 0.25}))
+        translate = ("translate", "--text", "我", "--lexicon", LEXICON, "--no-timestamp")
+        bench = ("bench", "--manifest", synth_dir / "manifest.jsonl", "--variants", "none",
+                 "--reps", "1", "--no-timestamp")
+        for argv in (translate, bench):
+            assert main_json(capsys, *argv, "--config", cfg) == main_json(capsys, *argv)
+
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 5, "classes": 2}))  # train's and synth's keys
@@ -884,6 +914,9 @@ FLAG_MODES = {
                         "--clips", "{inputs}/clips/manifest.jsonl", "--out", "{d}/video"),
     "bench": ("bench", "--manifest", "{synth}/manifest.jsonl", "--variants", "shift",
               "--reps", "1"),
+    # one SGD epoch: --lr and --batch-size are read
+    "bench-train": ("bench", "--manifest", "{synth}/manifest.jsonl", "--variants", "shift",
+                    "--reps", "1", "--epochs", "1", "--t", "2"),
     "gradcheck": ("gradcheck",),
 }
 # flag: a valid value unlike its default and unlike its value in any mode's argv
@@ -903,12 +936,8 @@ FLAG_EXEMPT = {
     **{(None, flag): "a path: what it changes is up to the file it names"
        for flag in PATH_FLAGS},
     (None, "--config"): "supplies other flags' defaults (TestConfigFile)",
-    **{("translate", flag): "plans clips, so is read only with --clips"
-       for flag in ("--policy", "--fallback", "--fps")},
-    ("bench", "--profile"): "writes to stderr by design (test_profile_goes_to_stderr_only)",
-    ("bench", "--reps"): "changes timings only, besides echoing itself",
-    **{("bench", flag): "trains, so is read only at --epochs above 0"
-       for flag in ("--lr", "--batch-size")},
+    (None, "--profile"): "writes to stderr by design (test_profile_goes_to_stderr_only)",
+    (None, "--reps"): "changes bench's timings only, besides echoing itself",
 }
 SHARED_FLAGS = ("--seed", "--config", "--no-timestamp", "--pretty")
 
