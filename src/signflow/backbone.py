@@ -22,7 +22,11 @@ Both run the plan's convs (``_PlanConv``): conv2d_array, or for a stream's
 few rows of small cols a gather from a zero-bordered buffer, through an
 index cached per geometry (``gather_index``), and one GEMM: at batch 1 a
 conv's cost is its numpy calls, and a copy, a gather, the GEMM and the bias
-take the place of conv2d_array's ten or so.
+take the place of conv2d_array's ten or so. ``infer`` keeps one plan per
+model and folds the current weights into it on every call; a stream's plan
+is folded once, when it is opened (a snapshot). Each conv keeps its
+lowering and buffers per input shape (conv2d_array's in private anonymous
+mappings), so a warmed plan makes none and takes no page faults for them.
 
 NetSpec is the one config of the temporal modules: ``block_layout`` sizes
 each block's shift fold once (``_Block.fold``), and every walk reads it
@@ -36,6 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 from collections.abc import Callable
 from dataclasses import dataclass, asdict
 
@@ -250,11 +255,10 @@ class _ConvUnit:
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]
 
-    def folded(self) -> tuple[Array, Array, int, int]:
-        """(w, b, stride, pad) of conv2d_array on the folded weights (new arrays:
-        a snapshot)."""
-        return (*_fold(self.w.data, self.b.data, self.gamma.data, self.beta.data),
-                self.stride, self.pad)
+    def folded(self) -> tuple[Array, Array]:
+        """(w, b) of conv2d_array on the folded weights (new arrays: a
+        snapshot)."""
+        return _fold(self.w.data, self.b.data, self.gamma.data, self.beta.data)
 
 
 class _Block:
@@ -301,6 +305,7 @@ class Model:
         self.head_w = Parameter(
             rng.uniform(-bound, bound, size=(head_in, spec.num_classes)).astype(dtype), "head.w")
         self.head_b = Parameter(np.zeros(spec.num_classes, dtype=dtype), "head.b")
+        self._plan: InferencePlan | None = None  # infer's, built on its first call
 
     # -- parameter plumbing ------------------------------------------------------
 
@@ -397,17 +402,24 @@ class Model:
         consensus logits, without a graph.
 
         The same function as forward, on folded weights: the result agrees
-        with forward to rounding, not bit for bit. The weights are folded
-        once per call, so the result always follows the current parameters.
-        The clips run in order, in chunks of _INFER_FRAMES frames' worth (at
-        least one clip), so float32 logits can differ by rounding from
-        one-clip calls. An excitation block runs as the plan's constant
-        copy, so no call builds a graph.
+        with forward to rounding, not bit for bit. The model keeps one
+        InferencePlan, built on the first call, and every call folds the
+        current parameters into it, so the result always follows them while
+        the plan's convs keep their buffers. The clips run in order, in
+        chunks of _INFER_FRAMES frames' worth (at least one clip), so float32
+        logits can differ by rounding from one-clip calls. An excitation
+        block runs as the plan's constant copy, so no call builds a graph.
+        Calls on one model share the plan's buffers, so they must not
+        overlap.
         """
         x = self._clip(clips, check_t=True).data
         n, t = x.shape[:2]
         chunk = max(1, _INFER_FRAMES // t)
-        plan = InferencePlan(self)
+        if self._plan is None:
+            self._plan = InferencePlan(self)
+        else:
+            self._plan.fold(self)
+        plan = self._plan
 
         def branch(i: int, feats: Array) -> Array:
             return self._temporal(Tensor(feats), plan.folds[i], plan.actions[i],
@@ -441,6 +453,13 @@ class Model:
         return StreamState(InferencePlan(self), stream_id)
 
 
+def _conv_units(model: Model) -> list[_ConvUnit | None]:
+    """The model's conv units in plan order: the stem, then each block's
+    conv1, conv2 and proj (None without one)."""
+    return [model.stem, *(unit for block in model.blocks
+                          for unit in (block.conv1, block.conv2, block.proj))]
+
+
 def _relu(x: Array) -> Array:
     """relu in place; callers pass only arrays they own."""
     return np.maximum(x, 0, out=x)
@@ -449,9 +468,14 @@ def _relu(x: Array) -> Array:
 class InferencePlan:
     """A model's weights folded for graph-free inference, and their convs.
 
-    Every weight is a new copy, so the plan is a snapshot of the weights as
-    they were when it was built. ``stem`` and each ``blocks[i]`` (conv1,
-    conv2, proj or None) are _PlanConvs, which also hold scratch buffers.
+    The plan holds copies of the weights as they were at its last ``fold``
+    (the first when it is built). Model.infer keeps one plan and folds it
+    again on every call; a stream's plan is folded once, when the stream is
+    opened, so it is a snapshot. ``convs`` are its _PlanConvs in the order of
+    _conv_units, ``stem`` the first and ``blocks[i]`` block i's (conv1,
+    conv2, proj or None). A fold gives them new weights, and each keeps its
+    lowering and buffers per input shape (conv2d_array's in private
+    anonymous mappings, _Scratch), so a warmed plan makes none.
     ``folds[i]`` is block i's shift fold (0 without a shift), ``actions[i]``
     its excitation block as a copy on constant Tensors (None without one),
     and ``frame_shape`` is (C, H, W).
@@ -460,10 +484,20 @@ class InferencePlan:
     def __init__(self, model: Model):
         self.frame_shape = (model.spec.in_channels, *model.spec.frame_size)
         self.folds = [block.fold for block in model.blocks]
-        self.stem = _PlanConv(*model.stem.folded())
-        self.blocks = [(_PlanConv(*block.conv1.folded()), _PlanConv(*block.conv2.folded()),
-                        _PlanConv(*block.proj.folded()) if block.proj is not None else None)
-                       for block in model.blocks]
+        scratch = _Scratch(model.dtype)
+        self.convs = [None if unit is None else _PlanConv(unit.stride, unit.pad, scratch)
+                      for unit in _conv_units(model)]
+        self.stem, *rest = self.convs
+        self.blocks = [tuple(rest[i:i + 3]) for i in range(0, len(rest), 3)]
+        self.fold(model)
+
+    def fold(self, model: Model) -> None:
+        """Fold the model's current weights into the plan, as new arrays: each
+        conv's (its kept lowerings and buffers hold no weights), the
+        excitation blocks' copies and the head."""
+        for conv, unit in zip(self.convs, _conv_units(model)):
+            if unit is not None:
+                conv.load(*unit.folded())
         self.actions = [block.action.constant() if block.action is not None else None
                         for block in model.blocks]
         self.head_w, self.head_b = model.head_w.data.copy(), model.head_b.data.copy()
@@ -502,52 +536,104 @@ GATHER_MAX_COLS = 16_384
 GATHER_MAX_ROWS = 2
 
 
-class _PlanConv:
-    """One folded conv of an InferencePlan. It picks by its [N,C,H,W] input's
-    shape, again whenever the shape changes: within GATHER_MAX_ROWS and
-    GATHER_MAX_COLS a gather and one GEMM, otherwise conv2d_array. The gather
-    writes each input into the interior of a zero-bordered buffer of its own
-    (``flat``, None for conv2d_array), gathers the cols through gather_index
-    (fancy indexing of the flat buffer, which beat ``np.take`` here) and
-    multiplies them by the weights. The cols are _im2col's, so either way
-    the result is conv2d_array's, at float32 bit for bit."""
+class _Scratch:
+    """The buffers one plan's conv2d_array lowerings keep, in private
+    anonymous mappings: outside the malloc heap, kept blocks do not fragment
+    it between training's transients, and no freed block lets glibc trim
+    pages that the next call faults back in. ``take`` carves zeroed buffers
+    from a mapping of at least _SCRATCH_CHUNK bytes; ``cols`` is the one
+    cols buffer that the plan's array convs share, since a conv's cols are
+    dead after its GEMM. It grows, as a new mapping, to the largest cols
+    asked for."""
 
-    def __init__(self, w: Array, b: Array, stride: int, pad: int):
-        self.w, self.b, self.stride, self.pad = w, b, stride, pad
-        self.shape: tuple | None = None
-        self.flat: Array | None = None
-        self.gather: tuple | None = None
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+        self.spare = self.shared = np.empty(0, self.dtype)
+
+    def take(self, shape: tuple[int, ...]) -> Array:
+        """A zeroed C-contiguous array of ``shape``, 64-byte aligned."""
+        size, step = math.prod(shape), 64 // self.dtype.itemsize
+        if self.spare.size < size:
+            self.spare = _mapped(max(size, _SCRATCH_CHUNK // self.dtype.itemsize), self.dtype)
+        view = self.spare[:size].reshape(shape)
+        self.spare = self.spare[-(-size // step) * step:]
+        return view
+
+    def cols(self, rows: int, width: int) -> Array:
+        """The shared cols as a C-contiguous [rows, width] array."""
+        if self.shared.size < rows * width:
+            self.shared = _mapped(rows * width, self.dtype)
+        return self.shared[:rows * width].reshape(rows, width)
+
+
+# Bytes of each mapping _Scratch.take carves from. An untouched page costs no
+# memory, so one mapping serves every small buffer of a plan; below 2 MiB no
+# transparent huge page can back it.
+_SCRATCH_CHUNK = 1 << 20
+
+
+def _mapped(size: int, dtype) -> Array:
+    """A zeroed 1-D array of ``size`` elements in a new private anonymous
+    mapping (private: a fork does not share it)."""
+    buf = mmap.mmap(-1, size * dtype.itemsize, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype, size)
+
+
+class _PlanConv:
+    """One folded conv of an InferencePlan, with a lowering kept for each
+    [N,C,H,W] input shape it has seen (``lowered``). Within GATHER_MAX_ROWS
+    and GATHER_MAX_COLS it is a gather: each input is written into the
+    interior of a zero-bordered buffer (``flat``), the cols are gathered
+    through gather_index (fancy indexing of the flat buffer, which beat
+    ``np.take`` here) and multiplied by the weights. Otherwise it is
+    conv2d_array into kept destinations (from the plan's _Scratch): the
+    zero-bordered channel-major input and the GEMM's output of its own, and
+    the cols its plan's convs share. The cols are _im2col's, so either way
+    the result is conv2d_array's, at float32 bit for bit. A result of
+    conv2d_array is a view of a kept buffer: it holds until the conv's next
+    call of that shape, which InferencePlan.frame_logits never keeps past.
+    The gather's small buffers stay on the heap: a stream's plan is made
+    per stream, and a mapping of its own would cost the stream's first
+    step a system call and a page fault per page."""
+
+    def __init__(self, stride: int, pad: int, scratch: _Scratch):
+        self.stride, self.pad, self.scratch = stride, pad, scratch
+        self.lowered: dict[tuple[int, ...], tuple] = {}
+
+    def load(self, w: Array, b: Array) -> None:
+        """Take (w, b) as the conv's weights; the kept lowerings hold none."""
+        self.w, self.b = w, b
+        self.w2d, self.b2d = w.reshape(len(w), -1), b[:, None]
 
     def __call__(self, x: Array) -> Array:
-        if x.shape != self.shape:
-            self._choose(*x.shape)
-            self.shape = x.shape
-        if self.flat is None:
-            return conv2d_array(x, self.w, self.b, self.stride, self.pad)
-        interior, index, w2d, b2d, out_shape = self.gather
+        lowering = self.lowered.get(x.shape) or self._lower(*x.shape)
+        if lowering[0] is None:  # conv2d_array: (None, xp, out, cols shape)
+            _, xp, out, cols = lowering
+            return conv2d_array(x, self.w, self.b, self.stride, self.pad,
+                                (xp, self.scratch.cols(*cols), out))
+        flat, interior, index, out_shape = lowering
         interior[...] = x
-        out = w2d @ self.flat[index]
-        out += b2d
+        out = self.w2d @ flat[index]
+        out += self.b2d
         return out.reshape(out_shape).transpose(3, 0, 1, 2)
 
-    def _choose(self, n: int, c: int, h: int, wd: int) -> None:
-        """Set up the lowering for [n, c, h, wd] inputs: for the gather,
-        ``flat`` and ``gather`` (the buffer's interior, the index, the weights
-        as a matrix, the bias as a column and the output shape), else
-        ``flat`` None."""
-        self.flat = self.gather = None
-        if n > GATHER_MAX_ROWS:  # infer's chunks: skip the cols arithmetic
-            return
-        w, p = self.w, self.pad
-        kh, kw = w.shape[2:]
+    def _lower(self, n: int, c: int, h: int, wd: int) -> tuple:
+        """Make and keep the lowering of [n, c, h, wd] inputs: for the gather,
+        (flat, its interior, the index, the output shape); for conv2d_array,
+        (None, xp or None at pad 0, the GEMM's output, the cols' shape)."""
+        co, _, kh, kw = self.w.shape
+        p = self.pad
         oh, ow = _conv2d_out_hw(h, wd, kh, kw, self.stride, p)
-        if c * kh * kw * oh * ow * n > GATHER_MAX_COLS:
-            return
-        buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=w.dtype)
-        self.flat = buf.reshape(-1)
-        self.gather = (buf[:, :, p:p + h, p:p + wd],
-                       gather_index(c, h, wd, n, kh, kw, self.stride, p),
-                       w.reshape(len(w), -1), self.b[:, None], (len(w), oh, ow, n))
+        rows, width = c * kh * kw, oh * ow * n
+        if n <= GATHER_MAX_ROWS and rows * width <= GATHER_MAX_COLS:
+            buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=self.w.dtype)
+            lowering = (buf.reshape(-1), buf[:, :, p:p + h, p:p + wd],
+                        gather_index(c, h, wd, n, kh, kw, self.stride, p), (co, oh, ow, n))
+        else:
+            xp = self.scratch.take((c, h + 2 * p, wd + 2 * p, n)) if p else None
+            lowering = (None, xp, self.scratch.take((co, width)), (rows, width))
+        self.lowered[(n, c, h, wd)] = lowering
+        return lowering
 
 
 class StreamState:
@@ -583,10 +669,12 @@ class StreamState:
         return {"frame_logits": logits, "rolling_logits": self.logit_sum / self.frames_seen}
 
     def _branch(self, i: int, x: Array) -> Array:
-        """Block i's branch input, keeping x as block i's previous input.
-        Block inputs are new arrays that nothing writes to, so kept as is."""
-        branch = online_step(x, self.prev[i], self.plan.folds[i])
-        self.prev[i] = x
+        """Block i's branch input. It keeps a copy of x's first fold channels,
+        all that the next frame's shift reads: x may be a view of a plan
+        conv's kept buffer, which the next step writes."""
+        fold = self.plan.folds[i]
+        branch = online_step(x, self.prev[i], fold)
+        self.prev[i] = x[:, :fold].copy()
         return branch
 
 

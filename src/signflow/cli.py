@@ -78,6 +78,8 @@ def _default_seed() -> int:
 
 def _netspec_from_args(num_classes: int, *, preset: str, temporal: str, t: int | None,
                        fold: float | None, direction: str | None) -> NetSpec:
+    if temporal != "shift":  # fold and direction are the shift's: another module takes neither
+        fold = direction = None
     kw = {key: value for key, value in (("fold_fraction", fold), ("direction", direction),
                                         ("t", t)) if value is not None}
     make = NetSpec.tiny if preset == "tiny" else NetSpec.micro
@@ -150,6 +152,7 @@ def _minor_faults() -> int:
 
 
 def cmd_train(args) -> int:
+    _require_mode(args, "--temporal shift", args.temporal == "shift", "--fold", "--direction")
     manifest = _require_file(args.manifest, "--manifest")
     entries, label_map = load_manifest(manifest)
     num_classes = len(label_map) if label_map else max(e.label for e in entries) + 1
@@ -247,12 +250,19 @@ def cmd_stream(args) -> int:
     model = _load_model(args)
     entry = _frames_entry(args.frames)
     stream = model.open_stream(stream_id=entry.video_id)
+    step_ms = []
     for i in range(entry.num_frames):
         frame = read_clip(entry, [i], base=".", size=model.spec.frame_size,
                           dtype=model.dtype)[0]
+        t0 = time.perf_counter()
         rolling = stream.step(frame)["rolling_logits"][0]
+        step_ms.append((time.perf_counter() - t0) * 1e3)
         _emit_line({"frame": i, "prediction": int(np.argmax(rolling)),
                     "rolling_logits": [round(float(v), 6) for v in rolling]}, sys.stdout)
+    # step timings go to stderr: stdout stays byte-stable
+    p50, p99 = np.percentile(step_ms, [50, 99])
+    _emit_line({"frames": len(step_ms), "step_ms_p50": round(float(p50), 4),
+                "step_ms_p99": round(float(p99), 4)}, sys.stderr)
     return 0
 
 
@@ -279,16 +289,18 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _median_ms(fn, reps: int) -> float:
-    """Median ms of ``reps`` timed calls, after 3 untimed warm-up calls."""
+def _median_ms(fn, reps: int) -> tuple[float, float]:
+    """Median ms of ``reps`` timed calls, after 3 untimed warm-up calls, and
+    the minor page faults per timed call."""
     for _ in range(3):
         fn()
     samples = []
+    faults = _minor_faults()
     for _ in range(reps):
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(samples)
+    return statistics.median(samples), (_minor_faults() - faults) / reps
 
 
 def _profile_step(model: Model, dataset, cfg: TrainConfig) -> dict:
@@ -339,13 +351,13 @@ def cmd_bench(args) -> int:
                         **_profile_step(model, train_ds, cfg)}, sys.stderr)
 
         # every latency goes through _median_ms: one timed evaluate pass after its warm-up
-        ms_eval = _median_ms(lambda: evaluate(model, eval_ds), 1) / len(eval_ds)
+        ms_eval = _median_ms(lambda: evaluate(model, eval_ds), 1)[0] / len(eval_ds)
         clip = eval_ds[0][0]  # read at float32, the model's dtype
-        ms_clip = _median_ms(lambda: model.infer(clip), args.reps)
+        ms_clip, infer_faults = _median_ms(lambda: model.infer(clip), args.reps)
         if variant in ("shift", "none"):
             frame = clip[0]
             stream = model.open_stream()
-            ms_frame = _median_ms(lambda: stream.step(frame), args.reps)
+            ms_frame = _median_ms(lambda: stream.step(frame), args.reps)[0]
             ratio = ms_frame / ms_clip
         else:
             ms_frame = None
@@ -353,6 +365,7 @@ def cmd_bench(args) -> int:
         rows.append({"variant": variant, **metrics.to_dict(),
                      "eval_ms_per_clip": round(ms_eval, 4),
                      "ms_per_clip": round(ms_clip, 4),
+                     "infer_minor_faults": round(infer_faults, 2),
                      "ms_per_frame_online": round(ms_frame, 4) if ms_frame is not None else None,
                      "online_offline_ratio": round(ratio, 4) if ratio is not None else None})
     _emit({"t": args.t, "reps": args.reps, "split": eval_split, "rows": rows}, args)
@@ -470,9 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--preset", choices=["micro", "tiny"], default="micro")
     p.add_argument("--temporal", choices=["shift", "action", "none"], default="shift")
-    p.add_argument("--direction", choices=["bidirectional", "unidirectional"])
-    p.add_argument("--fold", type=float,
-                   help="shift fold fraction (default 1/8); a fold of 0 channels is an error")
+    p.add_argument("--direction", choices=["bidirectional", "unidirectional"], action=_ModeOnly,
+                   help="with --temporal shift")
+    p.add_argument("--fold", type=float, action=_ModeOnly,
+                   help="shift fold fraction (default 1/8; with --temporal shift); a fold of "
+                        "0 channels is an error")
     p.add_argument("--t", type=int, help="segments per clip (default: preset value)")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=16)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -580,7 +581,7 @@ class TestInfer:
 
         monkeypatch.setattr(backbone.InferencePlan, "frame_logits", spy)
         got = model.infer(clips)
-        assert chunks == [16, 16, 8]  # the last chunk's shape makes each conv pick again
+        assert chunks == [16, 16, 8]  # each conv keeps a lowering for the last chunk's shape
         assert_agrees(got, model.forward(clips).numpy(), np.float32)
 
     def test_mixed_clip_shapes_rejected(self):
@@ -711,22 +712,29 @@ class TestStreamConv:
         rng = np.random.default_rng(k + stride + n)
         w = rng.uniform(-1, 1, (5, 3, k, k)).astype(np.float32)
         b = rng.uniform(-1, 1, 5).astype(np.float32)
-        conv = backbone._PlanConv(w, b, stride, pad)
+        conv = backbone._PlanConv(stride, pad, backbone._Scratch(np.float32))
+        conv.load(w, b)
         for _ in range(3):  # the buffer is reused from call to call
             x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
             npt.assert_array_equal(conv(x), conv2d_array(x, w, b, stride, pad))
-        assert conv.flat is not None
+        assert lowerings(conv) == {n: "gather"}
 
     def test_a_new_shape_picks_again(self):
         rng = np.random.default_rng(9)
         w = rng.uniform(-1, 1, (5, 3, 3, 3)).astype(np.float32)
         b = rng.uniform(-1, 1, 5).astype(np.float32)
-        conv = backbone._PlanConv(w, b, 1, 1)
-        # two rows gather, three run conv2d_array, and one row gathers again
-        for n, gathers in ((2, True), (3, False), (1, True), (2, True)):
+        conv = backbone._PlanConv(1, 1, backbone._Scratch(np.float32))
+        conv.load(w, b)
+        # two rows gather, three run conv2d_array, one row gathers, and two rows gather
+        # again through the lowering kept from the first call
+        first = {}
+        for n, kind in ((2, "gather"), (3, "array"), (1, "gather"), (2, "gather")):
             x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
             npt.assert_array_equal(conv(x), conv2d_array(x, w, b, 1, 1))
-            assert (conv.flat is not None) == gathers and conv.shape == x.shape
+            assert lowerings(conv)[n] == kind
+            first.setdefault(x.shape, conv.lowered[x.shape])
+        assert lowerings(conv) == {2: "gather", 3: "array", 1: "gather"}
+        assert all(conv.lowered[shape] is lowering for shape, lowering in first.items())
 
 
 def plan_convs(plan):
@@ -734,9 +742,31 @@ def plan_convs(plan):
     return [plan.stem, *(conv for block in plan.blocks for conv in block if conv is not None)]
 
 
+def lowerings(conv):
+    """The lowering a plan conv keeps for each row count N of the inputs it has
+    seen: "gather", or "array" (conv2d_array into kept destinations)."""
+    return {shape[0]: "array" if lowering[0] is None else "gather"
+            for shape, lowering in conv.lowered.items()}
+
+
+def kept_buffers(plan):
+    """Every array a plan's convs keep: each lowering's, and the shared cols."""
+    return [a for conv in plan_convs(plan) for lowering in conv.lowered.values()
+            for a in lowering if isinstance(a, np.ndarray)] + [plan.stem.scratch.shared]
+
+
 def stream_buffers(stream):
-    """Copies of every conv buffer of a stream (None before its first frame)."""
-    return [None if conv.flat is None else conv.flat.copy() for conv in plan_convs(stream.plan)]
+    """(conv, input shape, copy) of every array a stream's convs keep, in order
+    (none before its first frame)."""
+    return [(i, shape, a.copy()) for i, conv in enumerate(plan_convs(stream.plan))
+            for shape, lowering in conv.lowered.items()
+            for a in lowering if isinstance(a, np.ndarray)]
+
+
+def assert_same_buffers(got, want):
+    assert [key for *key, _ in got] == [key for *key, _ in want]
+    for (*_, a), (*_, b) in zip(got, want):
+        npt.assert_array_equal(a, b)
 
 
 class TestStreamBuffers:
@@ -753,6 +783,33 @@ class TestStreamBuffers:
         for t in range(6):
             for i, stream in enumerate(streams):
                 got[i].append(stream.step(clips[i][:, t])["frame_logits"])
+        for i in range(2):
+            npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
+
+    @pytest.mark.parametrize("temporal", ["shift", "none"])
+    def test_two_streams_of_different_n_keep_their_lowerings(self, temporal, monkeypatch):
+        spec = NetSpec.micro(4, temporal=temporal, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        clips = [rng.uniform(0, 1, (n, 6, 1, 32, 32)).astype(np.float32) for n in (1, 2)]
+        alone = [stream_logits(model, clip) for clip in clips]
+        plan = backbone.InferencePlan(model)
+        streams = [backbone.StreamState(plan, f"s{i}") for i in range(2)]
+        got = [[stream.step(clip[:, 0])["frame_logits"]] for stream, clip in zip(streams, clips)]
+        assert all(lowerings(conv) == {1: "gather", 2: "gather"} for conv in plan_convs(plan))
+        kept = [{shape: id(lowering) for shape, lowering in conv.lowered.items()}
+                for conv in plan_convs(plan)]
+
+        def no_buffer(*args):
+            raise AssertionError("a plan conv made a new buffer")
+
+        monkeypatch.setattr(backbone._Scratch, "take", no_buffer)
+        monkeypatch.setattr(backbone, "_mapped", no_buffer)
+        for t in range(1, 6):  # after each stream's first step, alternating makes nothing
+            for i, stream in enumerate(streams):
+                got[i].append(stream.step(clips[i][:, t])["frame_logits"])
+        assert [{shape: id(lowering) for shape, lowering in conv.lowered.items()}
+                for conv in plan_convs(plan)] == kept
         for i in range(2):
             npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
 
@@ -785,7 +842,7 @@ class TestStreamBuffers:
         for out, copy in zip(kept, copies):  # later steps ran after each was returned
             for key, value in copy.items():
                 npt.assert_array_equal(out[key], value)
-        buffers = [conv.flat for conv in plan_convs(stream.plan)]
+        buffers = kept_buffers(stream.plan)
         arrays = [out[key] for out in kept for key in ("frame_logits", "rolling_logits")]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, buf) for buf in buffers)
@@ -797,10 +854,10 @@ class TestStreamBuffers:
         model = perturbed(build(spec, seed=1), seed=2)
         clip = np.random.default_rng(5).uniform(0, 1, (1, 4, 1, 32, 32)).astype(np.float32)
         stream = model.open_stream(stream_id="cam7")
-        assert stream_buffers(stream) == [None] * 7
+        assert stream_buffers(stream) == []
         with pytest.raises(InputError, match="cam7"):  # before any frame: nothing is made
             stream.step(np.zeros((1, 1, 8, 8), dtype=np.float32))
-        assert stream_buffers(stream) == [None] * 7
+        assert stream_buffers(stream) == []
         for t in range(2):
             stream.step(clip[:, t])
         before = stream_buffers(stream)
@@ -808,8 +865,7 @@ class TestStreamBuffers:
             bad = np.full(shape, 7, dtype=np.float32)
             with pytest.raises(InputError, match="cam7"):
                 stream.step(bad)
-            for got, want in zip(stream_buffers(stream), before):
-                npt.assert_array_equal(got, want)
+            assert_same_buffers(stream_buffers(stream), before)
         rest = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(2, 4)], axis=1)
         npt.assert_array_equal(rest, stream_logits(model, clip)[:, 2:])
 
@@ -819,7 +875,7 @@ class TestStreamConvChoice:
     def test_micro_gathers_every_conv(self, n):
         stream = build(NetSpec.micro(4, direction="unidirectional"), seed=0).open_stream()
         stream.step(np.zeros((n, 1, 32, 32), dtype=np.float32))
-        assert all(conv.flat is not None for conv in plan_convs(stream.plan))
+        assert all(lowerings(conv) == {n: "gather"} for conv in plan_convs(stream.plan))
 
     def test_micro_streams_gather_and_infer_runs_conv2d_array(self, monkeypatch):
         spec = NetSpec.micro(4, direction="unidirectional")
@@ -829,20 +885,20 @@ class TestStreamConvChoice:
             clip = rng.uniform(0, 1, (n, 4, 1, 32, 32)).astype(np.float32)
             stream = model.open_stream()
             got = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(4)], axis=1)
-            assert all(conv.flat is not None for conv in plan_convs(stream.plan))
+            assert all(lowerings(conv) == {n: "gather"} for conv in plan_convs(stream.plan))
             assert_agrees(got, model.per_frame_logits(clip).numpy(), np.float32)
         picked = []
         frame_logits = backbone.InferencePlan.frame_logits
 
         def spy(plan, x, branch):
             out = frame_logits(plan, x, branch)
-            picked.append((len(x), [conv.flat is None for conv in plan_convs(plan)]))
+            picked.append((len(x), [lowerings(conv)[len(x)] for conv in plan_convs(plan)]))
             return out
 
         monkeypatch.setattr(backbone.InferencePlan, "frame_logits", spy)
         clips = rng.uniform(0, 1, (5, *spec.clip_shape)).astype(np.float32)
         assert_agrees(model.infer(clips), model.forward(clips).numpy(), np.float32)
-        assert picked == [(n, [True] * 7) for n in (16, 16, 8)]
+        assert picked == [(n, ["array"] * 7) for n in (16, 16, 8)]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tiny_runs_its_stem_as_an_array_conv_and_gathers_its_projections(self, n):
@@ -852,8 +908,9 @@ class TestStreamConvChoice:
         stream = model.open_stream()
         stream.step(clip[:, 0])
         projections = [proj for _, _, proj in stream.plan.blocks if proj is not None]
-        assert stream.plan.stem.flat is None and len(projections) == 2
-        assert [conv for conv in plan_convs(stream.plan) if conv.flat is not None] == projections
+        assert lowerings(stream.plan.stem) == {n: "array"} and len(projections) == 2
+        assert [conv for conv in plan_convs(stream.plan)
+                if lowerings(conv) == {n: "gather"}] == projections
         assert_agrees(got, model.per_frame_logits(clip).numpy(), np.float32)
 
     @pytest.mark.parametrize("preset,channels", [("micro", 1), ("tiny", 3)])
@@ -868,6 +925,113 @@ class TestStreamConvChoice:
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
+
+
+# The first 16 hex digits of the sha256 of float32 infer logits: (preset, temporal) ->
+# {clips: digest}, for perturbed(build(spec, seed=1), seed=2) on uniform clips of
+# default_rng(3). They pin the bytes for one numpy and BLAS build; a GEMM kernel of
+# another build may round differently.
+INFER_SHA256 = {
+    ("micro", "shift"): {1: "61de7e27409b76ed", 3: "73cddfc690a933ae", 5: "e04c96526f0bbd41"},
+    ("micro", "none"): {1: "94c9ff5b0de3d3e9", 3: "c5d6c6451f63901f", 5: "c257e1e01e2ae3bb"},
+    ("micro", "action"): {1: "5664eda2bea8c7ae", 3: "b56a7033b92b0637", 5: "7e44d25214091e36"},
+    ("tiny", "shift"): {1: "b0ecc964f457541c", 3: "3e1ea318c803d3f7", 5: "7d95ae7dc57fe8fc"},
+    ("tiny", "none"): {1: "82886af4f46cde82", 3: "ff0766bb5e8b1916", 5: "d6ec9ab5d0d2d6b0"},
+    ("tiny", "action"): {1: "93cdb28b7fa4a4e6", 3: "4faa8bfd9d8ba232", 5: "b0f874111c8f74fd"},
+}
+
+
+class TestKeptBuffers:
+    """Model.infer keeps one InferencePlan and folds the current weights into
+    it on every call; each plan conv keeps its buffers per input shape."""
+
+    @pytest.mark.parametrize("preset", ["micro", "tiny"])
+    @pytest.mark.parametrize("temporal", ["shift", "none", "action"])
+    def test_infer_logits_are_the_golden_bytes(self, preset, temporal):
+        spec = getattr(NetSpec, preset)(4, temporal=temporal)
+        model = perturbed(build(spec, seed=1), seed=2)
+        for n, digest in INFER_SHA256[preset, temporal].items():
+            clips = np.random.default_rng(3).uniform(0, 1, (n, *spec.clip_shape))
+            for _ in range(2):  # the first call of a shape, then one on its kept buffers
+                got = model.infer(clips.astype(np.float32))
+                assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("change", ["rebind", "in-place", "load_state_dict"])
+    def test_infer_follows_every_weight_change(self, change):
+        spec = NetSpec.micro(4, temporal="action")
+        model = perturbed(build(spec, seed=1), seed=2)
+        clips = np.random.default_rng(3).uniform(0, 1, (3, *spec.clip_shape)).astype(np.float32)
+        before = model.infer(clips)
+        if change == "rebind":
+            for p in model.parameters():
+                p.data = p.data * np.float32(0.5)
+        elif change == "in-place":
+            for p in model.parameters():
+                p.data *= 0.5
+        else:
+            model.load_state_dict(perturbed(build(spec, seed=4), seed=5).state_dict())
+        got = model.infer(clips)
+        assert not np.array_equal(got, before)
+        assert_agrees(got, model.forward(clips).numpy(), np.float32)
+        fresh = build(spec, seed=0)
+        fresh.load_state_dict(model.state_dict())
+        npt.assert_array_equal(got, fresh.infer(clips))  # a new plan: the same bytes
+
+    def test_a_second_call_of_a_shape_makes_no_buffer(self, monkeypatch):
+        spec = NetSpec.micro(4)
+        model = perturbed(build(spec, seed=1), seed=2)
+        clips = np.random.default_rng(3).uniform(0, 1, (5, *spec.clip_shape)).astype(np.float32)
+        first = model.infer(clips)  # chunks of 16, 16 and 8 frames
+        plan = model._plan
+        kept = [{shape: id(lowering) for shape, lowering in conv.lowered.items()}
+                for conv in plan_convs(plan)]
+
+        def no_buffer(*args):
+            raise AssertionError("infer made a new buffer")
+
+        monkeypatch.setattr(backbone._Scratch, "take", no_buffer)
+        monkeypatch.setattr(backbone, "_mapped", no_buffer)
+        npt.assert_array_equal(model.infer(clips), first)
+        assert model._plan is plan
+        assert [{shape: id(lowering) for shape, lowering in conv.lowered.items()}
+                for conv in plan_convs(plan)] == kept
+
+    def test_nothing_returned_or_held_shares_a_kept_buffer(self):
+        # the tiny stream runs its stem as conv2d_array at N = 1: a kept output
+        spec = NetSpec.tiny(4, direction="unidirectional")
+        model = perturbed(build(spec, seed=1), seed=2)
+        rng = np.random.default_rng(3)
+        clips = rng.uniform(0, 1, (3, *spec.clip_shape)).astype(np.float32)
+        returned = [model.infer(clips), model.infer(clips[:1])]
+        metrics = evaluate(model, [(clip, 0) for clip in clips])
+        assert not any(isinstance(value, np.ndarray) for value in vars(metrics).values())
+        stream = model.open_stream()
+        for t in range(3):
+            returned += stream.step(clips[:1, t]).values()
+        assert lowerings(stream.plan.stem) == {1: "array"}
+        held = [prev for prev in stream.prev if prev is not None]
+        kept = kept_buffers(model._plan) + kept_buffers(stream.plan)
+        for a in returned + held:
+            assert not any(np.shares_memory(a, buf) for buf in kept)
+
+    def test_streams_and_infer_interleaved_equal_each_run_alone(self):
+        models, clips, batches = [], [], []
+        for preset, n in (("tiny", 1), ("micro", 2)):
+            spec = getattr(NetSpec, preset)(4, direction="unidirectional")
+            rng = np.random.default_rng(n)
+            models.append(perturbed(build(spec, seed=1), seed=2))
+            clips.append(rng.uniform(0, 1, (n, 4, *spec.clip_shape[1:])).astype(np.float32))
+            batches.append(rng.uniform(0, 1, (3, *spec.clip_shape)).astype(np.float32))
+        alone = [stream_logits(model, clip) for model, clip in zip(models, clips)]
+        inferred = [model.infer(batch) for model, batch in zip(models, batches)]
+        streams = [model.open_stream() for model in models]
+        got = [[], []]
+        for t in range(4):
+            for i, (model, stream) in enumerate(zip(models, streams)):
+                got[i].append(stream.step(clips[i][:, t])["frame_logits"])
+                npt.assert_array_equal(model.infer(batches[i]), inferred[i])
+        for i in range(2):
+            npt.assert_array_equal(np.stack(got[i], axis=1), alone[i])
 
 
 # safety checks of the model's entry points: id -> (call, error type, what the message holds)

@@ -365,6 +365,24 @@ class TestStream:
         assert np.abs(offline - rolling).max() <= 1e-4
         assert int(np.argmax(offline)) == lines[-1]["prediction"]
 
+    def test_step_timings_go_to_stderr_as_one_line(self, synth_dir, trained, flag_inputs,
+                                                    capsys):
+        from signflow import cli
+        entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
+        argv = ["stream", "--weights", str(trained / "model.sgnf"), "--netspec",
+                str(flag_inputs / "netspec.json"), "--frames", str(synth_dir / entry["frame_dir"])]
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            [line] = captured.err.splitlines()
+            timing = json.loads(line)
+            assert set(timing) == {"frames", "step_ms_p50", "step_ms_p99"}
+            assert timing["frames"] == entry["num_frames"] == len(json_lines(captured.out))
+            assert 0 < timing["step_ms_p50"] <= timing["step_ms_p99"]
+        assert outs[0] == outs[1]  # stdout carries no timing
+
     def test_stream_requires_unidirectional(self, tmp_path, synth_dir, trained=None):
         model_dir = tmp_path / "bidi"
         run_cli("train", "--manifest", str(synth_dir / "manifest.jsonl"),
@@ -659,6 +677,12 @@ CLI_ERRORS = {
                                      "--profile\n"),
     "bench-fold-without-shift": ({}, (*BENCH, "--variants", "none,action", "--fold", "0.25"), 2,
                                  "usage error: --fold requires a shift entry in --variants\n"),
+    # train's shift flags on a model in which nothing shifts
+    "train-fold-without-shift": ({}, (*TRAIN, "--temporal", "none", "--fold", "0.25"), 2,
+                                 "usage error: --fold requires --temporal shift\n"),
+    "train-direction-without-shift": ({}, (*TRAIN, "--temporal", "action", "--direction",
+                                           "unidirectional"), 2,
+                                      "usage error: --direction requires --temporal shift\n"),
 }
 
 
@@ -687,6 +711,9 @@ class TestBench:
         for row in rows.values():
             assert {"variant", "prec1", "prec5", "loss", "ms_per_clip",
                     "ms_per_frame_online"} <= set(row)
+            # the model keeps its plan and each conv its buffers, so a warm infer
+            # frees no buffer that glibc could trim and fault back in
+            assert 0 <= row["infer_minor_faults"] < 5, row
         assert rows["action"]["ms_per_frame_online"] is None
         for variant in ("shift", "none"):
             assert rows[variant]["online_offline_ratio"] < 1.0
@@ -699,7 +726,7 @@ class TestBench:
 
     def test_epochs_train_before_the_metrics(self, synth_dir, monkeypatch, capsys):
         from signflow import cli
-        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: (1.0, 0.0))  # timings
         rows = []
         for epochs in ("0", "2"):
             assert cli.main(["bench", "--manifest", str(synth_dir / "manifest.jsonl"),
@@ -712,7 +739,7 @@ class TestBench:
     def test_reads_each_split_once_and_reports_the_split_it_scored(self, synth_dir,
                                                                      monkeypatch, capsys):
         from signflow import cli
-        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: (1.0, 0.0))  # timings
         loads, original = [], cli.load_clip_dataset
 
         def load(manifest, split, *args, **kwargs):
@@ -732,7 +759,7 @@ class TestBench:
 
     def test_profile_goes_to_stderr_only(self, synth_dir, monkeypatch, capsys):
         from signflow import cli
-        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: (1.0, 0.0))  # timings
         args = ["bench", "--manifest", str(synth_dir / "manifest.jsonl"), "--variants",
                 "shift,none", "--epochs", "0", "--reps", "1", "--no-timestamp"]
         assert cli.main(args) == 0
@@ -830,7 +857,7 @@ class TestConfigFile:
         """Likewise translate's planning keys without --clips, and bench's training
         keys at --epochs 0 and its fold key without a shift variant."""
         from signflow import cli
-        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+        monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: (1.0, 0.0))  # timings
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"policy": "hold-last-frame:2", "fallback": "error",
                                    "fps": 10, "lr": 0.1, "batch-size": 4, "fold": 0.25}))
@@ -839,6 +866,18 @@ class TestConfigFile:
                  "--reps", "1", "--no-timestamp")
         for argv in (translate, bench):
             assert main_json(capsys, *argv, "--config", cfg) == main_json(capsys, *argv)
+
+    def test_shift_keys_do_not_reach_a_model_that_does_not_shift(self, tmp_path, synth_dir,
+                                                                capsys):
+        """train's --fold and --direction keys are left unread by a model in which
+        nothing shifts: its netspec.json records neither."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fold": 0.25, "direction": "unidirectional"}))
+        train = ("train", "--manifest", synth_dir / "manifest.jsonl", "--epochs", "0",
+                 "--temporal", "none", "--no-timestamp")
+        main_json(capsys, *train, "--out", tmp_path / "a", "--config", cfg)
+        main_json(capsys, *train, "--out", tmp_path / "b")
+        assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
 
     def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -900,9 +939,13 @@ FLAG_MODES = {
     # --lexicon writes one clip per gloss
     "synth-isolated": ("synth", "--out", "{d}/s", "--lexicon", LEXICON, "--t", "2",
                        "--size", "8"),
-    # two SGD steps: the first step's update does not depend on --momentum
+    # two SGD steps: the first step's update does not depend on --momentum; nothing shifts,
+    # so --fold and --direction are usage errors
     "train": ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m",
-              "--epochs", "1", "--t", "2", "--batch-size", "8"),
+              "--epochs", "1", "--t", "2", "--batch-size", "8", "--temporal", "none"),
+    # the shift reads --fold and --direction
+    "train-shift": ("train", "--manifest", "{synth}/manifest.jsonl", "--out", "{d}/m",
+                    "--epochs", "1", "--t", "2", "--batch-size", "8", "--temporal", "shift"),
     "eval": ("eval", "--manifest", "{synth}/manifest.jsonl", "--weights", "{model}/model.sgnf"),
     "recognize": ("recognize", "--weights", "{model}/model.sgnf", "--lexicon", "{inputs}/lex.tsv",
                   "--labels", "{synth}/labels.json", "--frames", "{frames}", "--window", "4"),
@@ -1007,7 +1050,7 @@ def test_every_flag_is_read(synth_dir, trained, flag_inputs, flag_baselines, tmp
     where the subcommand takes it) or the files written, or argparse rejects it."""
     from signflow import cli
     monkeypatch.delenv("SIGNFLOW_SEED", raising=False)
-    monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: 1.0)  # latencies are timings
+    monkeypatch.setattr(cli, "_median_ms", lambda fn, reps: (1.0, 0.0))  # timings
     # one real gradcheck takes seconds: a stand-in that is a function of its inputs
     monkeypatch.setattr(cli, "grad_check", lambda fn, x: 1e-9 * abs(float(np.sum(x))))
     entry = json.loads((synth_dir / "manifest.jsonl").read_text().splitlines()[0])
