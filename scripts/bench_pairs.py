@@ -13,8 +13,9 @@ pair. Every run's exit code and ``failed`` count are kept.
 For each end-to-end metric of BENCHMARK.json, the output holds the parent
 and change medians, their [q1, q3] (``statistics.quantiles(n=4)``, as
 perfbench/suite.py computes its spread), the number of pairs the change
-wins and the per-pair values, at reference speed as run.py gates them;
-the workload-named metrics as timed are kept per run under ``raw``. It
+wins and the per-pair values, at reference speed as run.py gates them.
+The workload-named metrics as timed (``recognize_ms_p50`` and so on) are
+kept per run under ``raw`` and summarized the same way beside them. It
 also records the machine facts of the first run (nproc, numpy, BLAS) and
 each side's ``src/signflow/*.py`` line count (as ``wc -l`` counts them).
 """
@@ -73,24 +74,31 @@ def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
             "machine": report["machine"]}
 
 
-def summarize(pairs: list[dict]) -> dict:
-    out = {}
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, [q1, q3] and wins of one metric over the pairs."""
+    wins = sum(1 for a, b in zip(parent, change) if (b < a if better == "lower" else b > a))
+    row = {"better": better, "wins": wins, "pairs": len(parent),
+           "parent_values": parent, "change_values": change}
+    for side, values in (("parent", parent), ("change", change)):
+        row[f"{side}_median"] = statistics.median(values)
+        row[f"{side}_q1_q3"] = list(statistics.quantiles(values, n=4)[::2]) \
+            if len(values) > 1 else [values[0], values[0]]
+    row["ratio"] = row["change_median"] / row["parent_median"] if row["parent_median"] else None
+    return row
+
+
+def summarize(pairs: list[dict], key: str = "metrics") -> dict:
+    """compare() of each metric under ``key`` of both sides' runs: the gated
+    end-to-end metrics ("metrics") or the workload-named ones as timed
+    ("raw"; a rate, ``*_per_s``, is better higher)."""
     done = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     if not done:
-        return out
-    for name, better in BETTER.items():
-        parent = [p["parent"]["metrics"][name] for p in done]
-        change = [p["change"]["metrics"][name] for p in done]
-        wins = sum(1 for a, b in zip(parent, change) if (b < a if better == "lower" else b > a))
-        row = {"better": better, "wins": wins, "pairs": len(done),
-               "parent_values": parent, "change_values": change}
-        for side, values in (("parent", parent), ("change", change)):
-            row[f"{side}_median"] = statistics.median(values)
-            row[f"{side}_q1_q3"] = list(statistics.quantiles(values, n=4)[::2]) \
-                if len(values) > 1 else [values[0], values[0]]
-        row["ratio"] = row["change_median"] / row["parent_median"]
-        out[name] = row
-    return out
+        return {}
+    names = BETTER if key == "metrics" else {
+        name: "higher" if name.endswith("_per_s") else "lower" for name in done[0]["parent"][key]}
+    return {name: compare([p["parent"][key][name] for p in done],
+                          [p["change"][key][name] for p in done], better)
+            for name, better in names.items()}
 
 
 def main(argv=None) -> int:
@@ -132,17 +140,22 @@ def main(argv=None) -> int:
             print(f"{workload} pair {seed}: " + ", ".join(
                 f"{side} exit {pair[side]['exit']} failed {pair[side]['failed']}"
                 for side in order), file=sys.stderr, flush=True)
-        report["workloads"][workload] = {"end_to_end": summarize(pairs), "pairs": pairs}
+        report["workloads"][workload] = {"end_to_end": summarize(pairs),
+                                         "raw": summarize(pairs, "raw"), "pairs": pairs}
     machine = report["machine"] or {}
     report["machine"] = {k: machine.get(k) for k in ("nproc", "affinity_cpus", "cpu_model",
                                                      "python", "numpy", "blas",
                                                      "blas_threads")}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, data in report["workloads"].items():
-        for name, row in data["end_to_end"].items():
-            print(f"{workload:9s} {name:13s} parent {row['parent_median']:10.4g} "
-                  f"change {row['change_median']:10.4g} ratio {row['ratio']:.3f} "
-                  f"wins {row['wins']}/{row['pairs']}")
+        for kind in ("end_to_end", "raw"):
+            for name, row in data[kind].items():
+                ratio = "n/a" if row["ratio"] is None else f"{row['ratio']:.3f}"
+                print(f"{workload:9s} {kind:10s} {name:20s} parent {row['parent_median']:10.4g} "
+                      f"[{row['parent_q1_q3'][0]:.4g}, {row['parent_q1_q3'][1]:.4g}] "
+                      f"change {row['change_median']:10.4g} "
+                      f"[{row['change_q1_q3'][0]:.4g}, {row['change_q1_q3'][1]:.4g}] "
+                      f"ratio {ratio} wins {row['wins']}/{row['pairs']}")
     return 0 if clean else 1
 
 

@@ -18,15 +18,14 @@ Parameters so gamma and beta get their gradients; ``forward`` is its
 consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
 plain numpy calls; its caller gives each block's branch input (``infer``
 the temporal module over the clip, ``StreamState.step`` the online shift).
-Both run the plan's convs (``_PlanConv``): conv2d_array, or for a stream's
-few rows of small cols a gather from a zero-bordered buffer, through an
-index cached per geometry (``gather_index``), and one GEMM: at batch 1 a
-conv's cost is its numpy calls, and a copy, a gather, the GEMM and the bias
-take the place of conv2d_array's ten or so. ``infer`` keeps one plan per
-model and folds the current weights into it on every call; a stream's plan
-is folded once, when it is opened (a snapshot). Each conv keeps its
-lowering and buffers per input shape (conv2d_array's in private anonymous
-mappings), so a warmed plan makes none and takes no page faults for them.
+Both run the plan's convs (``_PlanConv``), conv2d_array's im2col and GEMM
+on views each keeps per input shape: at batch 1 a conv's cost is its numpy
+calls, and a call makes four (write the input's interior; copy its windows
+to the cols, or for a stream's few rows of small cols gather them through
+``gather_index``; the GEMM; the bias) where conv2d_array makes ten or so.
+``infer`` keeps one plan per model and folds the current weights into it
+on every call; a stream's plan is folded once, when it is opened (a
+snapshot). A warmed plan makes no buffer and takes no page fault for one.
 
 NetSpec is the one config of the temporal modules: ``block_layout`` sizes
 each block's shift fold once (``_Block.fold``), and every walk reads it
@@ -48,8 +47,8 @@ import numpy as np
 
 from .dataset import read_json, write_bytes
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
-from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col, add,
-                     class_labels, conv2d, conv2d_array, log_softmax, matmul, relu, reshape,
+from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col,
+                     _windows, add, class_labels, conv2d, log_softmax, matmul, relu, reshape,
                      softmax_cross_entropy, tmean, load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
 from .actionnet import ActionBlock, check_squeeze, squeezed
@@ -473,8 +472,8 @@ class InferencePlan:
     again on every call; a stream's plan is folded once, when the stream is
     opened, so it is a snapshot. ``convs`` are its _PlanConvs in the order of
     _conv_units, ``stem`` the first and ``blocks[i]`` block i's (conv1,
-    conv2, proj or None). A fold gives them new weights, and each keeps its
-    lowering and buffers per input shape (conv2d_array's in private
+    conv2, proj or None). A fold gives them new weights, and each keeps, per
+    input shape, every view its call needs (the array lowerings' in private
     anonymous mappings, _Scratch), so a warmed plan makes none.
     ``folds[i]`` is block i's shift fold (0 without a shift), ``actions[i]``
     its excitation block as a copy on constant Tensors (None without one),
@@ -537,18 +536,18 @@ GATHER_MAX_ROWS = 2
 
 
 class _Scratch:
-    """The buffers one plan's conv2d_array lowerings keep, in private
-    anonymous mappings: outside the malloc heap, kept blocks do not fragment
-    it between training's transients, and no freed block lets glibc trim
-    pages that the next call faults back in. ``take`` carves zeroed buffers
-    from a mapping of at least _SCRATCH_CHUNK bytes; ``cols`` is the one
-    cols buffer that the plan's array convs share, since a conv's cols are
-    dead after its GEMM. It grows, as a new mapping, to the largest cols
-    asked for."""
+    """The buffers one plan's array lowerings keep, in private anonymous
+    mappings: outside the malloc heap, kept blocks do not fragment it
+    between training's transients, and no freed block lets glibc trim pages
+    that the next call faults back in. ``take`` carves zeroed buffers from a
+    mapping of at least _SCRATCH_CHUNK bytes; ``shared`` is the one cols
+    buffer that the plan's array lowerings share, since a conv's cols are
+    dead after its GEMM, and ``share`` points each at it."""
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self.spare = self.shared = np.empty(0, self.dtype)
+        self.sharers: list[list] = []
 
     def take(self, shape: tuple[int, ...]) -> Array:
         """A zeroed C-contiguous array of ``shape``, 64-byte aligned."""
@@ -559,11 +558,17 @@ class _Scratch:
         self.spare = self.spare[-(-size // step) * step:]
         return view
 
-    def cols(self, rows: int, width: int) -> Array:
-        """The shared cols as a C-contiguous [rows, width] array."""
-        if self.shared.size < rows * width:
-            self.shared = _mapped(rows * width, self.dtype)
-        return self.shared[:rows * width].reshape(rows, width)
+    def share(self, lowering: list) -> None:
+        """Point an array lowering's cols at the shared cols, as [C*kh*kw,
+        oh*ow*N] (``lowering[3]``) and in its windows' shape (``lowering[2]``).
+        Cols too small grow, as a new mapping, and every sharer is pointed at
+        it anew, so none writes into a stale one."""
+        self.sharers.append(lowering)
+        if self.shared.size < lowering[1].size:
+            self.shared = _mapped(lowering[1].size, self.dtype)
+        for kept in self.sharers:
+            cols = self.shared[:kept[1].size].reshape(-1, kept[4].shape[1])
+            kept[2:4] = cols.reshape(kept[1].shape), cols
 
 
 # Bytes of each mapping _Scratch.take carves from. An untouched page costs no
@@ -581,57 +586,60 @@ def _mapped(size: int, dtype) -> Array:
 
 class _PlanConv:
     """One folded conv of an InferencePlan, with a lowering kept for each
-    [N,C,H,W] input shape it has seen (``lowered``). Within GATHER_MAX_ROWS
-    and GATHER_MAX_COLS it is a gather: each input is written into the
-    interior of a zero-bordered buffer (``flat``), the cols are gathered
-    through gather_index (fancy indexing of the flat buffer, which beat
-    ``np.take`` here) and multiplied by the weights. Otherwise it is
-    conv2d_array into kept destinations (from the plan's _Scratch): the
-    zero-bordered channel-major input and the GEMM's output of its own, and
-    the cols its plan's convs share. The cols are _im2col's, so either way
-    the result is conv2d_array's, at float32 bit for bit. A result of
-    conv2d_array is a view of a kept buffer: it holds until the conv's next
-    call of that shape, which InferencePlan.frame_logits never keeps past.
-    The gather's small buffers stay on the heap: a stream's plan is made
-    per stream, and a mapping of its own would cost the stream's first
-    step a system call and a page fault per page."""
+    [N,C,H,W] input shape it has seen (``lowered``): every view its call
+    needs. A call writes the input into the interior of a zero-bordered
+    buffer, fills the cols, runs the GEMM into a kept output, adds the bias
+    and returns a kept conv-order view of it, valid until the conv's next
+    call of that shape (InferencePlan.frame_logits never keeps one past it).
+    Within GATHER_MAX_ROWS and GATHER_MAX_COLS it gathers, (interior, flat,
+    index, out, result): fancy indexing through gather_index (which beat
+    ``np.take``), on the heap, as a stream's plan is made per stream and a
+    mapping would cost its first step a system call and a fault per page.
+    Otherwise, [interior, windows, cols as windows, cols, out, result] in
+    the plan's _Scratch: the windows (``_windows``) of a [C,Hp,Wp,N] buffer,
+    kept at pad 0 too, are copied into the cols _Scratch.share points it at.
+    Either way the cols are _im2col's: the result is conv2d_array's, at
+    float32 bit for bit."""
 
     def __init__(self, stride: int, pad: int, scratch: _Scratch):
         self.stride, self.pad, self.scratch = stride, pad, scratch
-        self.lowered: dict[tuple[int, ...], tuple] = {}
+        self.lowered: dict[tuple[int, ...], tuple | list] = {}
 
     def load(self, w: Array, b: Array) -> None:
         """Take (w, b) as the conv's weights; the kept lowerings hold none."""
-        self.w, self.b = w, b
+        self.w = w
         self.w2d, self.b2d = w.reshape(len(w), -1), b[:, None]
 
     def __call__(self, x: Array) -> Array:
         lowering = self.lowered.get(x.shape) or self._lower(*x.shape)
-        if lowering[0] is None:  # conv2d_array: (None, xp, out, cols shape)
-            _, xp, out, cols = lowering
-            return conv2d_array(x, self.w, self.b, self.stride, self.pad,
-                                (xp, self.scratch.cols(*cols), out))
-        flat, interior, index, out_shape = lowering
-        interior[...] = x
-        out = self.w2d @ flat[index]
-        out += self.b2d
-        return out.reshape(out_shape).transpose(3, 0, 1, 2)
-
-    def _lower(self, n: int, c: int, h: int, wd: int) -> tuple:
-        """Make and keep the lowering of [n, c, h, wd] inputs: for the gather,
-        (flat, its interior, the index, the output shape); for conv2d_array,
-        (None, xp or None at pad 0, the GEMM's output, the cols' shape)."""
-        co, _, kh, kw = self.w.shape
-        p = self.pad
-        oh, ow = _conv2d_out_hw(h, wd, kh, kw, self.stride, p)
-        rows, width = c * kh * kw, oh * ow * n
-        if n <= GATHER_MAX_ROWS and rows * width <= GATHER_MAX_COLS:
-            buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=self.w.dtype)
-            lowering = (buf.reshape(-1), buf[:, :, p:p + h, p:p + wd],
-                        gather_index(c, h, wd, n, kh, kw, self.stride, p), (co, oh, ow, n))
+        lowering[0][...] = x
+        if len(lowering) == 5:
+            _, flat, index, out, result = lowering
+            np.matmul(self.w2d, flat[index], out=out)
         else:
-            xp = self.scratch.take((c, h + 2 * p, wd + 2 * p, n)) if p else None
-            lowering = (None, xp, self.scratch.take((co, width)), (rows, width))
+            _, windows, cols_6d, cols, out, result = lowering
+            np.copyto(cols_6d, windows)
+            np.matmul(self.w2d, cols, out=out)
+        out += self.b2d
+        return result
+
+    def _lower(self, n: int, c: int, h: int, wd: int) -> tuple | list:
+        """Make and keep the lowering of [n, c, h, wd] inputs."""
+        co, _, kh, kw = self.w.shape
+        p, s = self.pad, self.stride
+        oh, ow = _conv2d_out_hw(h, wd, kh, kw, s, p)
+        if n <= GATHER_MAX_ROWS and c * kh * kw * oh * ow * n <= GATHER_MAX_COLS:
+            buf = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=self.w.dtype)
+            out = np.empty((co, oh * ow * n), dtype=self.w.dtype)
+            lowering = (buf[:, :, p:p + h, p:p + wd], buf.reshape(-1),
+                        gather_index(c, h, wd, n, kh, kw, s, p), out)
+        else:
+            xp = self.scratch.take((c, h + 2 * p, wd + 2 * p, n))
+            out = self.scratch.take((co, oh * ow * n))
+            lowering = [xp[:, p:p + h, p:p + wd].transpose(3, 0, 1, 2),
+                        _windows(xp, kh, kw, s, oh, ow), None, None, out]
+            self.scratch.share(lowering)
+        lowering += (out.reshape(co, oh, ow, n).transpose(3, 0, 1, 2),)
         self.lowered[(n, c, h, wd)] = lowering
         return lowering
 
@@ -669,10 +677,13 @@ class StreamState:
         return {"frame_logits": logits, "rolling_logits": self.logit_sum / self.frames_seen}
 
     def _branch(self, i: int, x: Array) -> Array:
-        """Block i's branch input. It keeps a copy of x's first fold channels,
-        all that the next frame's shift reads: x may be a view of a plan
-        conv's kept buffer, which the next step writes."""
+        """Block i's branch input: x itself without a shift. With one it keeps
+        a copy of x's first fold channels, all that the next frame's shift
+        reads: x may be a view of a plan conv's kept buffer, which the next
+        step writes."""
         fold = self.plan.folds[i]
+        if not fold:
+            return x
         branch = online_step(x, self.prev[i], fold)
         self.prev[i] = x[:, :fold].copy()
         return branch

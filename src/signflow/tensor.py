@@ -25,7 +25,8 @@ windows, viewed as (c, kh, kw, oh, ow, n), are copied to cols
 returned as a conv-order view. Every copy then runs N wide at stride 2
 and ow*N wide at stride 1, where a row-major window copy would run only ow
 wide. ``conv2d_array`` is that forward on plain arrays, without a graph
-node; conv2d and graph-free inference both call it. At N = 1 conv order is
+node, and conv2d calls it; graph-free inference runs the same windows
+(``_windows``) and GEMM on views it keeps (backbone). At N = 1 conv order is
 the memory order of [1, C, H, W], so that path copies no more than a plain
 pad. The backward runs on the GEMM lowering at either dtype: with g
 [Co, oh*ow*N] (a free reshape of a conv-order grad), dW = (cols @ g^T)^T (cols
@@ -358,50 +359,40 @@ def _conv2d_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> t
     return oh, ow
 
 
-def _channel_major(x: Array, pad: int, out: Array | None = None) -> Array:
+def _channel_major(x: Array, pad: int) -> Array:
     """[N,C,H,W] -> [C, H+2*pad, W+2*pad, N], zero borders; a view when pad is
-    0. ``out`` is a zero-bordered destination the caller owns: only its
-    interior is written."""
+    0."""
     xt = x.transpose(1, 2, 3, 0)
     if not pad:
         return xt
     c, h, w, n = xt.shape
-    if out is None:
-        out = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
     out[:, pad:pad + h, pad:pad + w] = xt
     return out
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int,
-            out: Array | None = None) -> Array:
-    """[C,Hp,Wp,N] -> C-contiguous cols [C*kh*kw, oh*ow*N], rows in (c, kh, kw)
-    order; a view only when xp already holds them so (a conv-order 1x1 input)
-    and no destination ``out`` is given."""
-    c, _, _, n = xp.shape
+def _windows(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """The read-only (c, kh, kw, oh, ow, n) view of [C,Hp,Wp,N] whose copy is
+    the cols."""
     s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, kh, kw, oh, ow, n),
-        strides=(s0, s1, s2, s1 * stride, s2 * stride, s3),
-        writeable=False,
-    )
-    if out is None:
-        return np.ascontiguousarray(windows.reshape(c * kh * kw, oh * ow * n))
-    np.copyto(out.reshape(windows.shape), windows)
-    return out
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(xp.shape[0], kh, kw, oh, ow, xp.shape[3]),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride, s3), writeable=False)
 
 
-def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
-                 dest: tuple | None = None) -> Array:
+def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """[C,Hp,Wp,N] -> C-contiguous cols [C*kh*kw, oh*ow*N], rows in (c, kh, kw)
+    order; a view only when xp already holds them so (a conv-order 1x1
+    input)."""
+    c, _, _, n = xp.shape
+    return np.ascontiguousarray(_windows(xp, kh, kw, stride, oh, ow).reshape(
+        c * kh * kw, oh * ow * n))
+
+
+def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int) -> Array:
     """The forward of conv2d on plain arrays, with no graph node:
     [N,C,H,W] * [Co,C,kh,kw] -> [N,Co,oh,ow], a view of the [Co,oh,ow,N]
-    array the tap loop (float64) or the GEMM (float32) fills.
-
-    ``dest`` is (xp, cols, out), destinations the caller owns and keeps: the
-    zero-bordered [C,Hp,Wp,N] input (None when pad is 0), the cols
-    [C*kh*kw, oh*ow*N] and the GEMM's output [Co, oh*ow*N], which the result
-    is then a view of. With them the GEMM lowering allocates nothing; the
-    tap loop uses only xp."""
+    array the tap loop (float64) or the GEMM (float32) fills."""
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4D x and w, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -409,8 +400,7 @@ def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
     if cw != c:
         raise DimensionError(f"conv2d channel mismatch: x {x.shape} vs w {w.shape}")
     oh, ow = _conv2d_out_hw(h, wd, kh, kw, stride, pad)
-    xp_to, cols_to, out_to = dest or (None, None, None)
-    xp = _channel_major(x, pad, xp_to)
+    xp = _channel_major(x, pad)
 
     if x.dtype == np.float64:
         out = np.zeros((co, oh, ow, n), dtype=x.dtype)
@@ -422,8 +412,7 @@ def conv2d_array(x: Array, w: Array, bias: Array | None, stride: int, pad: int,
                     np.multiply(patch, w[:, ci, i, j, None, None, None], out=tmp)
                     out += tmp
     else:
-        cols = _im2col(xp, kh, kw, stride, oh, ow, cols_to)
-        out = np.matmul(w.reshape(co, -1), cols, out=out_to).reshape(co, oh, ow, n)
+        out = (w.reshape(co, -1) @ _im2col(xp, kh, kw, stride, oh, ow)).reshape(co, oh, ow, n)
     if bias is not None:
         out += bias[:, None, None, None]
     return out.transpose(3, 0, 1, 2)

@@ -615,6 +615,29 @@ class TestStream:
         assert_agrees(stream_logits(model, clip), model.per_frame_logits(clip).numpy(),
                       np.float64)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_none_stream_hands_each_block_input_on_and_holds_nothing(self, n, dtype,
+                                                                     monkeypatch):
+        spec = NetSpec.micro(4, temporal="none")
+        model = perturbed(build(spec, seed=1, dtype=dtype), seed=2)
+        clip = np.random.default_rng(3).uniform(0, 1, (n, *spec.clip_shape)).astype(dtype)
+        want = model.per_frame_logits(clip).numpy()
+
+        def no_shift(*args):
+            raise AssertionError("a none stream ran the online shift")
+
+        monkeypatch.setattr(backbone, "online_step", no_shift)
+        stream = model.open_stream()
+        seen = []
+        branch = stream._branch
+        monkeypatch.setattr(stream, "_branch",
+                            lambda i, x: seen.append(branch(i, x) is x) or x)
+        got = np.stack([stream.step(clip[:, t])["frame_logits"] for t in range(spec.t)], axis=1)
+        assert seen == [True] * (spec.t * len(model.blocks))
+        assert stream.prev == [None] * len(model.blocks)
+        assert_agrees(got, want, dtype)
+
     def test_stream_keeps_weights_it_was_opened_with(self):
         spec = tiny_spec(direction="unidirectional")
         model = build(spec, seed=1, dtype=np.float64)
@@ -737,6 +760,61 @@ class TestStreamConv:
         assert all(conv.lowered[shape] is lowering for shape, lowering in first.items())
 
 
+class TestKeptViews:
+    """A plan conv keeps, per input shape, every view its call needs."""
+
+    @pytest.mark.parametrize("lowering", ["gather", "array"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_warmed_conv_returns_its_kept_output(self, k, stride, pad, n, lowering,
+                                                   monkeypatch):
+        gather = lowering == "gather"
+        monkeypatch.setattr(backbone, "GATHER_MAX_ROWS", n if gather else 0)
+        monkeypatch.setattr(backbone, "GATHER_MAX_COLS", 1 << 30 if gather else 0)
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad + n)
+        w = rng.uniform(-1, 1, (5, 3, k, k)).astype(np.float32)
+        b = rng.uniform(-1, 1, 5).astype(np.float32)
+        conv = backbone._PlanConv(stride, pad, backbone._Scratch(np.float32))
+        conv.load(w, b)
+        results = []
+        for _ in range(3):
+            x = rng.uniform(-1, 1, (n, 3, 7, 6)).astype(np.float32)
+            results.append(conv(x))
+            npt.assert_array_equal(results[-1], conv2d_array(x, w, b, stride, pad))
+        assert lowerings(conv) == {n: lowering}
+        kept = conv.lowered[x.shape]
+        out = kept[-2]
+        assert all(r is kept[-1] for r in results)
+        assert results[0].base is not None and np.shares_memory(results[0], out)
+
+    def test_a_conv_lowered_before_the_shared_cols_grew_uses_the_new_ones(self, monkeypatch):
+        monkeypatch.setattr(backbone, "GATHER_MAX_ROWS", 0)
+        rng = np.random.default_rng(11)
+        scratch = backbone._Scratch(np.float32)
+        convs = []
+        for k, c in ((1, 2), (3, 4)):
+            w = rng.uniform(-1, 1, (5, c, k, k)).astype(np.float32)
+            b = rng.uniform(-1, 1, 5).astype(np.float32)
+            convs.append((backbone._PlanConv(1, k // 2, scratch), w, b))
+            convs[-1][0].load(w, b)
+        inputs = [rng.uniform(-1, 1, (4, c, 6, 6)).astype(np.float32) for c in (2, 4)]
+        small, big = convs[0][0], convs[1][0]
+        small(inputs[0])
+        first = scratch.shared
+        big(inputs[1])  # 36 rows of cols where the small conv has 2: they grow
+        assert scratch.shared.size > first.size
+        for _ in range(2):
+            for (conv, w, b), x in zip(convs, inputs):
+                npt.assert_array_equal(conv(x), conv2d_array(x, w, b, 1, conv.pad))
+        for conv in (small, big):
+            _, _, cols_6d, cols, *_ = conv.lowered[next(iter(conv.lowered))]
+            assert np.shares_memory(cols, scratch.shared)
+            assert np.shares_memory(cols_6d, cols)
+            assert not np.shares_memory(cols, first)
+
+
 def plan_convs(plan):
     """Every conv of a plan: the stem, then each block's conv1, conv2 and proj."""
     return [plan.stem, *(conv for block in plan.blocks for conv in block if conv is not None)]
@@ -744,8 +822,8 @@ def plan_convs(plan):
 
 def lowerings(conv):
     """The lowering a plan conv keeps for each row count N of the inputs it has
-    seen: "gather", or "array" (conv2d_array into kept destinations)."""
-    return {shape[0]: "array" if lowering[0] is None else "gather"
+    seen: "gather" (a 5-tuple), or "array" (a 6-list in the plan's _Scratch)."""
+    return {shape[0]: "gather" if len(lowering) == 5 else "array"
             for shape, lowering in conv.lowered.items()}
 
 
