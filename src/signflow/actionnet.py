@@ -13,6 +13,9 @@ once by their sum:
 Every temporal move (the ste and ce conv taps and the me frame difference) is
 ``tensor.roll_time``, the same zero-filled move along time as the shift. Both
 temporal convs put their taps on channels, roll each tap once and sum them.
+``ArrayBlock`` is the block on plain arrays, for graph-free inference: the
+graph's numpy calls (roll_time_array, sigmoid_array, matmul_array, which the
+graph ops run too) on convs that the inference plan gives it.
 
 Each branch returns its gate, in (0, 1): ste as [N,T,1,H,W], ce and me as
 [N,T,C,1,1], each in the memory order of x (conv order, see tensor), so
@@ -28,13 +31,11 @@ ratio and the temporal kernel, for the network spec and for the block alike;
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Parameter, Tensor, add, conv2d, matmul, mul, reshape, roll_time, sigmoid,
-                     tmean, tsum)
+from .tensor import (Array, Parameter, Tensor, add, conv2d, matmul, matmul_array, mul, reshape,
+                     roll_time, roll_time_array, sigmoid, sigmoid_array, tmean, tsum)
 
 
 def check_squeeze(reduce_ratio: int, temporal_kernel: int) -> None:
@@ -87,14 +88,6 @@ class ActionBlock:
 
     def parameters(self) -> list[Parameter]:
         return [getattr(self, name) for name in self._WEIGHTS]
-
-    def constant(self) -> "ActionBlock":
-        """A copy whose weights are constant Tensors on new arrays: a snapshot
-        of the weights whose forward builds no graph."""
-        frozen = copy.copy(self)
-        for name in self._WEIGHTS:
-            setattr(frozen, name, Tensor(getattr(self, name).data.copy()))
-        return frozen
 
     # -- branches ---------------------------------------------------------------
 
@@ -149,3 +142,44 @@ class ActionBlock:
 
     __call__ = forward
 
+
+class ArrayBlock:
+    """ActionBlock.forward on plain arrays for graph-free inference: the graph's
+    numpy calls in its order and memory layout (at float32, the same bytes).
+    ``convs`` compute conv2d's, each with a ``load(w, b)``: ste's (3x3, pad 1,
+    3 taps out), me's squeeze (1x1, pad 0) and transform (3x3, pad 1). ``load``
+    takes a block's weights as new arrays (a snapshot), ``w``, and forms the
+    ce squeeze-and-taps matrix once."""
+
+    def __init__(self, convs: tuple):
+        self.convs = convs
+
+    def load(self, block: ActionBlock) -> None:
+        w = self.w = {name: getattr(block, name).data.copy() for name in block._WEIGHTS}
+        w["ste_w"] = w["ste_w"].reshape(3, 1, 3, 3)
+        for conv, name in zip(self.convs, ("ste_w", "me_squeeze", "me_transform")):
+            conv.load(w[name], None)
+        (c, d), k = w["ce_squeeze"].shape, w["ce_temporal"].shape[1]
+        self.squeeze_taps = (w["ce_squeeze"].reshape(c, d, 1) * w["ce_temporal"]).reshape(c, d * k)
+        self.ce_offsets = tuple(range(k // 2, k // 2 - k, -1)) * d
+
+    def __call__(self, x: Array) -> Array:
+        """[N,T,C,H,W] -> x * (ste + (ce + me)), as ActionBlock.forward."""
+        n, t, c, h, w = x.shape
+        (ste_conv, squeeze, transform), wt = self.convs, self.w
+        # ste: channel mean -> the 3 taps -> moved along time -> summed
+        taps = ste_conv(x.mean(axis=2).reshape(n * t, 1, h, w))
+        taps = roll_time_array(taps.reshape(n, t, 3, h, w), (+1, 0, -1), 1)
+        ste = sigmoid_array(taps.sum(axis=2) + wt["ste_b"]).reshape(n, t, 1, h, w)
+        # ce: pool -> squeeze and taps -> moved along time -> summed -> expand; D = C/r
+        x4, d = x.reshape(n * t, c, h, w), len(wt["ce_expand"])
+        taps = matmul_array(x4.mean(axis=(2, 3)), self.squeeze_taps).reshape(n, t, -1)
+        s = roll_time_array(taps, self.ce_offsets, 1).reshape(n, t, d, -1).sum(axis=3)
+        ce = sigmoid_array(matmul_array(s.reshape(n * t, d), wt["ce_expand"]) + wt["ce_bias"])
+        # me: squeeze -> transform(s[t+1]) - s[t] -> pool -> expand
+        s = squeeze(x4).reshape(n, t, d, h, w)
+        moved = transform(s.reshape(n * t, d, h, w)).reshape(n, t, d, h, w)
+        motion = roll_time_array(moved - roll_time_array(s, (+1,), d), (-1,), d)
+        pooled = motion.reshape(n * t, d, h, w).mean(axis=(2, 3))
+        me = sigmoid_array(matmul_array(pooled, wt["me_expand"]) + wt["me_bias"])
+        return x * (ste + (ce.reshape(n, t, c, 1, 1) + me.reshape(n, t, c, 1, 1)))

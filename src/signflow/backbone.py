@@ -17,12 +17,13 @@ weights and the fold. ``per_frame_logits`` builds the autodiff graph
 Parameters so gamma and beta get their gradients; ``forward`` is its
 consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
 plain numpy calls; its caller gives each block's branch input (``infer``
-the temporal module over the clip, ``StreamState.step`` the online shift).
-Both run the plan's convs (``_PlanConv``), conv2d_array's im2col and GEMM
-on views each keeps per input shape: at batch 1 a conv's cost is its numpy
-calls, and a call makes four (write the input's interior; copy its windows
-to the cols, or for a stream's few rows of small cols gather them through
-``gather_index``; the GEMM; the bias) where conv2d_array makes ten or so.
+the clip's shift, on arrays, or the plan's ArrayBlock; ``StreamState.step``
+the online shift). Both run the plan's convs (``_PlanConv``), conv2d_array's
+im2col and GEMM on views each keeps per input shape: at batch 1 a conv's
+cost is its numpy calls, and a call makes four (write the input's interior;
+copy its windows to the cols, or for a stream's few rows of small cols
+gather them through ``gather_index``; the GEMM; the bias) where
+conv2d_array makes ten or so.
 ``infer`` keeps one plan per model and folds the current weights into it
 on every call; a stream's plan is folded once, when it is opened (a
 snapshot). A warmed plan makes no buffer and takes no page fault for one.
@@ -47,11 +48,11 @@ import numpy as np
 
 from .dataset import read_json, write_bytes
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
-from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col,
-                     _windows, add, class_labels, conv2d, log_softmax, matmul, relu, reshape,
+from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col, _windows,
+                     _wrap, add, class_labels, conv2d, log_softmax, matmul, relu, reshape,
                      softmax_cross_entropy, tmean, load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
-from .actionnet import ActionBlock, check_squeeze, squeezed
+from .actionnet import ActionBlock, ArrayBlock, check_squeeze, squeezed
 
 TEMPORAL_NONE = "none"
 TEMPORAL_SHIFT = "shift"
@@ -360,31 +361,33 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def _temporal(self, x4: Tensor, fold: int, action, n: int, t: int) -> Tensor:
+    def _temporal(self, x4: Tensor | Array, fold: int, action, n: int, t: int) -> Tensor | Array:
         """Apply a block's temporal module to [N*T,C,H,W] features: the shift
-        of its ``fold``, or its excitation block ``action``, or neither."""
+        of its ``fold``, or its excitation block ``action``, or neither. On a
+        Tensor (the graph walk, ``action`` an ActionBlock) it builds graph
+        ops; on an array (infer, ``action`` the plan's ArrayBlock), none."""
         if not fold and action is None:
             return x4
         _, c, h, w = x4.shape
-        x5 = reshape(x4, n, t, c, h, w)
+        x5 = x4.reshape(n, t, c, h, w)
         out = shift(x5, fold, self.spec.direction) if fold else action(x5)
-        return reshape(out, n * t, c, h, w)
+        return out.reshape(n * t, c, h, w)
 
-    def _clip(self, clip, check_t: bool) -> Tensor:
-        """Clip as an [N,T,C,H,W] tensor with N >= 1, in the model's dtype: a
-        list of [T,C,H,W] clips is stacked, and a [T,C,H,W] array is one clip.
-        C, H, W (and T if check_t) must match the spec."""
+    def _clip(self, clip, check_t: bool) -> Array | Tensor:
+        """Clip as an [N,T,C,H,W] array (or Tensor) with N >= 1, in the model's
+        dtype: a list of [T,C,H,W] clips is stacked, and a [T,C,H,W] clip is
+        one clip. C, H, W (and T if check_t) must match the spec."""
         if isinstance(clip, list):
             shapes = [np.shape(c) for c in clip]
             if not clip or any(len(shape) != 4 or shape != shapes[0] for shape in shapes):
                 raise DimensionError(f"clips to batch must share one [T,C,H,W] shape, "
                                      f"got {shapes}")
             clip = np.stack(clip, dtype=self.dtype)
-        x = clip if isinstance(clip, Tensor) else Tensor(np.asarray(clip, dtype=self.dtype))
-        if x.data.ndim == 4:  # single clip without batch axis
-            x = reshape(x, 1, *x.shape)
+        x = clip if isinstance(clip, Tensor) else np.asarray(clip, dtype=self.dtype)
+        if len(x.shape) == 4:  # single clip without batch axis
+            x = x.reshape(1, *x.shape)
         frame = (self.spec.in_channels, *self.spec.frame_size)
-        if x.data.ndim != 5 or not x.shape[0] or x.shape[2:] != frame or \
+        if len(x.shape) != 5 or not x.shape[0] or x.shape[2:] != frame or \
                 (check_t and x.shape[1] != self.spec.t):
             t = self.spec.t if check_t else "T"
             raise DimensionError(f"clip shape {x.shape} does not match spec "
@@ -406,12 +409,12 @@ class Model:
         current parameters into it, so the result always follows them while
         the plan's convs keep their buffers. The clips run in order, in
         chunks of _INFER_FRAMES frames' worth (at least one clip), so float32
-        logits can differ by rounding from one-clip calls. An excitation
-        block runs as the plan's constant copy, so no call builds a graph.
-        Calls on one model share the plan's buffers, so they must not
-        overlap.
+        logits can differ by rounding from one-clip calls. A shift runs on
+        arrays and an excitation block as the plan's ArrayBlock, so no call
+        builds a Tensor. Calls on one model share the plan's buffers, so they
+        must not overlap.
         """
-        x = self._clip(clips, check_t=True).data
+        x = self._clip(clips, check_t=True)
         n, t = x.shape[:2]
         chunk = max(1, _INFER_FRAMES // t)
         if self._plan is None:
@@ -421,8 +424,7 @@ class Model:
         plan = self._plan
 
         def branch(i: int, feats: Array) -> Array:
-            return self._temporal(Tensor(feats), plan.folds[i], plan.actions[i],
-                                  len(feats) // t, t).data
+            return self._temporal(feats, plan.folds[i], plan.actions[i], len(feats) // t, t)
 
         logits = [plan.frame_logits(x[s:s + chunk].reshape(-1, *x.shape[2:]), branch)
                   for s in range(0, n, chunk)]
@@ -431,7 +433,7 @@ class Model:
     def per_frame_logits(self, clip) -> Tensor:
         """[N,T,C,H,W] (or [T,C,H,W]) -> [N,T,K] logits of each frame before
         consensus; T may differ from the spec's."""
-        x = self._clip(clip, check_t=False)
+        x = _wrap(self._clip(clip, check_t=False))
         n, t = x.shape[0], x.shape[1]
         x = relu(self.stem(reshape(x, n * t, *x.shape[2:])))
         for block in self.blocks:
@@ -472,12 +474,12 @@ class InferencePlan:
     again on every call; a stream's plan is folded once, when the stream is
     opened, so it is a snapshot. ``convs`` are its _PlanConvs in the order of
     _conv_units, ``stem`` the first and ``blocks[i]`` block i's (conv1,
-    conv2, proj or None). A fold gives them new weights, and each keeps, per
-    input shape, every view its call needs (the array lowerings' in private
-    anonymous mappings, _Scratch), so a warmed plan makes none.
-    ``folds[i]`` is block i's shift fold (0 without a shift), ``actions[i]``
-    its excitation block as a copy on constant Tensors (None without one),
-    and ``frame_shape`` is (C, H, W).
+    conv2, proj or None); ``actions[i]`` is block i's excitation block, an
+    ArrayBlock on three more (None without one). A fold gives them new
+    weights, and each keeps, per input shape, every view its call needs (the
+    array lowerings' in private anonymous mappings, _Scratch), so a warmed
+    plan makes none. ``folds[i]`` is block i's shift fold (0 without a
+    shift), and ``frame_shape`` is (C, H, W).
     """
 
     def __init__(self, model: Model):
@@ -488,17 +490,21 @@ class InferencePlan:
                       for unit in _conv_units(model)]
         self.stem, *rest = self.convs
         self.blocks = [tuple(rest[i:i + 3]) for i in range(0, len(rest), 3)]
+        self.actions = [None if block.action is None else  # ste, me squeeze, me transform
+                        ArrayBlock(tuple(_PlanConv(1, pad, scratch) for pad in (1, 0, 1)))
+                        for block in model.blocks]
         self.fold(model)
 
     def fold(self, model: Model) -> None:
         """Fold the model's current weights into the plan, as new arrays: each
         conv's (its kept lowerings and buffers hold no weights), the
-        excitation blocks' copies and the head."""
+        excitation blocks' and the head."""
         for conv, unit in zip(self.convs, _conv_units(model)):
             if unit is not None:
                 conv.load(*unit.folded())
-        self.actions = [block.action.constant() if block.action is not None else None
-                        for block in model.blocks]
+        for action, block in zip(self.actions, model.blocks):
+            if action is not None:
+                action.load(block.action)
         self.head_w, self.head_b = model.head_w.data.copy(), model.head_b.data.copy()
 
     def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
@@ -605,10 +611,10 @@ class _PlanConv:
         self.stride, self.pad, self.scratch = stride, pad, scratch
         self.lowered: dict[tuple[int, ...], tuple | list] = {}
 
-    def load(self, w: Array, b: Array) -> None:
-        """Take (w, b) as the conv's weights; the kept lowerings hold none."""
+    def load(self, w: Array, b: Array | None) -> None:
+        """Take (w, b) as the conv's weights, b None for none; the kept lowerings hold none."""
         self.w = w
-        self.w2d, self.b2d = w.reshape(len(w), -1), b[:, None]
+        self.w2d, self.b2d = w.reshape(len(w), -1), None if b is None else b[:, None]
 
     def __call__(self, x: Array) -> Array:
         lowering = self.lowered.get(x.shape) or self._lower(*x.shape)
@@ -620,7 +626,8 @@ class _PlanConv:
             _, windows, cols_6d, cols, out, result = lowering
             np.copyto(cols_6d, windows)
             np.matmul(self.w2d, cols, out=out)
-        out += self.b2d
+        if self.b2d is not None:
+            out += self.b2d
         return result
 
     def _lower(self, n: int, c: int, h: int, wd: int) -> tuple | list:

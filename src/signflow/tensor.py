@@ -37,6 +37,7 @@ grad, contiguously when x is in conv order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -244,11 +245,14 @@ def relu(x: Tensor) -> Tensor:
     return x._child(out_data, (x,), backward, "relu")
 
 
+def sigmoid_array(x: Array) -> Array:
+    """The logistic function of x, in the numerically stable two-sided form."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # numerically stable two-sided form
-    d = x.data
-    e = np.exp(-np.abs(d))
-    out_data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(d.dtype)
+    out_data = sigmoid_array(x.data)
 
     def backward(grad: Array) -> None:
         x.grad += grad * out_data * (1.0 - out_data)
@@ -272,31 +276,41 @@ def reshape(x: Tensor, *shape) -> Tensor:
     return x._child(new, (x,), backward, "reshape")
 
 
-def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
+@functools.lru_cache(maxsize=256)
+def _time_moves(shape: tuple[int, ...], offsets: tuple[int, ...], fold: int) -> tuple:
+    """(destination time, source time, channels) of each move of a roll_time of
+    ``shape``: the channels after the last block (they pass), then each block."""
+    end = len(offsets) * fold
+    if len(shape) < 3 or fold < 0 or end > shape[2]:
+        raise DimensionError(f"roll_time: {len(offsets)} blocks of {fold} channels "
+                             f"do not fit [N,T,C,...] shape {shape}")
+    t, moves = shape[1], [(slice(None), slice(None), slice(end, None))]
+    for i, off in enumerate(offsets):
+        off = max(-t, min(t, off))  # |offset| >= T leaves nothing to copy
+        moves.append((slice(max(off, 0), t + min(off, 0)), slice(max(-off, 0), t - max(off, 0)),
+                      slice(i * fold, (i + 1) * fold)))
+    return tuple(moves)
+
+
+def roll_time_array(x: Array, offsets: Sequence[int], fold: int) -> Array:
     """Move channel blocks of [N,T,C,...] along time, filling the gap with zeros.
 
     Block i (channels i*fold to (i+1)*fold of axis 2) moves ``offsets[i]``
     steps along axis 1: out[:, t] = x[:, t - offsets[i]], zero where that
     index falls outside [0, T). Channels after the last block pass through.
-    The backward pass is the opposite move.
-    """
-    end = len(offsets) * fold
-    if x.data.ndim < 3 or fold < 0 or end > x.shape[2]:
-        raise DimensionError(f"roll_time: {len(offsets)} blocks of {fold} channels "
-                             f"do not fit [N,T,C,...] shape {x.shape}")
-    t = x.shape[1]
-    moves = []  # (destination time, source time, channels) of each block
-    for i, off in enumerate(offsets):
-        off = max(-t, min(t, off))  # |offset| >= T leaves nothing to copy
-        moves.append((slice(max(off, 0), t + min(off, 0)), slice(max(-off, 0), t - max(off, 0)),
-                      slice(i * fold, (i + 1) * fold)))
-    out_data = np.zeros_like(x.data)
-    out_data[:, :, end:] = x.data[:, :, end:]
-    for dst, src, ch in moves:
-        out_data[:, dst, ch] = x.data[:, src, ch]
+    The result is a new array in x's memory order."""
+    out = np.zeros_like(x)
+    for dst, src, ch in _time_moves(x.shape, tuple(offsets), fold):
+        out[:, dst, ch] = x[:, src, ch]
+    return out
+
+
+def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
+    """roll_time_array as a graph op; the backward pass is the opposite move."""
+    out_data = roll_time_array(x.data, offsets, fold)
+    moves = _time_moves(x.shape, tuple(offsets), fold)
 
     def backward(grad: Array) -> None:
-        x.grad[:, :, end:] += grad[:, :, end:]
         for dst, src, ch in moves:
             x.grad[:, src, ch] += grad[:, dst, ch]
 
@@ -328,6 +342,11 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 # -- matmul -------------------------------------------------------------------------
 
 
+def matmul_array(a: Array, b: Array) -> Array:
+    """a @ b in a's memory order: gates from features pooled in conv order stay in it."""
+    return np.matmul(a, b, order="F" if a.flags.f_contiguous else "C")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = _wrap(a)
     b = _wrap(b)
@@ -335,8 +354,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    # keeps a's order: gates from features pooled in conv order stay in it
-    out_data = np.matmul(a.data, b.data, order="F" if a.data.flags.f_contiguous else "C")
+    out_data = matmul_array(a.data, b.data)
 
     def backward(grad: Array) -> None:
         if a.requires_grad:

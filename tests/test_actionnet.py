@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from signflow.actionnet import ActionBlock, squeezed
+from signflow import backbone
+from signflow.actionnet import ActionBlock, ArrayBlock, squeezed
 from signflow.errors import ConfigError
 from signflow.tensor import Tensor, grad_check, tsum
 
@@ -248,3 +251,45 @@ class TestActionBlock:
             err = (np.abs(analytic.reshape(-1) - numeric) / denom).max()
             assert err <= 1e-4, f"{pname}: {err}"
             param.data = original
+
+
+class TestArrayBlock:
+    """ArrayBlock is ActionBlock.forward on arrays, on an inference plan's convs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("temporal_kernel", [1, 3, 5])
+    @pytest.mark.parametrize("reduce_ratio", [2, 4])
+    @pytest.mark.parametrize("channels", [8, 16])
+    def test_equals_forward(self, channels, reduce_ratio, temporal_kernel, dtype):
+        seed = channels * 100 + reduce_ratio * 10 + temporal_kernel
+        rng = np.random.default_rng(seed)
+        block = make_block(channels, seed=seed, dtype=dtype, reduce_ratio=reduce_ratio,
+                           temporal_kernel=temporal_kernel)
+        for name in ("ste_b", "ce_bias", "me_bias"):  # zero when built
+            getattr(block, name).data = rng.uniform(-1, 1, getattr(block, name).shape).astype(dtype)
+        scratch = backbone._Scratch(dtype)
+        arrays = ArrayBlock(tuple(backbone._PlanConv(1, pad, scratch) for pad in (1, 0, 1)))
+        arrays.load(block)
+        for t, n, hw in itertools.product((1, 2, 8), (1, 3), (4, 16)):
+            for call in range(2):  # the second on the buffers the convs kept for the shape
+                x = rng.uniform(-1, 1, (n * t, channels, hw, hw)).astype(dtype)
+                if call:  # conv order, as a plan conv returns it
+                    x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+                x = x.reshape(n, t, channels, hw, hw)
+                want = block.forward(Tensor(x)).data
+                got = arrays(x)
+                if dtype == np.float32:
+                    npt.assert_array_equal(got, want)
+                else:
+                    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_load_takes_a_snapshot(self):
+        block = make_block(seed=3)
+        scratch = backbone._Scratch(np.float64)
+        arrays = ArrayBlock(tuple(backbone._PlanConv(1, pad, scratch) for pad in (1, 0, 1)))
+        arrays.load(block)
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 4, 8, 4, 4))
+        before = arrays(x)
+        for p in block.parameters():
+            p.data *= 2
+        npt.assert_array_equal(arrays(x), before)

@@ -527,32 +527,44 @@ class TestInfer:
         model.load_state_dict(other.state_dict())
         npt.assert_array_equal(model.infer(clip), other.infer(clip))
 
-    def test_action_builds_no_graph_and_follows_weights(self, monkeypatch):
-        spec = tiny_spec(temporal="action")
+    @pytest.mark.parametrize("temporal", ["shift", "none", "action"])
+    def test_action_builds_no_graph_and_follows_weights(self, monkeypatch, temporal):
+        spec = tiny_spec(temporal=temporal)
         model = perturbed(build(spec, seed=1), seed=2)
         other = perturbed(build(spec, seed=3), seed=4)
         clip = np.random.default_rng(5).uniform(0, 1, (2, *spec.clip_shape)).astype(np.float32)
-        outputs = []
-        forward = actionnet.ActionBlock.forward
+        made = []
+        init = Tensor.__init__
 
-        def spy(block, x):
-            outputs.append(forward(block, x))
-            return outputs[-1]
+        def spy(tensor, *args, **kw):
+            made.append(kw.get("op", ""))
+            init(tensor, *args, **kw)
 
-        monkeypatch.setattr(actionnet.ActionBlock, "__call__", spy)
+        monkeypatch.setattr(Tensor, "__init__", spy)
         first = model.infer(clip)
-        assert outputs and not any(out.requires_grad or out._parents for out in outputs)
+        second = model.infer(clip[0])  # one [T,C,H,W] clip: no reshape node either
+        assert made == [] and second.shape == (1, spec.num_classes)
+        monkeypatch.undo()
         assert all(p.grad is None for p in model.parameters())
         plan = backbone.InferencePlan(model)
-        for block, frozen in zip(model.blocks, plan.actions):
-            for p, w in zip(block.action.parameters(), frozen.parameters()):
-                assert type(w) is Tensor and not w.requires_grad
-                assert w.data is not p.data
-                npt.assert_array_equal(w.data, p.data)
+        for block, arrays in zip(model.blocks, plan.actions):
+            assert (arrays is None) == (temporal != "action")
+            if arrays is None:
+                continue
+            a = block.action
+            assert [conv.w for conv in arrays.convs] == [
+                arrays.w[name] for name in ("ste_w", "me_squeeze", "me_transform")]
+            c, d = a.ce_squeeze.shape
+            taps = (a.ce_squeeze.data.reshape(c, d, 1) * a.ce_temporal.data).reshape(c, -1)
+            npt.assert_array_equal(arrays.squeeze_taps, taps)
+            for p in a.parameters():
+                got = arrays.w[p.name.rsplit(".", 1)[1]]
+                assert not np.shares_memory(got, p.data)
+                npt.assert_array_equal(got, p.data.reshape(got.shape))
         model.load_state_dict(other.state_dict())
-        second = model.infer(clip)
-        npt.assert_array_equal(second, other.infer(clip))
-        assert not np.array_equal(first, second)
+        later = model.infer(clip)
+        npt.assert_array_equal(later, other.infer(clip))
+        assert not np.array_equal(first, later)
 
     def test_wrong_shape_rejected(self):
         model = build(tiny_spec(), seed=0)
@@ -816,8 +828,10 @@ class TestKeptViews:
 
 
 def plan_convs(plan):
-    """Every conv of a plan: the stem, then each block's conv1, conv2 and proj."""
-    return [plan.stem, *(conv for block in plan.blocks for conv in block if conv is not None)]
+    """Every conv of a plan: the stem, then each block's conv1, conv2 and proj,
+    then each excitation block's ste, me squeeze and me transform."""
+    return [plan.stem, *(conv for block in plan.blocks for conv in block if conv is not None),
+            *(conv for arrays in plan.actions if arrays is not None for conv in arrays.convs)]
 
 
 def lowerings(conv):
@@ -1055,8 +1069,9 @@ class TestKeptBuffers:
         fresh.load_state_dict(model.state_dict())
         npt.assert_array_equal(got, fresh.infer(clips))  # a new plan: the same bytes
 
-    def test_a_second_call_of_a_shape_makes_no_buffer(self, monkeypatch):
-        spec = NetSpec.micro(4)
+    @pytest.mark.parametrize("temporal", ["shift", "action"])
+    def test_a_second_call_of_a_shape_makes_no_buffer(self, monkeypatch, temporal):
+        spec = NetSpec.micro(4, temporal=temporal)
         model = perturbed(build(spec, seed=1), seed=2)
         clips = np.random.default_rng(3).uniform(0, 1, (5, *spec.clip_shape)).astype(np.float32)
         first = model.infer(clips)  # chunks of 16, 16 and 8 frames
@@ -1074,21 +1089,24 @@ class TestKeptBuffers:
         assert [{shape: id(lowering) for shape, lowering in conv.lowered.items()}
                 for conv in plan_convs(plan)] == kept
 
-    def test_nothing_returned_or_held_shares_a_kept_buffer(self):
+    @pytest.mark.parametrize("temporal", ["shift", "action"])
+    def test_nothing_returned_or_held_shares_a_kept_buffer(self, temporal):
         # the tiny stream runs its stem as conv2d_array at N = 1: a kept output
-        spec = NetSpec.tiny(4, direction="unidirectional")
+        spec = NetSpec.tiny(4, temporal=temporal, direction="unidirectional")
         model = perturbed(build(spec, seed=1), seed=2)
         rng = np.random.default_rng(3)
         clips = rng.uniform(0, 1, (3, *spec.clip_shape)).astype(np.float32)
         returned = [model.infer(clips), model.infer(clips[:1])]
         metrics = evaluate(model, [(clip, 0) for clip in clips])
         assert not any(isinstance(value, np.ndarray) for value in vars(metrics).values())
-        stream = model.open_stream()
-        for t in range(3):
-            returned += stream.step(clips[:1, t]).values()
-        assert lowerings(stream.plan.stem) == {1: "array"}
-        held = [prev for prev in stream.prev if prev is not None]
-        kept = kept_buffers(model._plan) + kept_buffers(stream.plan)
+        held, kept = [], kept_buffers(model._plan)
+        if temporal == "shift":  # an excitation block does not stream
+            stream = model.open_stream()
+            for t in range(3):
+                returned += stream.step(clips[:1, t]).values()
+            assert lowerings(stream.plan.stem) == {1: "array"}
+            held = [prev for prev in stream.prev if prev is not None]
+            kept += kept_buffers(stream.plan)
         for a in returned + held:
             assert not any(np.shares_memory(a, buf) for buf in kept)
 
