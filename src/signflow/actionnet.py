@@ -13,9 +13,11 @@ once by their sum:
 Every temporal move (the ste and ce conv taps and the me frame difference) is
 ``tensor.roll_time``, the same zero-filled move along time as the shift. Both
 temporal convs put their taps on channels, roll each tap once and sum them.
-``ArrayBlock`` is the block on plain arrays, for graph-free inference: the
-graph's numpy calls (roll_time_array, sigmoid_array, matmul_array, which the
-graph ops run too) on convs that the inference plan gives it.
+The body is written once, in method syntax, for a Tensor (the graph) and
+an array (no graph). Its three convs and the ce squeeze-and-taps matrix are
+hooks: ``ActionBlock``'s run conv2d on the Parameters and form the matrix
+per call; ``ArrayBlock``, for graph-free inference, inherits the body and
+puts the inference plan's convs and a matrix formed per load in their place.
 
 Each branch returns its gate, in (0, 1): ste as [N,T,1,H,W], ce and me as
 [N,T,C,1,1], each in the memory order of x (conv order, see tensor), so
@@ -34,8 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import (Array, Parameter, Tensor, add, conv2d, matmul, matmul_array, mul, reshape,
-                     roll_time, roll_time_array, sigmoid, sigmoid_array, tmean, tsum)
+from .tensor import Parameter, Tensor, conv2d, matmul, roll_time, sigmoid
 
 
 def check_squeeze(reduce_ratio: int, temporal_kernel: int) -> None:
@@ -89,6 +90,21 @@ class ActionBlock:
     def parameters(self) -> list[Parameter]:
         return [getattr(self, name) for name in self._WEIGHTS]
 
+    # -- the convs and the ce matrix: graph ops here, the plan's in ArrayBlock ----
+
+    def ste_conv(self, cmap: Tensor) -> Tensor:
+        return conv2d(cmap, self.ste_w.reshape(3, 1, 3, 3), pad=1)
+
+    def squeeze_conv(self, x4: Tensor) -> Tensor:
+        return conv2d(x4, self.me_squeeze)
+
+    def transform_conv(self, s: Tensor) -> Tensor:
+        return conv2d(s, self.me_transform, stride=1, pad=1)
+
+    def squeeze_taps(self) -> Tensor:
+        (c, d), k = self.ce_squeeze.shape, self.ce_temporal.shape[1]
+        return (self.ce_squeeze.reshape(c, d, 1) * self.ce_temporal).reshape(c, d * k)
+
     # -- branches ---------------------------------------------------------------
 
     def ste(self, x: Tensor) -> Tensor:
@@ -98,11 +114,10 @@ class ActionBlock:
         moves tap a by 1 - a frames (zero fill), and the taps are summed.
         """
         n, t, c, h, w = x.shape
-        cmap = reshape(tmean(x, axis=2), n * t, 1, h, w)
-        taps = conv2d(cmap, reshape(self.ste_w, 3, 1, 3, 3), pad=1)  # [N*T, 3, H, W]
-        taps = roll_time(reshape(taps, n, t, 3, h, w), (+1, 0, -1), 1)
-        g = sigmoid(add(tsum(taps, axis=2), self.ste_b))             # [N, T, H, W]
-        return reshape(g, n, t, 1, h, w)
+        taps = self.ste_conv(x.mean(axis=2).reshape(n * t, 1, h, w))  # [N*T, 3, H, W]
+        taps = roll_time(taps.reshape(n, t, 3, h, w), (+1, 0, -1), 1)
+        g = sigmoid(taps.sum(axis=2) + self.ste_b)                     # [N, T, H, W]
+        return g.reshape(n, t, 1, h, w)
 
     def ce(self, x: Tensor) -> Tensor:
         """Channel gate [N,T,C,1,1]: pool -> squeeze -> temporal conv -> expand -> sigmoid.
@@ -114,72 +129,51 @@ class ActionBlock:
         the gate comes out in x's order.
         """
         n, t, c, h, w = x.shape
-        pooled = tmean(reshape(x, n * t, c, h, w), axis=(2, 3))   # [N*T, C]
+        pooled = x.reshape(n * t, c, h, w).mean(axis=(2, 3))       # [N*T, C]
         d, k = self.ce_temporal.shape
-        squeeze_taps = reshape(mul(reshape(self.ce_squeeze, c, d, 1), self.ce_temporal), c, d * k)
-        taps = reshape(matmul(pooled, squeeze_taps), n, t, d * k)  # [N, T, D*k]
+        taps = matmul(pooled, self.squeeze_taps()).reshape(n, t, d * k)
         taps = roll_time(taps, tuple(range(k // 2, k // 2 - k, -1)) * d, 1)
-        s = tsum(reshape(taps, n, t, d, k), axis=3)               # [N, T, D]
-        g = sigmoid(add(matmul(reshape(s, n * t, d), self.ce_expand), self.ce_bias))
-        return reshape(g, n, t, c, 1, 1)
+        s = taps.reshape(n, t, d, k).sum(axis=3)                   # [N, T, D]
+        g = sigmoid(matmul(s.reshape(n * t, d), self.ce_expand) + self.ce_bias)
+        return g.reshape(n, t, c, 1, 1)
 
     def me(self, x: Tensor) -> Tensor:
         """Motion gate [N,T,C,1,1] from transformed frame differences; m[T-1] = 0."""
         n, t, c, h, w = x.shape
-        s = conv2d(reshape(x, n * t, c, h, w), self.me_squeeze)   # [N*T, C/r, H, W]
+        s = self.squeeze_conv(x.reshape(n * t, c, h, w))            # [N*T, C/r, H, W]
         cr = s.shape[1]
-        moved = reshape(conv2d(s, self.me_transform, stride=1, pad=1), n, t, cr, h, w)
+        moved = self.transform_conv(s).reshape(n, t, cr, h, w)
         # d[t] = transform(s[t]) - s[t-1], then m[t] = d[t+1], zero at t = T-1
-        prev = roll_time(reshape(s, n, t, cr, h, w), (+1,), cr)
+        prev = roll_time(s.reshape(n, t, cr, h, w), (+1,), cr)
         motion = roll_time(moved - prev, (-1,), cr)
-        pooled = tmean(reshape(motion, n * t, cr, h, w), axis=(2, 3))  # [N*T, C/r]
-        g = sigmoid(add(matmul(pooled, self.me_expand), self.me_bias))
-        return reshape(g, n, t, c, 1, 1)
+        pooled = motion.reshape(n * t, cr, h, w).mean(axis=(2, 3))  # [N*T, C/r]
+        g = sigmoid(matmul(pooled, self.me_expand) + self.me_bias)
+        return g.reshape(n, t, c, 1, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         """x * (ste(x) + ce(x) + me(x)); the two [N,T,C,1,1] gates are added first."""
-        return mul(x, add(self.ste(x), add(self.ce(x), self.me(x))))
+        return x * (self.ste(x) + (self.ce(x) + self.me(x)))
 
     __call__ = forward
 
 
-class ArrayBlock:
-    """ActionBlock.forward on plain arrays for graph-free inference: the graph's
-    numpy calls in its order and memory layout (at float32, the same bytes).
-    ``convs`` compute conv2d's, each with a ``load(w, b)``: ste's (3x3, pad 1,
-    3 taps out), me's squeeze (1x1, pad 0) and transform (3x3, pad 1). ``load``
-    takes a block's weights as new arrays (a snapshot), ``w``, and forms the
-    ce squeeze-and-taps matrix once."""
+class ArrayBlock(ActionBlock):
+    """ActionBlock's body on plain arrays, for graph-free inference: the same
+    calls, at float32 the same bytes, with no graph. ``convs`` are its three
+    conv hooks, each with a ``load(w, b)``: ste's (3x3, pad 1, 3 taps out),
+    me's squeeze (1x1, pad 0) and transform (3x3, pad 1). ``load`` takes a
+    block's weights as new arrays (a snapshot), under the block's names, and
+    forms the ce squeeze-and-taps matrix once."""
 
     def __init__(self, convs: tuple):
         self.convs = convs
+        self.ste_conv, self.squeeze_conv, self.transform_conv = convs
 
     def load(self, block: ActionBlock) -> None:
-        w = self.w = {name: getattr(block, name).data.copy() for name in block._WEIGHTS}
-        w["ste_w"] = w["ste_w"].reshape(3, 1, 3, 3)
-        for conv, name in zip(self.convs, ("ste_w", "me_squeeze", "me_transform")):
-            conv.load(w[name], None)
-        (c, d), k = w["ce_squeeze"].shape, w["ce_temporal"].shape[1]
-        self.squeeze_taps = (w["ce_squeeze"].reshape(c, d, 1) * w["ce_temporal"]).reshape(c, d * k)
-        self.ce_offsets = tuple(range(k // 2, k // 2 - k, -1)) * d
-
-    def __call__(self, x: Array) -> Array:
-        """[N,T,C,H,W] -> x * (ste + (ce + me)), as ActionBlock.forward."""
-        n, t, c, h, w = x.shape
-        (ste_conv, squeeze, transform), wt = self.convs, self.w
-        # ste: channel mean -> the 3 taps -> moved along time -> summed
-        taps = ste_conv(x.mean(axis=2).reshape(n * t, 1, h, w))
-        taps = roll_time_array(taps.reshape(n, t, 3, h, w), (+1, 0, -1), 1)
-        ste = sigmoid_array(taps.sum(axis=2) + wt["ste_b"]).reshape(n, t, 1, h, w)
-        # ce: pool -> squeeze and taps -> moved along time -> summed -> expand; D = C/r
-        x4, d = x.reshape(n * t, c, h, w), len(wt["ce_expand"])
-        taps = matmul_array(x4.mean(axis=(2, 3)), self.squeeze_taps).reshape(n, t, -1)
-        s = roll_time_array(taps, self.ce_offsets, 1).reshape(n, t, d, -1).sum(axis=3)
-        ce = sigmoid_array(matmul_array(s.reshape(n * t, d), wt["ce_expand"]) + wt["ce_bias"])
-        # me: squeeze -> transform(s[t+1]) - s[t] -> pool -> expand
-        s = squeeze(x4).reshape(n, t, d, h, w)
-        moved = transform(s.reshape(n * t, d, h, w)).reshape(n, t, d, h, w)
-        motion = roll_time_array(moved - roll_time_array(s, (+1,), d), (-1,), d)
-        pooled = motion.reshape(n * t, d, h, w).mean(axis=(2, 3))
-        me = sigmoid_array(matmul_array(pooled, wt["me_expand"]) + wt["me_bias"])
-        return x * (ste + (ce.reshape(n, t, c, 1, 1) + me.reshape(n, t, c, 1, 1)))
+        for name in self._WEIGHTS:
+            setattr(self, name, getattr(block, name).data.copy())
+        self.ste_w = self.ste_w.reshape(3, 1, 3, 3)
+        for conv, w in zip(self.convs, (self.ste_w, self.me_squeeze, self.me_transform)):
+            conv.load(w, None)
+        taps = ActionBlock.squeeze_taps(self)
+        self.squeeze_taps = lambda: taps

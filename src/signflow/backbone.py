@@ -11,19 +11,19 @@ beta; running statistics frozen to mean 0 / var 1, so outputs carry no
 batch-size dependence), folded into the conv's weight and bias by one
 expression, ``_fold``.
 
-The network is walked once per representation; both walks share the
-weights and the fold. ``per_frame_logits`` builds the autodiff graph
-(training needs it, and it is the reference), with ``_fold`` on the
-Parameters so gamma and beta get their gradients; ``forward`` is its
-consensus. ``InferencePlan.frame_logits`` runs ``_fold`` on the arrays and
-plain numpy calls; its caller gives each block's branch input (``infer``
-the clip's shift, on arrays, or the plan's ArrayBlock; ``StreamState.step``
-the online shift). Both run the plan's convs (``_PlanConv``), conv2d_array's
-im2col and GEMM on views each keeps per input shape: at batch 1 a conv's
-cost is its numpy calls, and a call makes four (write the input's interior;
-copy its windows to the cols, or for a stream's few rows of small cols
-gather them through ``gather_index``; the GEMM; the bias) where
-conv2d_array makes ten or so.
+One walk, ``_walk``, runs the network on either representation, with the
+same weights and fold. ``per_frame_logits`` walks Tensors: it builds the
+autodiff graph (training needs it, and it is the reference), with ``_fold``
+on the Parameters so gamma and beta get their gradients; ``forward`` is its
+consensus. ``InferencePlan.frame_logits`` walks arrays, ``_fold`` on the
+arrays, relu and the skip add in place; its caller gives each block's
+branch input (``infer`` the clip's shift, on arrays, or the plan's
+ArrayBlock; ``StreamState.step`` the online shift). Both run the plan's
+convs (``_PlanConv``), conv2d_array's im2col and GEMM on views each keeps
+per input shape: at batch 1 a conv's cost is its numpy calls, and a call
+makes four (write the input's interior; copy its windows to the cols, or
+for a stream's few rows of small cols gather them through
+``gather_index``; the GEMM; the bias) where conv2d_array makes ten or so.
 ``infer`` keeps one plan per model and folds the current weights into it
 on every call; a stream's plan is folded once, when it is opened (a
 snapshot). A warmed plan makes no buffer and takes no page fault for one.
@@ -49,7 +49,7 @@ import numpy as np
 from .dataset import read_json, write_bytes
 from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError, UsageError
 from .tensor import (Array, Parameter, Tensor, _channel_major, _conv2d_out_hw, _im2col, _windows,
-                     _wrap, add, class_labels, conv2d, log_softmax, matmul, relu, reshape,
+                     _wrap, class_labels, conv2d, log_softmax, relu, reshape,
                      softmax_cross_entropy, tmean, load_weights, save_weights)
 from .tsm import BIDIRECTIONAL, UNIDIRECTIONAL, check_fold, fold_channels, online_step, shift
 from .actionnet import ActionBlock, ArrayBlock, check_squeeze, squeezed
@@ -255,11 +255,6 @@ class _ConvUnit:
     def parameters(self):
         return [self.w, self.b, self.gamma, self.beta]
 
-    def folded(self) -> tuple[Array, Array]:
-        """(w, b) of conv2d_array on the folded weights (new arrays: a
-        snapshot)."""
-        return _fold(self.w.data, self.b.data, self.gamma.data, self.beta.data)
-
 
 class _Block:
     """Residual block; temporal module feeds the conv branch, skip stays clean."""
@@ -285,6 +280,22 @@ class _Block:
         if self.action is not None:
             params += self.action.parameters()
         return params
+
+    def __iter__(self):  # (conv1, conv2, proj or None), as _walk takes a block
+        return iter((self.conv1, self.conv2, self.proj))
+
+
+def _walk(net, frames, branch: Callable, relu: Callable):
+    """[M,C,H,W] frames -> [M,K] logits of each frame, on Tensors (a graph) or
+    arrays: ``net``'s ``stem``, ``blocks`` of (conv1, conv2, proj or None)
+    and head; ``branch(i, x)`` is block i's branch input. On arrays ``y +=``
+    adds in place, and the head's ``@`` is numpy's (C order, not matmul's)."""
+    x = relu(net.stem(frames))
+    for i, (conv1, conv2, proj) in enumerate(net.blocks):
+        y = conv2(relu(conv1(branch(i, x))))
+        y += proj(x) if proj is not None else x
+        x = relu(y)
+    return x.mean(axis=(2, 3)) @ net.head_w + net.head_b
 
 
 class Model:
@@ -361,17 +372,18 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def _temporal(self, x4: Tensor | Array, fold: int, action, n: int, t: int) -> Tensor | Array:
-        """Apply a block's temporal module to [N*T,C,H,W] features: the shift
-        of its ``fold``, or its excitation block ``action``, or neither. On a
-        Tensor (the graph walk, ``action`` an ActionBlock) it builds graph
-        ops; on an array (infer, ``action`` the plan's ArrayBlock), none."""
+    def _temporal(self, i: int, x4: Tensor | Array, actions: list, t: int) -> Tensor | Array:
+        """Block i's branch input from its [N*T,C,H,W] features, as _walk's
+        ``branch`` offline: the shift of its fold, or its excitation block
+        ``actions[i]``, or neither. On a Tensor (per_frame_logits, an
+        ActionBlock) it builds graph ops; on an array (infer, the plan's
+        ArrayBlock: the same body), none."""
+        fold, action = self.blocks[i].fold, actions[i]
         if not fold and action is None:
             return x4
-        _, c, h, w = x4.shape
-        x5 = x4.reshape(n, t, c, h, w)
+        x5 = x4.reshape(-1, t, *x4.shape[1:])
         out = shift(x5, fold, self.spec.direction) if fold else action(x5)
-        return out.reshape(n * t, c, h, w)
+        return out.reshape(*x4.shape)
 
     def _clip(self, clip, check_t: bool) -> Array | Tensor:
         """Clip as an [N,T,C,H,W] array (or Tensor) with N >= 1, in the model's
@@ -409,10 +421,10 @@ class Model:
         current parameters into it, so the result always follows them while
         the plan's convs keep their buffers. The clips run in order, in
         chunks of _INFER_FRAMES frames' worth (at least one clip), so float32
-        logits can differ by rounding from one-clip calls. A shift runs on
-        arrays and an excitation block as the plan's ArrayBlock, so no call
-        builds a Tensor. Calls on one model share the plan's buffers, so they
-        must not overlap.
+        logits can differ by rounding from one-clip calls. The plan runs
+        forward's walk on arrays: a shift runs on arrays and an excitation
+        block as the plan's ArrayBlock, so no call builds a Tensor. Calls on
+        one model share the plan's buffers, so they must not overlap.
         """
         x = self._clip(clips, check_t=True)
         n, t = x.shape[:2]
@@ -422,10 +434,7 @@ class Model:
         else:
             self._plan.fold(self)
         plan = self._plan
-
-        def branch(i: int, feats: Array) -> Array:
-            return self._temporal(feats, plan.folds[i], plan.actions[i], len(feats) // t, t)
-
+        branch = functools.partial(self._temporal, actions=plan.actions, t=t)
         logits = [plan.frame_logits(x[s:s + chunk].reshape(-1, *x.shape[2:]), branch)
                   for s in range(0, n, chunk)]
         return np.concatenate(logits).reshape(n, t, -1).mean(axis=1)
@@ -435,11 +444,9 @@ class Model:
         consensus; T may differ from the spec's."""
         x = _wrap(self._clip(clip, check_t=False))
         n, t = x.shape[0], x.shape[1]
-        x = relu(self.stem(reshape(x, n * t, *x.shape[2:])))
-        for block in self.blocks:
-            y = block.conv2(relu(block.conv1(self._temporal(x, block.fold, block.action, n, t))))
-            x = relu(add(y, block.proj(x) if block.proj is not None else x))
-        logits = add(matmul(tmean(x, axis=(2, 3)), self.head_w), self.head_b)
+        actions = [block.action for block in self.blocks]
+        branch = functools.partial(self._temporal, actions=actions, t=t)
+        logits = _walk(self, reshape(x, n * t, *x.shape[2:]), branch, relu)
         return reshape(logits, n, t, self.spec.num_classes)
 
     # -- streaming ---------------------------------------------------------------
@@ -457,8 +464,7 @@ class Model:
 def _conv_units(model: Model) -> list[_ConvUnit | None]:
     """The model's conv units in plan order: the stem, then each block's
     conv1, conv2 and proj (None without one)."""
-    return [model.stem, *(unit for block in model.blocks
-                          for unit in (block.conv1, block.conv2, block.proj))]
+    return [model.stem, *(unit for block in model.blocks for unit in block)]
 
 
 def _relu(x: Array) -> Array:
@@ -467,7 +473,8 @@ def _relu(x: Array) -> Array:
 
 
 class InferencePlan:
-    """A model's weights folded for graph-free inference, and their convs.
+    """A model's weights folded for graph-free inference, and their convs:
+    what ``_walk`` runs on arrays, as the Model gives it on Tensors.
 
     The plan holds copies of the weights as they were at its last ``fold``
     (the first when it is built). Model.infer keeps one plan and folds it
@@ -500,22 +507,17 @@ class InferencePlan:
         conv's (its kept lowerings and buffers hold no weights), the
         excitation blocks' and the head."""
         for conv, unit in zip(self.convs, _conv_units(model)):
-            if unit is not None:
-                conv.load(*unit.folded())
+            if unit is not None:  # new arrays: a snapshot
+                conv.load(*_fold(unit.w.data, unit.b.data, unit.gamma.data, unit.beta.data))
         for action, block in zip(self.actions, model.blocks):
             if action is not None:
                 action.load(block.action)
         self.head_w, self.head_b = model.head_w.data.copy(), model.head_b.data.copy()
 
     def frame_logits(self, frames: Array, branch: Callable[[int, Array], Array]) -> Array:
-        """[M,C,H,W] frames -> [M,K] logits of each frame. ``branch(i, x)``
-        gives block i's branch input from its input x."""
-        x = _relu(self.stem(frames))
-        for i, (conv1, conv2, proj) in enumerate(self.blocks):
-            y = conv2(_relu(conv1(branch(i, x))))
-            y += proj(x) if proj is not None else x
-            x = _relu(y)
-        return x.mean(axis=(2, 3)) @ self.head_w + self.head_b
+        """[M,C,H,W] frames -> [M,K] logits of each frame: _walk, relu in
+        place. ``branch(i, x)`` gives block i's branch input from its input x."""
+        return _walk(self, frames, branch, _relu)
 
 
 @functools.lru_cache(maxsize=64)

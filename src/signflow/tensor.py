@@ -3,7 +3,9 @@
 Reverse-mode differentiation over numpy arrays, covering exactly the ops the
 video backbone needs: elementwise arithmetic, matmul, 2D convolution,
 reductions (``tmean`` also pools space and averages the segments), moves
-along the time axis (roll_time), and softmax cross-entropy.
+along the time axis (roll_time), and softmax cross-entropy. ``roll_time``,
+``sigmoid`` and ``matmul`` on plain arrays return an array and make no node,
+so a forward in method syntax runs on a Tensor or an array (backbone, actionnet).
 
 Layout conventions:
   * shapes are logical numpy shapes; video batches use [N, T, C, H, W],
@@ -126,6 +128,12 @@ class Tensor:
     def sum(self, axis=None) -> "Tensor":
         return tsum(self, axis)
 
+    def mean(self, axis=None) -> "Tensor":
+        return tmean(self, axis)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
     # -- backward --------------------------------------------------------------
 
     def backward(self, profile: dict[str, list] | None = None) -> None:
@@ -245,14 +253,13 @@ def relu(x: Tensor) -> Tensor:
     return x._child(out_data, (x,), backward, "relu")
 
 
-def sigmoid_array(x: Array) -> Array:
-    """The logistic function of x, in the numerically stable two-sided form."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = sigmoid_array(x.data)
+def sigmoid(x: Tensor | Array) -> Tensor | Array:
+    """The logistic function of x, in the numerically stable two-sided form;
+    on an array, an array (no node)."""
+    if isinstance(x, Array):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    out_data = sigmoid(x.data)
 
     def backward(grad: Array) -> None:
         x.grad += grad * out_data * (1.0 - out_data)
@@ -292,23 +299,21 @@ def _time_moves(shape: tuple[int, ...], offsets: tuple[int, ...], fold: int) -> 
     return tuple(moves)
 
 
-def roll_time_array(x: Array, offsets: Sequence[int], fold: int) -> Array:
+def roll_time(x: Tensor | Array, offsets: Sequence[int], fold: int) -> Tensor | Array:
     """Move channel blocks of [N,T,C,...] along time, filling the gap with zeros.
 
     Block i (channels i*fold to (i+1)*fold of axis 2) moves ``offsets[i]``
     steps along axis 1: out[:, t] = x[:, t - offsets[i]], zero where that
     index falls outside [0, T). Channels after the last block pass through.
-    The result is a new array in x's memory order."""
-    out = np.zeros_like(x)
-    for dst, src, ch in _time_moves(x.shape, tuple(offsets), fold):
-        out[:, dst, ch] = x[:, src, ch]
-    return out
-
-
-def roll_time(x: Tensor, offsets: Sequence[int], fold: int) -> Tensor:
-    """roll_time_array as a graph op; the backward pass is the opposite move."""
-    out_data = roll_time_array(x.data, offsets, fold)
+    The result is new, in x's memory order: on an array, an array (no node);
+    on a Tensor, a graph op whose backward pass is the opposite move."""
     moves = _time_moves(x.shape, tuple(offsets), fold)
+    if isinstance(x, Array):
+        out = np.zeros_like(x)
+        for dst, src, ch in moves:
+            out[:, dst, ch] = x[:, src, ch]
+        return out
+    out_data = roll_time(x.data, offsets, fold)
 
     def backward(grad: Array) -> None:
         for dst, src, ch in moves:
@@ -342,19 +347,18 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 # -- matmul -------------------------------------------------------------------------
 
 
-def matmul_array(a: Array, b: Array) -> Array:
-    """a @ b in a's memory order: gates from features pooled in conv order stay in it."""
-    return np.matmul(a, b, order="F" if a.flags.f_contiguous else "C")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor | Array, b: Tensor | Array) -> Tensor | Array:
+    """a @ b in a's memory order: gates from features pooled in conv order stay
+    in it. Two arrays give an array (no node)."""
+    if isinstance(a, Array) and isinstance(b, Array):
+        return np.matmul(a, b, order="F" if a.flags.f_contiguous else "C")
     a = _wrap(a)
     b = _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out_data = matmul_array(a.data, b.data)
+    out_data = matmul(a.data, b.data)
 
     def backward(grad: Array) -> None:
         if a.requires_grad:

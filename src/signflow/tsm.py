@@ -4,8 +4,8 @@ The shifted slice ("fold", floor(C * fold_fraction) channels, default 1/8)
 carries neighboring-frame features into the current frame at zero FLOP cost.
 ``check_fold`` checks the fraction and the direction, and ``fold_channels``
 sizes a block's fold once, when the network is specified;
-``shift`` is ``tensor.roll_time`` (on an array, ``roll_time_array``) over the
-folds: a one-step move along time with zero fill. Two directions:
+``shift`` is ``tensor.roll_time`` over the folds, on a Tensor or an array:
+a one-step move along time with zero fill. Two directions:
 
   * bidirectional (offline): the first fold sees the next frame, the second
     fold sees the previous frame, the rest is untouched;
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, roll_time, roll_time_array
+from .tensor import Tensor, roll_time
 
 BIDIRECTIONAL = "bidirectional"
 UNIDIRECTIONAL = "unidirectional"
@@ -54,15 +54,14 @@ def shift(x: Tensor | np.ndarray, fold: int, direction: str) -> Tensor | np.ndar
 
     Bidirectional: fold 0 reads t+1, fold 1 reads t-1. Unidirectional:
     fold 0 reads t-1. A fold of 0 is the identity. On a Tensor it is
-    differentiable (roll_time); the gradient of a shift is the inverse
-    shift with out-of-range gradients dropped. On an array it is
-    roll_time_array, a new array, and builds no graph.
+    differentiable; the gradient of a shift is the inverse shift with
+    out-of-range gradients dropped. On an array it is a new array, and
+    builds no graph.
     """
     if len(x.shape) != 5:
         raise ConfigError(f"shift expects [N,T,C,H,W], got shape {x.shape}")
     offsets = (-1, +1) if direction == BIDIRECTIONAL else (+1,)
-    roll = roll_time if isinstance(x, Tensor) else roll_time_array
-    return roll(x, offsets, fold) if fold else x
+    return roll_time(x, offsets, fold) if fold else x
 
 
 def online_step(x: np.ndarray, prev: np.ndarray | None, fold: int) -> np.ndarray:

@@ -553,12 +553,12 @@ class TestInfer:
                 continue
             a = block.action
             assert [conv.w for conv in arrays.convs] == [
-                arrays.w[name] for name in ("ste_w", "me_squeeze", "me_transform")]
+                getattr(arrays, name) for name in ("ste_w", "me_squeeze", "me_transform")]
             c, d = a.ce_squeeze.shape
             taps = (a.ce_squeeze.data.reshape(c, d, 1) * a.ce_temporal.data).reshape(c, -1)
-            npt.assert_array_equal(arrays.squeeze_taps, taps)
+            npt.assert_array_equal(arrays.squeeze_taps(), taps)
             for p in a.parameters():
-                got = arrays.w[p.name.rsplit(".", 1)[1]]
+                got = getattr(arrays, p.name.rsplit(".", 1)[1])
                 assert not np.shares_memory(got, p.data)
                 npt.assert_array_equal(got, p.data.reshape(got.shape))
         model.load_state_dict(other.state_dict())

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tempfile
 from pathlib import Path
@@ -25,6 +26,23 @@ def naive_matmul(a, b):
                 acc += a[i, p] * b[p, j]
             out[i, j] = acc
     return out
+
+
+@contextlib.contextmanager
+def no_tensor_made():
+    """Fail if the block makes a Tensor: every op node goes through
+    Tensor.__init__, which a spy records."""
+    made = []
+    init = Tensor.__init__
+
+    def spy(tensor, *args, **kw):
+        made.append(kw.get("op", ""))
+        init(tensor, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tensor, "__init__", spy)
+        yield
+    assert made == []
 
 
 def naive_conv2d(x, w, stride=1, pad=0, bias=None):
@@ -69,6 +87,17 @@ class TestMatmul:
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+    def test_arrays_give_an_array_in_the_left_operands_order(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 5))
+        for left in (a, np.asfortranarray(a)):
+            with no_tensor_made():
+                got = matmul(left, b)
+            assert type(got) is np.ndarray
+            assert got.flags.f_contiguous == left.flags.f_contiguous
+            assert got.flags.c_contiguous == left.flags.c_contiguous
+            npt.assert_allclose(got, naive_matmul(a, b), rtol=1e-15)
 
 
 class TestConv2d:
@@ -356,11 +385,14 @@ class TestBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_saturates_finite(self, dtype):
         d = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0], dtype=dtype)
-        out = sigmoid(Tensor(d)).numpy()
-        assert out.dtype == dtype
-        assert np.isfinite(out).all() and (out >= 0).all() and (out <= 1).all()
-        npt.assert_allclose(out, [0.0, 1 / (1 + math.e), 0.5, 1 / (1 + 1 / math.e), 1.0],
-                            rtol=1e-6)
+        with no_tensor_made():
+            array_out = sigmoid(d)
+        assert type(array_out) is np.ndarray
+        for out in (sigmoid(Tensor(d)).numpy(), array_out):
+            assert out.dtype == dtype
+            assert np.isfinite(out).all() and (out >= 0).all() and (out <= 1).all()
+            npt.assert_allclose(out, [0.0, 1 / (1 + math.e), 0.5, 1 / (1 + 1 / math.e), 1.0],
+                                rtol=1e-6)
 
     def test_profile_times_each_op_and_keeps_grads(self):
         rng = np.random.default_rng(9)
@@ -478,6 +510,10 @@ class TestRollTime:
         leaf = Tensor(x, requires_grad=True)
         out = roll_time(leaf, offsets, fold)
         npt.assert_array_equal(out.numpy(), roll_time_oracle(x, offsets, fold))
+        with no_tensor_made():
+            array_out = roll_time(x, offsets, fold)
+        assert type(array_out) is np.ndarray
+        npt.assert_array_equal(array_out, roll_time_oracle(x, offsets, fold))
         tsum(mul(out, Tensor(g))).backward()
         # the backward pass is the opposite move
         npt.assert_array_equal(leaf.grad, roll_time_oracle(g, [-o for o in offsets], fold))
